@@ -170,12 +170,23 @@ def dispatch(argv):
     if args.command == "interleave":
         a = _pick(doc.towers, args.a, "tower")
         b = _pick(doc.towers, args.b, "tower")
-        cert = find_interleaving(a, b, args.depth)
+        truncated = []
+        cert = find_interleaving(a, b, args.depth, truncated)
         result = {"found": cert is not None}
         if cert is not None:
             result["certificate"] = cert.to_json()
-        report = build_report("interleave", result, digest, depth_used=args.depth)
-        text = "interleaving found" if cert else "absent (searched to depth %d)" % args.depth
+        warnings = [] if cert else [
+            "search cut short by the candidate cap in cell gaps (%d, %d) offsets (%d, %d)"
+            % cell for cell in truncated]
+        report = build_report("interleave", result, digest, depth_used=args.depth,
+                              warnings=warnings)
+        if cert:
+            text = "interleaving found"
+        elif warnings:
+            text = "not found (searched to depth %d, %d cells cut short)" % (
+                args.depth, len(warnings))
+        else:
+            text = "absent (searched to depth %d)" % args.depth
         return EXIT_OK, report, text
     if args.command == "compare":
         a = _pick(doc.towers, args.a, "tower")

@@ -14,11 +14,15 @@ since the bijection criterion presupposes a morphism inducing them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
+from operator import mul
 
 from .exactlat import (
+    IllDefined,
     IntMatrix,
     hom_make,
     kernel as lattice_kernel,
+    solve_columns,
 )
 from .limits import derived_limit, limit
 from .structured import compare_structured
@@ -168,67 +172,84 @@ def _chain_space(bond_tgt, bond_src_power, rel_src, rel_tgt, window):
 
 def _enumerate_small(dim, bound):
     """Deterministic enumeration of small integer coefficient vectors,
-    ordered by max-norm then lexicographically."""
-    if dim == 0:
-        yield ()
-        return
-    seen = set()
+    ordered by max-norm, then lexicographically in the digit order
+    0, 1, -1, 2, -2, ..."""
     for radius in range(bound + 1):
         ordered = sorted(range(-radius, radius + 1), key=lambda x: (abs(x), -x))
-        def rec(prefix):
-            if len(prefix) == dim:
-                if max((abs(x) for x in prefix), default=0) == radius and prefix not in seen:
-                    seen.add(prefix)
-                    yield prefix
-                return
-            for x in ordered:
-                yield from rec(prefix + (x,))
-        yield from rec(())
+        for v in product(ordered, repeat=dim):
+            if max(map(abs, v), default=0) == radius:
+                yield v
 
 
 _COEFF_BOUND = 2
 _CANDIDATE_CAP = 20000
 
 
-def find_interleaving(a, b, depth=4):
+def _candidates(dim):
+    """The first `_CANDIDATE_CAP` nonzero coefficient vectors of the
+    enumeration order, and whether the cap left any out."""
+    vecs = tuple(islice((v for v in _enumerate_small(dim, _COEFF_BOUND) if any(v)),
+                        _CANDIDATE_CAP + 1))
+    return vecs[:_CANDIDATE_CAP], len(vecs) > _CANDIDATE_CAP
+
+
+def find_interleaving(a, b, depth=4, truncated=None):
     """Bounded deterministic search for a pro-isomorphism certificate.
 
     Reindexing gaps and offsets run up to `depth`; map chains come from
     the integer solution lattice of the commutation squares; candidate
-    coefficients are enumerated in a fixed order and the first pair of
-    chains whose composites equal the bond powers exactly is returned.
-    Returns None (Absent) when the bounded search is exhausted.
+    f-coefficients are enumerated in a fixed order, and for each the
+    composite conditions are solved for the g-coefficients.  The first
+    pair of chains whose composites equal the bond powers exactly is
+    returned.  The composites are bilinear in the two coefficient
+    vectors, so the basis products and bond powers are computed once per
+    gap pair (see `_CompositeSystem`) and a candidate costs integer dot
+    products and one solve.
+
+    Returns None (Absent) when the bounded search is exhausted.  A cell
+    (ga, gb, c1, c2) with more than `_CANDIDATE_CAP` candidates is cut
+    short; when `truncated` is a list, each such cell is appended to it,
+    so a None answer can be told apart from an exhaustive one.
     """
     if not isinstance(a, PeriodicTower) or not isinstance(b, PeriodicTower):
         raise TowerError("find_interleaving needs eventually periodic towers")
     A = reduce_to_images(shift(a, a.prefix_len))
     B = reduce_to_images(shift(b, b.prefix_len))
-    TA, MA = A.tail_group, A.tail_endo
-    TB, MB = B.tail_group, B.tail_endo
 
     ident = _identity_certificate(A, B)
     if ident is not None:
         return ident
 
-    TA, MA = A.tail_group, A.tail_endo
-    TB, MB = B.tail_group, B.tail_endo
+    TA, TB = A.tail_group, B.tail_group
+    powers = _Powers(A.tail_endo.matrix, B.tail_endo.matrix)
+    by_dim = {}     # chain dimension -> _candidates(dimension)
     for ga in range(1, depth + 1):
         for gb in range(1, depth + 1):
             window = 2 * max(ga, gb) + 2
-            f_chains = _chain_space(MB.matrix, MA.matrix ** ga,
+            f_chains = _chain_space(B.tail_endo.matrix, powers("A", ga),
                                     TA.relations, TB.relations, window)
             if not f_chains:
                 continue
-            g_chains = _chain_space(MA.matrix, MB.matrix ** gb,
+            g_chains = _chain_space(A.tail_endo.matrix, powers("B", gb),
                                     TB.relations, TA.relations, window)
             if not g_chains:
                 continue
+            system = _CompositeSystem(A, B, ga, gb, f_chains, g_chains,
+                                      window, powers)
+            dim = len(f_chains)
+            if dim not in by_dim:
+                by_dim[dim] = _candidates(dim)
+            candidates, capped = by_dim[dim]
             for c1 in range(depth + 1):
                 for c2 in range(depth + 1):
-                    cert = _search_cell(A, B, ga, gb, c1, c2,
-                                        f_chains, g_chains, window)
+                    cell = system.cell(c1, c2)
+                    if cell is None:
+                        continue
+                    cert = _search_cell(system, c1, c2, cell, candidates)
                     if cert is not None:
                         return cert
+                    if capped and truncated is not None:
+                        truncated.append((ga, gb, c1, c2))
     return None
 
 
@@ -240,7 +261,7 @@ def _identity_certificate(A, B):
     try:
         f = hom_make(A.tail_group, B.tail_group, ident)
         g = hom_make(B.tail_group, A.tail_group, ident)
-    except Exception:
+    except IllDefined:
         return None
     if not A.tail_endo.matrix == B.tail_endo.matrix:
         return None
@@ -251,16 +272,13 @@ def _identity_certificate(A, B):
     return cert if _verify_certificate(A, B, cert) else None
 
 
-def _search_cell(A, B, ga, gb, c1, c2, f_chains, g_chains, window):
-    tried = 0
-    for coeffs in _enumerate_small(len(f_chains), _COEFF_BOUND):
-        if all(x == 0 for x in coeffs):
+def _search_cell(system, c1, c2, cell, candidates):
+    blocks, target = cell
+    for coeffs in candidates:
+        X = solve_columns(IntMatrix.from_rows(_rows(blocks, coeffs)), target)
+        if X is None:
             continue
-        tried += 1
-        if tried > _CANDIDATE_CAP:
-            return None
-        fs = _combine(f_chains, coeffs)
-        cert = _solve_backward(A, B, ga, gb, c1, c2, fs, g_chains, window)
+        cert = system.certificate(c1, c2, coeffs, X)
         if cert is not None:
             return cert
     return None
@@ -276,80 +294,124 @@ def _combine(chains, coeffs):
     return out
 
 
-def _solve_backward(A, B, ga, gb, c1, c2, fs, g_chains, window):
-    """Given an f-chain, composite conditions are linear in the g-chain."""
-    TA, MA = A.tail_group, A.tail_endo
-    TB, MB = B.tail_group, B.tail_endo
-    from .exactlat import solve_columns
+class _Powers:
+    """Bond powers A^k and B^k of one search, each computed once."""
 
-    # for a fixed f-chain the composite conditions are linear in the
-    # g-chain coefficients (with relation-multiplier corrections)
-    check = min(2, window)
-    cond_rows = []
-    rhs = []
-    for j in range(check + 1):
-        psi = gb * j + c2
-        phi_psi = ga * psi + c1
-        if psi > window or j > window:
-            continue
-        gap_a = phi_psi - j
-        power_a = (MA.matrix ** gap_a)
-        # g_j o f_psi = A^gap_a   (n_A x n_A entries)
-        for r in range(TA.generators):
-            for c in range(TA.generators):
-                row = []
-                for ch in g_chains:
-                    prod = ch[j] * fs[psi]
-                    row.append(prod.data[r][c])
-                # allow correction by relations of TA
-                cond_rows.append((row, ("A", r, c)))
-                rhs.append(power_a.data[r][c])
-        phi_j = ga * j + c1
-        psi_phi = gb * phi_j + c2
-        if phi_j > window or psi_phi > window:
-            continue
-        gap_b = psi_phi - j
-        power_b = (MB.matrix ** gap_b)
-        for r in range(TB.generators):
-            for c in range(TB.generators):
-                row = []
-                for ch in g_chains:
-                    prod = fs[j] * ch[phi_j]
-                    row.append(prod.data[r][c])
-                cond_rows.append((row, ("B", r, c)))
-                rhs.append(power_b.data[r][c])
-    if not cond_rows:
-        return None
-    # relation corrections: stack relation generators of the relevant group
-    relA, relB = TA.relations, TB.relations
-    extraA = relA.cols * TA.generators
-    extraB = relB.cols * TB.generators
-    width = len(g_chains) + extraA + extraB
-    mat_rows = []
-    for (row, tag) in cond_rows:
-        full = list(row) + [0] * (extraA + extraB)
-        side, r, c = tag
-        if side == "A" and relA.cols:
-            for k in range(relA.cols):
-                full[len(g_chains) + k * TA.generators + c] = relA.data[r][k]
-        if side == "B" and relB.cols:
-            for k in range(relB.cols):
-                full[len(g_chains) + extraA + k * TB.generators + c] = relB.data[r][k]
-        mat_rows.append(full)
-    sysm = IntMatrix.from_rows(mat_rows)
-    target = IntMatrix.from_columns(len(mat_rows), [rhs])
-    X = solve_columns(sysm, target)
-    if X is None:
-        return None
-    ycoeffs = [X.data[i][0] for i in range(len(g_chains))]
-    gs = _combine(g_chains, ycoeffs)
-    try:
-        f_homs = tuple(hom_make(TA, TB, m) for m in fs)
-        g_homs = tuple(hom_make(TB, TA, m) for m in gs)
-    except Exception:
-        return None
-    cert = Interleaving(ga, gb, c1, c2, f_homs, g_homs, min(2, window))
-    return cert if _verify_certificate(A, B, cert) else None
+    def __init__(self, MA, MB):
+        self.bonds = {"A": MA, "B": MB}
+        self.cache = {}
+
+    def __call__(self, side, k):
+        key = (side, k)
+        if key not in self.cache:
+            self.cache[key] = self.bonds[side] ** k
+        return self.cache[key]
+
+
+class _CompositeSystem:
+    """The composite conditions of one gap pair (ga, gb).
+
+    With f = sum_k x_k f_k and g = sum_l y_l g_l, the condition
+    g_j o f_psi = A^gap reads, entry (r, c) by entry,
+        sum_l y_l (sum_k x_k (g_l[j] f_k[psi])[r][c]) + relations of TA
+            = A^gap[r][c],
+    which is linear in y for a fixed candidate x; f_j o g_phi = B^gap
+    likewise.  The basis products g_l[j] f_k[psi] and f_k[j] g_l[phi]
+    are computed once per (side, j, level) and the bond powers once per
+    (side, gap), and every offset cell (c1, c2) and candidate x shares
+    them, so a candidate's system costs one dot product per entry.
+    Integer arithmetic is exact: the system equals the one built from
+    the combined chains by matrix products.
+    """
+
+    def __init__(self, A, B, ga, gb, f_chains, g_chains, window, powers):
+        self.A, self.B = A, B
+        self.ga, self.gb, self.window = ga, gb, window
+        self.f_chains, self.g_chains = f_chains, g_chains
+        self.powers = powers
+        self.entries = {}
+        TA, TB = A.tail_group, B.tail_group
+        relA, relB = TA.relations, TB.relations
+        extraA = relA.cols * TA.generators
+        extraB = relB.cols * TB.generators
+        # relation-multiplier columns appended to each row, by (side, r, c)
+        self.suffix = {}
+        for side, T, rel, base in (("A", TA, relA, 0), ("B", TB, relB, extraA)):
+            n = T.generators
+            for r in range(n):
+                for c in range(n):
+                    extra = [0] * (extraA + extraB)
+                    for k in range(rel.cols):
+                        extra[base + k * n + c] = rel.data[r][k]
+                    self.suffix[side, r, c] = extra
+
+    def cell(self, c1, c2):
+        """(blocks, target) of the offset cell (c1, c2), or None when no
+        composite condition falls inside the window.
+
+        Each block holds the rows of one composite identity, each row as
+        (vectors, suffix): entry l of the row is the dot product of the
+        candidate with vectors[l]; target stacks the bond-power entries.
+        """
+        ga, gb, window = self.ga, self.gb, self.window
+        blocks, rhs = [], []
+        for j in range(min(2, window) + 1):
+            psi = gb * j + c2
+            phi_psi = ga * psi + c1
+            if psi > window:
+                continue
+            # g_j o f_psi = A^(phi_psi - j)
+            blocks.append(self._entries("A", j, psi))
+            rhs.extend(x for row in self.powers("A", phi_psi - j).data for x in row)
+            phi_j = ga * j + c1
+            psi_phi = gb * phi_j + c2
+            if phi_j > window or psi_phi > window:
+                continue
+            # f_j o g_phi_j = B^(psi_phi - j)
+            blocks.append(self._entries("B", j, phi_j))
+            rhs.extend(x for row in self.powers("B", psi_phi - j).data for x in row)
+        if not rhs:
+            return None
+        return blocks, IntMatrix.from_columns(len(rhs), [rhs])
+
+    def _entries(self, side, j, level):
+        key = (side, j, level)
+        block = self.entries.get(key)
+        if block is None:
+            if side == "A":
+                n = self.A.tail_group.generators
+                prods = [[g[j] * f[level] for f in self.f_chains]
+                         for g in self.g_chains]
+            else:
+                n = self.B.tail_group.generators
+                prods = [[f[j] * g[level] for f in self.f_chains]
+                         for g in self.g_chains]
+            block = self.entries[key] = [
+                (tuple(tuple(p.data[r][c] for p in per_g) for per_g in prods),
+                 self.suffix[side, r, c])
+                for r in range(n) for c in range(n)]
+        return block
+
+    def certificate(self, c1, c2, coeffs, X):
+        """The verified certificate of a solved candidate, or None."""
+        TA, TB = self.A.tail_group, self.B.tail_group
+        ycoeffs = [X.data[i][0] for i in range(len(self.g_chains))]
+        fs = _combine(self.f_chains, coeffs)
+        gs = _combine(self.g_chains, ycoeffs)
+        try:
+            f_homs = tuple(hom_make(TA, TB, m) for m in fs)
+            g_homs = tuple(hom_make(TB, TA, m) for m in gs)
+        except IllDefined:
+            return None
+        cert = Interleaving(self.ga, self.gb, c1, c2, f_homs, g_homs,
+                            min(2, self.window))
+        return cert if _verify_certificate(self.A, self.B, cert) else None
+
+
+def _rows(blocks, coeffs):
+    """The rows of a cell's composite system for the f-coefficients."""
+    return [[sum(map(mul, coeffs, v)) for v in vectors] + suffix
+            for block in blocks for vectors, suffix in block]
 
 
 def _verify_certificate(A, B, cert):

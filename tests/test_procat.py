@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from towerlim.exactlat import cyclic_group, free_group, hom_make
+from towerlim import procat
+from towerlim.cli import dispatch
+from towerlim.exactlat import IntMatrix, cyclic_group, direct_sum, free_group, hom_make
 from towerlim.procat import (
     Interleaving,
     NotCommuting,
@@ -54,6 +58,167 @@ class TestFindInterleaving:
     def test_rank_two_self(self):
         t = pure_tower(free_group(2), [[2, 1], [0, 1]])
         assert find_interleaving(t, t, depth=2) is not None
+
+
+class TestPinnedCertificates:
+    """The search order is fixed, so the first certificate is too."""
+
+    def test_root_of_two_vs_two(self):
+        Z2 = free_group(2)
+        cert = find_interleaving(pure_tower(Z2, [[0, 2], [1, 0]]),
+                                 pure_tower(Z2, [[2, 0], [0, 2]]), depth=2)
+        assert cert.to_json() == {
+            "gap_forward": 1, "gap_backward": 1,
+            "offset_forward": 0, "offset_backward": 2,
+            "forward": [[[0, 4], [4, 0]], [[2, 0], [0, 4]], [[0, 2], [2, 0]],
+                        [[1, 0], [0, 2]], [[0, 1], [1, 0]]],
+            "backward": [[[0, 1], [1, 0]], [[2, 0], [0, 1]], [[0, 2], [2, 0]],
+                         [[4, 0], [0, 2]], [[0, 4], [4, 0]]],
+            "checked_levels": 2,
+        }
+
+    def test_4_vs_2(self):
+        cert = find_interleaving(tz(4), tz(2), depth=4)
+        assert cert.to_json() == {
+            "gap_forward": 1, "gap_backward": 1,
+            "offset_forward": 1, "offset_backward": 2,
+            "forward": [[[1]], [[2]], [[4]], [[8]], [[16]]],
+            "backward": [[[16]], [[8]], [[4]], [[2]], [[1]]],
+            "checked_levels": 2,
+        }
+
+    def test_diag_2_3_vs_2_5_absent(self):
+        Z2 = free_group(2)
+        truncated = []
+        assert find_interleaving(pure_tower(Z2, [[2, 0], [0, 3]]),
+                                 pure_tower(Z2, [[2, 0], [0, 5]]), 1,
+                                 truncated) is None
+        assert truncated == []
+
+
+class TestCandidateCap:
+    def test_enumeration_order(self):
+        assert list(procat._enumerate_small(2, 1)) == [
+            (0, 0), (0, 1), (0, -1), (1, 0), (1, 1), (1, -1),
+            (-1, 0), (-1, 1), (-1, -1)]
+        assert list(procat._enumerate_small(0, 2)) == [()]
+
+    def test_capped_cells_are_reported(self, monkeypatch):
+        monkeypatch.setattr(procat, "_CANDIDATE_CAP", 1)
+        truncated = []
+        assert find_interleaving(tz(2), tz(3), 1, truncated) is None
+        assert truncated == [(1, 1, c1, c2) for c1 in (0, 1) for c2 in (0, 1)]
+
+    def test_uncapped_search_reports_nothing(self):
+        truncated = []
+        assert find_interleaving(tz(2), tz(3), 1, truncated) is None
+        assert truncated == []
+
+    def test_cli_warns_when_cut_short(self, monkeypatch, tmp_path):
+        path = tmp_path / "pair.tower"
+        path.write_text("[group Zg]\ngenerators = 1\n"
+                        "[map two]\nsource = Zg\ntarget = Zg\nmatrix = [2]\n"
+                        "[map three]\nsource = Zg\ntarget = Zg\nmatrix = [3]\n"
+                        "[tower a]\ntail_group = Zg\ntail_endo = two\n"
+                        "[tower b]\ntail_group = Zg\ntail_endo = three\n")
+        argv = ["interleave", str(path), "--a", "a", "--b", "b", "--depth", "1"]
+        code, report, text = dispatch(argv)
+        assert (code, report["warnings"]) == (0, [])
+        assert text == "absent (searched to depth 1)"
+        monkeypatch.setattr(procat, "_CANDIDATE_CAP", 1)
+        code, report, text = dispatch(argv)
+        assert code == 0 and not report["result"]["found"]
+        assert report["warnings"][0] == (
+            "search cut short by the candidate cap in cell gaps (1, 1) offsets (0, 0)")
+        assert len(report["warnings"]) == 4
+        assert text == "not found (searched to depth 1, 4 cells cut short)"
+
+
+def _naive_rows(A, B, ga, gb, c1, c2, fs, g_chains, window):
+    """The composite system built from the combined f-chain by matrix
+    products, one entry at a time."""
+    TA, MA = A.tail_group, A.tail_endo
+    TB, MB = B.tail_group, B.tail_endo
+    cond_rows, rhs = [], []
+    for j in range(min(2, window) + 1):
+        psi = gb * j + c2
+        phi_psi = ga * psi + c1
+        if psi > window or j > window:
+            continue
+        power_a = MA.matrix ** (phi_psi - j)
+        for r in range(TA.generators):
+            for c in range(TA.generators):
+                cond_rows.append(([(ch[j] * fs[psi]).data[r][c] for ch in g_chains],
+                                  ("A", r, c)))
+                rhs.append(power_a.data[r][c])
+        phi_j = ga * j + c1
+        psi_phi = gb * phi_j + c2
+        if phi_j > window or psi_phi > window:
+            continue
+        power_b = MB.matrix ** (psi_phi - j)
+        for r in range(TB.generators):
+            for c in range(TB.generators):
+                cond_rows.append(([(fs[j] * ch[phi_j]).data[r][c] for ch in g_chains],
+                                  ("B", r, c)))
+                rhs.append(power_b.data[r][c])
+    relA, relB = TA.relations, TB.relations
+    extraA = relA.cols * TA.generators
+    extraB = relB.cols * TB.generators
+    rows = []
+    for row, (side, r, c) in cond_rows:
+        full = list(row) + [0] * (extraA + extraB)
+        if side == "A":
+            for k in range(relA.cols):
+                full[len(g_chains) + k * TA.generators + c] = relA.data[r][k]
+        else:
+            for k in range(relB.cols):
+                full[len(g_chains) + extraA + k * TB.generators + c] = relB.data[r][k]
+        rows.append(full)
+    return rows, rhs
+
+
+class TestCompositeSystem:
+    def test_cached_rows_match_naive_products(self):
+        rng = random.Random(20081407)
+        TA = direct_sum(free_group(1), cyclic_group(4))
+        TB = direct_sum(cyclic_group(6), free_group(2))
+
+        def rand(rows, cols):
+            return IntMatrix(rows, cols, [[rng.randint(-3, 3) for _ in range(cols)]
+                                          for _ in range(rows)])
+
+        for trial in range(6):
+            a = pure_tower(TA, [[rng.randint(-3, 3), 0],
+                                [rng.randint(-3, 3), rng.randint(-3, 3)]])
+            b = pure_tower(TB, [[rng.randint(-3, 3)] + [rng.randint(-3, 3)
+                                                         for _ in range(2)]]
+                           + [[0] + [rng.randint(-3, 3) for _ in range(2)]
+                              for _ in range(2)])
+            A, B = (a, b) if trial % 2 else (b, a)
+            nA, nB = A.tail_group.generators, B.tail_group.generators
+            ga, gb = rng.randint(1, 2), rng.randint(1, 2)
+            window = 2 * max(ga, gb) + 2
+            f_chains = [[rand(nB, nA) for _ in range(window + 1)]
+                        for _ in range(rng.randint(1, 3))]
+            g_chains = [[rand(nA, nB) for _ in range(window + 1)]
+                        for _ in range(rng.randint(1, 3))]
+            powers = procat._Powers(A.tail_endo.matrix, B.tail_endo.matrix)
+            system = procat._CompositeSystem(A, B, ga, gb, f_chains, g_chains,
+                                             window, powers)
+            for c1 in range(4):
+                for c2 in range(window + 2):
+                    cell = system.cell(c1, c2)
+                    for _ in range(3):
+                        coeffs = tuple(rng.randint(-2, 2) for _ in f_chains)
+                        fs = procat._combine(f_chains, coeffs)
+                        rows, rhs = _naive_rows(A, B, ga, gb, c1, c2, fs,
+                                                g_chains, window)
+                        assert (cell is None) == (not rows)
+                        if cell is None:
+                            continue
+                        blocks, target = cell
+                        assert procat._rows(blocks, coeffs) == rows
+                        assert target.column(0) == rhs
 
 
 class TestCompareInvariants:
