@@ -3,8 +3,8 @@
 Commands: lim, lim1, ml, six-term, steenrod, cech, interleave, compare,
 telescope, lab.  Input is a tower description file (see towerfile);
 output is a human-readable line or, with --json, a machine-readable
-report.  Exit codes: 0 success, 2 parse error, 3 depth-limited or no
-stabilization, 4 ill-defined input.
+report.  Exit codes: 0 success, 2 parse error, 3 depth-limited or too
+large, 4 ill-defined input.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .exactlat import IllDefined
 from .lab import LabConfig, SUITE_NAMES, UnknownSuite, run_suite
 from .limits import (
     DepthLimited,
-    NoStabilization,
     TooLarge,
     derived_limit,
     limit,
@@ -240,7 +239,7 @@ def main(argv=None):
     except (ParseError, UnresolvedReference, DimensionMismatch) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except (DepthLimited, NoStabilization, TooLarge) as exc:
+    except (DepthLimited, TooLarge) as exc:
         print("depth limited: %s" % exc, file=sys.stderr)
         return EXIT_DEPTH
     except (IllDefined, TowerError, SimplicialError, ShapeError,

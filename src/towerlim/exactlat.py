@@ -390,11 +390,6 @@ def lattice_contains(gens, vector):
     return solve_columns(gens, target) is not None
 
 
-def lattice_subset(a, b):
-    """Is span(a) contained in span(b)?"""
-    return solve_columns(b, a) is not None
-
-
 def kernel(mat):
     """Basis of the integer kernel of mat, as a matrix of columns.
 
@@ -491,9 +486,6 @@ class FgAbGroup:
         r, t = self.smith_invariants
         return r == 0 and not t
 
-    def is_finite(self):
-        return self.rank == 0
-
     def order(self):
         """Group order; None when infinite."""
         r, t = self.smith_invariants
@@ -519,22 +511,6 @@ class FgAbGroup:
 
     def __repr__(self):
         return "FgAbGroup(%s)" % self.describe()
-
-    def relation_lattice(self):
-        return self.relations
-
-    def canonical_coordinates(self):
-        """Unimodular P with P * (relation lattice) diagonal.
-
-        Returns (P, diag) where diag lists the invariant factor of each new
-        coordinate (0 for free coordinates).  In the new coordinates z = P x
-        the group is  (+)_i Z/diag[i]  with Z/0 meaning Z.
-        """
-        S, U, V = snf(self.relations)
-        diag = [0] * self.generators
-        for i in range(min(S.rows, S.cols)):
-            diag[i] = S.data[i][i]
-        return U, diag
 
 
 def present(generators, relations):
@@ -598,9 +574,6 @@ class Homomorphism:
                 return False
         return True
 
-    def is_identity(self):
-        return self.source is self.target and self.equals(identity_hom(self.source))
-
     def power(self, k):
         if self.source.generators != self.target.generators:
             raise ValueError("power of non-endomorphism")
@@ -614,10 +587,6 @@ class Homomorphism:
 
 def identity_hom(group):
     return Homomorphism(group, group, IntMatrix.identity(group.generators))
-
-
-def zero_hom(source, target):
-    return Homomorphism(source, target, IntMatrix.zero(target.generators, source.generators))
 
 
 def hom_make(source, target, matrix):

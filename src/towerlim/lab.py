@@ -58,9 +58,6 @@ class SplitMix64:
         """Uniform integer in [lo, hi]."""
         return lo + self.below(hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
 
 def trial_rng(master_seed, suite, index):
     """Per-trial stream: sub-seed derived from the master seed, the suite
@@ -396,7 +393,3 @@ def run_suite(config, suite):
         fn(rng, config, report)
     report.elapsed = time.perf_counter() - start
     return report
-
-
-def run_all(config):
-    return {name: run_suite(config, name) for name in SUITE_NAMES}

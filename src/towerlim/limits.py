@@ -23,6 +23,9 @@ image chain stabilizes the stable lattice must coincide with N.
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,10 +57,6 @@ from .towers import (
 
 
 class DepthLimited(Exception):
-    pass
-
-
-class NoStabilization(Exception):
     pass
 
 
@@ -160,81 +159,307 @@ def _divisors(n):
     return small + large[::-1]
 
 
-_KRONECKER_BUDGET = 200_000
+# ---------------------------------------------------------------------------
+# Zassenhaus factoring of a monic residual: squarefree part over Z,
+# factors modulo a small prime, Hensel lifting, and recombination of the
+# lifted factors, each candidate confirmed by exact division over Z.
+# Polynomials modulo m are ascending coefficient lists without trailing
+# zeros (the zero polynomial is []), coefficients in [0, m).
+
+# Good primes tried before the one with the fewest modular factors is kept.
+_GOOD_PRIMES = 5
 
 
-def _kronecker_split(h, budget=_KRONECKER_BUDGET):
-    """One factor of h found by Kronecker interpolation, or None.
-
-    h is monic with no rational roots and degree at least 4.  Raises
-    NoStabilization when the divisor enumeration exceeds its budget.
-    """
-    deg = len(h) - 1
-    pts_pool = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    for d in range(2, deg // 2 + 1):
-        pts = pts_pool[: d + 1]
-        vals = [poly_eval(h, x) for x in pts]
-        divisor_sets = []
-        total = 1
-        for v in vals:
-            ds = _divisors(v)
-            ds = [x for x in ds] + [-x for x in ds]
-            divisor_sets.append(ds)
-            total *= len(ds)
-            if total > budget:
-                raise NoStabilization(
-                    "polynomial factor search exceeded its budget at degree %d" % d)
-        idx = [0] * len(pts)
-        while True:
-            ys = [divisor_sets[i][idx[i]] for i in range(len(pts))]
-            g = _interpolate_integer(pts, ys, d)
-            if g is not None and g[-1] in (1, -1):
-                if g[-1] == -1:
-                    g = [-c for c in g]
-                q, r = poly_divmod(h, g)
-                if all(x == 0 for x in r):
-                    return g, q
-            k = len(pts) - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < len(divisor_sets[k]):
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                break
-    return None
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _interpolate_integer(pts, ys, deg):
-    """Degree-deg integer polynomial through the points, or None."""
-    coeffs = [Fraction(y) for y in ys]
-    n = len(pts) - 1
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (pts[i] - pts[i - level])
-    poly = [Fraction(0)] * (n + 1)
-    acc = [Fraction(1)]
-    for i in range(n + 1):
-        for j, c in enumerate(acc):
-            poly[j] += coeffs[i] * c
-        acc = [Fraction(0)] + acc
-        for j in range(len(acc) - 1):
-            acc[j] -= pts[i] * acc[j + 1]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    if len(poly) - 1 != deg:
-        return None
+def _mod(a, m):
+    return _trim([c % m for c in a])
+
+
+def _add_mod(a, b, m, sign=1):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return _mod(out, m)
+
+
+def _sub_mod(a, b, m):
+    return _add_mod(a, b, m, -1)
+
+
+def _mul_mod(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _mod(out, m)
+
+
+def _divmod_mod(a, b, m):
+    """Quotient and remainder modulo m; lc(b) must be invertible mod m."""
+    r = [c % m for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1 - db, -1, -1):
+        c = r[i + db] * inv % m
+        q[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                r[i + j] = (r[i + j] - c * bj) % m
+    return _trim(q), _trim(r[:db])
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd over GF(p)."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcdex_mod(a, b, p):
+    """(s, t) with s a + t b = 1 over GF(p), for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
+        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    inv = pow(r0[0], -1, p)    # r0 is a nonzero constant
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _powmod_mod(a, e, f, p):
+    """a^e modulo (f, p)."""
+    out, base = [1], _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul_mod(out, base, p), f, p)[1]
+        e >>= 1
+        if e:
+            base = _divmod_mod(_mul_mod(base, base, p), f, p)[1]
+    return out
+
+
+def _derivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _distinct_degree(f, p):
+    """(g, d) pairs: g is the product of the degree-d irreducible factors
+    of the monic squarefree f over GF(p)."""
     out = []
-    for c in poly:
-        if c.denominator != 1:
-            return None
-        out.append(int(c))
+    h = [0, 1]
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod_mod(h, p, f, p)
+        g = _gcd_mod(f, _sub_mod(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g, d, p, rng):
+    """The monic degree-d irreducible factors of g over GF(p), p odd
+    (Cantor-Zassenhaus)."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        b = _powmod_mod(a, e, g, p)
+        c = _gcd_mod(g, _sub_mod(b, [1], p), p)
+        if 1 < len(c) < len(g):
+            break
+    return (_equal_degree(c, d, p, rng)
+            + _equal_degree(_divmod_mod(g, c, p)[0], d, p, rng))
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _modular_factors(f):
+    """A prime p with f mod p squarefree, and the monic irreducible
+    factors of f mod p; of the first _GOOD_PRIMES such primes, the one
+    with the fewest factors."""
+    best = None
+    good = 0
+    for p in _odd_primes():
+        fp = _mod(f, p)
+        if len(_gcd_mod(fp, _mod(_derivative(f), p), p)) > 1:
+            continue
+        ddf = _distinct_degree(fp, p)
+        count = sum((len(g) - 1) // d for g, d in ddf)
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
+        good += 1
+        if count == 1 or good == _GOOD_PRIMES:
+            break
+    _, p, ddf = best
+    rng = random.Random(p)
+    return p, [u for g, d in ddf for u in _equal_degree(g, d, p, rng)]
+
+
+def _hensel_pair(f, g, h, p, steps):
+    """Monic lifts (G, H) of f = g h mod p to f = G H mod p^(2^steps)
+    (quadratic Hensel lifting, von zur Gathen & Gerhard Alg. 15.10)."""
+    s, t = _gcdex_mod(g, h, p)
+    m = p
+    for _ in range(steps):
+        m *= m
+        e = _sub_mod(f, _mul_mod(g, h, m), m)
+        q, r = _divmod_mod(_mul_mod(s, e, m), h, m)
+        g = _add_mod(g, _add_mod(_mul_mod(t, e, m), _mul_mod(q, g, m), m), m)
+        h = _add_mod(h, r, m)
+        b = _sub_mod(_add_mod(_mul_mod(s, g, m), _mul_mod(t, h, m), m), [1], m)
+        c, d = _divmod_mod(_mul_mod(s, b, m), h, m)
+        s = _sub_mod(s, d, m)
+        t = _sub_mod(t, _add_mod(_mul_mod(t, b, m), _mul_mod(c, g, m), m), m)
+    return g, h
+
+
+def _hensel_lift(f, us, p, steps):
+    """Lifts of the factors us of f mod p to factors of f mod p^(2^steps)."""
+    if len(us) == 1:
+        return [_mod(f, p ** (1 << steps))]
+    k = len(us) // 2
+    g, h = [1], [1]
+    for u in us[:k]:
+        g = _mul_mod(g, u, p)
+    for u in us[k:]:
+        h = _mul_mod(h, u, p)
+    G, H = _hensel_pair(f, g, h, p, steps)
+    return _hensel_lift(G, us[:k], p, steps) + _hensel_lift(H, us[k:], p, steps)
+
+
+def _symmetric(a, m):
+    half = m // 2
+    return [c - m if c > half else c for c in a]
+
+
+def _factor_squarefree(f):
+    """Monic irreducible factors over Z of a monic squarefree f."""
+    p, us = _modular_factors(f)
+    if len(us) == 1:
+        return [f]
+    # Landau-Mignotte: a factor of degree d has coefficients of absolute
+    # value at most 2^d |f|_2 <= B, so residues modulo p^(2^steps) > 2B
+    # in the symmetric system are the coefficients themselves
+    bound = (math.isqrt(sum(c * c for c in f)) + 1) << (len(f) - 1)
+    steps = 0
+    while p ** (1 << steps) <= 2 * bound:
+        steps += 1
+    m = p ** (1 << steps)
+    lifted = _hensel_lift(f, us, p, steps)
+    found = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            # the constant term of a factor divides f(0)
+            const = 1
+            for i in subset:
+                const = const * lifted[i][0] % m
+            const = _symmetric([const], m)[0]
+            if const == 0 or f[0] % const:
+                continue
+            g = [1]
+            for i in subset:
+                g = _mul_mod(g, lifted[i], m)
+            g = _symmetric(g, m)
+            q, r = poly_divmod(f, g)
+            if any(r):
+                continue
+            found.append(g)
+            f = q
+            lifted = [u for i, u in enumerate(lifted) if i not in subset]
+            break
+        else:
+            size += 1
+    found.append(f)
+    return found
+
+
+def _primitive(a):
+    c = 0
+    for x in a:
+        c = math.gcd(c, x)
+    if a[-1] < 0:
+        c = -c
+    return [x // c for x in a]
+
+
+def _gcd_primitive(a, b):
+    """The primitive gcd over Z with positive leading coefficient, by a
+    primitive pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r, lb, db = list(a), b[-1], len(b) - 1
+        while r and len(r) - 1 >= db:
+            lr, k = r[-1], len(r) - 1 - db
+            r = [x * lb for x in r]
+            for j, bj in enumerate(b):
+                r[k + j] -= lr * bj
+            _trim(r)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _factor_residual(h):
+    """(factor, multiplicity) pairs of a monic h over Z."""
+    g = _gcd_primitive(h, _derivative(h))
+    if len(g) == 1:
+        return [(f, 1) for f in _factor_squarefree(h)]
+    out = []
+    for f in _factor_squarefree(poly_divmod(h, g)[0]):
+        mult = 0
+        while True:
+            q, r = poly_divmod(h, f)
+            if any(r):
+                break
+            h, mult = q, mult + 1
+        out.append((f, mult))
     return out
 
 
 def factor_monic(coeffs):
-    """Irreducible monic factors with multiplicity, as (factor, mult) pairs."""
+    """Irreducible monic factors with multiplicity, as (factor, mult) pairs
+    sorted by coefficient list.
+
+    Powers of x and integer roots are split off first; a residual of
+    degree at most 3 is then irreducible.  A larger residual is factored
+    by Zassenhaus's method: its squarefree part (h divided by gcd(h, h')
+    over Z) is factored modulo a good prime, of several tried the one
+    with the fewest factors (Cantor-Zassenhaus, seeded per prime), the
+    factors are Hensel-lifted modulo p^k beyond twice a Landau-Mignotte
+    bound, and subsets of them are recombined in increasing size; a
+    candidate is accepted only when it divides exactly over Z, and each
+    multiplicity is counted by exact division of h.
+    """
     work = list(coeffs)
     factors = []
     # powers of x
@@ -258,20 +483,11 @@ def factor_monic(coeffs):
                 factors.append(([-r, 1], mult))
                 changed = True
                 break
-    # residual with no rational roots
-    stack = [work] if len(work) > 1 else []
-    while stack:
-        h = stack.pop()
-        if len(h) - 1 <= 3:
-            factors.append((h, 1))
-            continue
-        split = _kronecker_split(h)
-        if split is None:
-            factors.append((h, 1))
-        else:
-            g, q = split
-            stack.append(g)
-            stack.append(q)
+    # residual with no rational roots: irreducible up to degree 3
+    if len(work) - 1 >= 4:
+        factors.extend(_factor_residual(work))
+    elif len(work) > 1:
+        factors.append((work, 1))
     # merge equal factors
     merged = {}
     for f, m in factors:
@@ -312,10 +528,6 @@ class PeriodicLimData:
     unit_basis: IntMatrix        # columns: lim generators in reduced coordinates
     torsion_orders: tuple        # invariant factors of the torsion generators
     group: FgAbGroup             # abstract lim, presented on those generators
-
-    @property
-    def generator_count(self):
-        return self.group.generators
 
 
 def _free_block(reduction):
@@ -729,27 +941,6 @@ def _reduce_mod(group, vector):
             for i in range(len(v)):
                 v[i] -= q * col[i]
     return v
-
-
-def threads_in_box(matrix, box, depth):
-    """Level-0 values of depth-long threads with all coordinates in
-    [-box, box]; a brute-force oracle for the unit-part computation."""
-    r = matrix.rows
-    if r == 0:
-        return {()}
-    pts = set()
-    import itertools as _it
-    for tup in _it.product(range(-box, box + 1), repeat=r):
-        pts.add(tup)
-    current = pts
-    for _ in range(depth):
-        nxt = set()
-        for x in current:
-            y = tuple(matrix.apply(list(x)))
-            if all(abs(c) <= box for c in y):
-                nxt.add(y)
-        current = nxt
-    return current
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,6 @@ def _sparse_invariants_from_cols(cols):
     return [1] * units + rest
 
 
-def _rank_of(mat):
-    return len(sparse_invariants(mat))
-
-
 def homology_invariants(K, n, reduced=False):
     """(rank, torsion) of H_n over Z, without witnesses."""
     if n < 0:

@@ -66,13 +66,6 @@ class TowerFile:
     stowers: dict = field(default_factory=dict)
     sections: tuple = ()     # raw (kind, name, {key: value-string}) for round-trips
 
-    def sole(self, table, what):
-        d = getattr(self, table)
-        if len(d) == 1:
-            return next(iter(d.values()))
-        raise UnresolvedReference(
-            "need exactly one %s (found %d); name one explicitly" % (what, len(d)))
-
 
 def _parse_matrix(text, line):
     text = text.strip()

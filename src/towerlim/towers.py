@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .exactlat import (
     FgAbGroup,
     Homomorphism,
+    IllDefined,
     IntMatrix,
     free_group,
     hom_make,
@@ -530,7 +531,7 @@ def _solve_next_map(bond_tgt, bond_src, current):
     N = X.submatrix(range(B.cols), range(X.cols))
     try:
         return hom_make(bond_src.source, bond_tgt.source, N)
-    except Exception:
+    except IllDefined:
         return None
 
 

@@ -6,6 +6,9 @@ levelwise Smith invariants for completion growth, and literal element
 enumeration for finite towers.
 """
 
+import itertools
+import random
+
 import pytest
 
 from towerlim.exactlat import (
@@ -25,11 +28,12 @@ from towerlim.limits import (
     factor_monic,
     limit,
     ml_conditions,
+    poly_mul,
     six_term,
     six_term_delta_sample,
-    threads_in_box,
     unit_part_polynomial,
 )
+from towerlim.limits import _modular_factors
 from towerlim.structured import StructuredGroup, compare_structured
 from towerlim.towers import (
     FiniteTower,
@@ -48,6 +52,35 @@ Z2 = free_group(2)
 
 def tower_Zp(p):
     return pure_tower(Z, [[p]])
+
+
+def threads_in_box(matrix, box, depth):
+    """Level-0 values of depth-long threads with all coordinates in
+    [-box, box]; a brute-force oracle for the unit-part computation."""
+    r = matrix.rows
+    if r == 0:
+        return {()}
+    current = set(itertools.product(range(-box, box + 1), repeat=r))
+    for _ in range(depth):
+        nxt = set()
+        for x in current:
+            y = tuple(matrix.apply(list(x)))
+            if all(abs(c) <= box for c in y):
+                nxt.add(y)
+        current = nxt
+    return current
+
+
+def random_matrix(rng, rank, bound):
+    return [[rng.randint(-bound, bound) for _ in range(rank)] for _ in range(rank)]
+
+
+def expand(factors):
+    out = [1]
+    for f, m in factors:
+        for _ in range(m):
+            out = poly_mul(out, f)
+    return out
 
 
 class TestCharpoly:
@@ -80,6 +113,86 @@ class TestCharpoly:
         # recover the golden-ratio factor
         f = [2, 2, -3, -1, 1]
         assert unit_part_polynomial(f) == [-1, -1, 1]
+
+
+# Dense rank-6 tails on which the former budgeted divisor search gave up,
+# and one on which it ran past 10 s.
+FORMER_CLIFF_TAILS = (
+    [[2, 2, 0, 3, 0, -2], [0, -2, 0, -3, -1, 1], [3, -2, 3, 2, -1, -3],
+     [-3, 3, 3, 3, -1, 2], [-1, -3, -2, -1, 3, 0], [0, -1, -1, 3, 1, 0]],
+    [[-2, -1, 3, 2, -2, -2], [-2, -1, -3, -3, 0, 1], [-1, -1, -1, -1, -3, -3],
+     [-1, -2, 3, 3, 2, 2], [0, 3, 0, 3, -3, 2], [-3, 2, 0, 1, 3, -3]],
+    [[1, -1, 3, 1, -3, 0], [-1, 1, 1, -3, 1, 1], [-1, -3, 2, 1, 3, 2],
+     [3, 0, 2, -2, 2, -1], [2, -1, 3, 3, 0, 1], [-3, 0, -1, 0, 1, -1]],
+    [[2, -1, -3, 1, 1, 2], [3, -1, 2, 0, 3, -3], [-3, 2, 3, 3, 0, 0],
+     [-2, 0, 3, -2, 3, -2], [0, 3, -2, -1, -3, -1], [2, 3, -1, 3, -1, 2]],
+)
+
+PHI5 = [1, 1, 1, 1, 1]
+PHI7 = [1, 1, 1, 1, 1, 1, 1]
+SWINNERTON_DYER_4 = [1, 0, -10, 0, 1]          # minimal polynomial of sqrt2 + sqrt3
+SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]   # of sqrt2 + sqrt3 + sqrt5
+
+
+class TestFactoring:
+    # each of these characteristic polynomials is irreducible (checked with
+    # sympy) with constant term other than +-1: lim = 0 and lim1 has full rank
+    @pytest.mark.parametrize("rows", FORMER_CLIFF_TAILS + tuple(
+        random_matrix(random.Random(seed), 10, 9) for seed in (1, 2)))
+    def test_dense_tails_irreducible(self, rows):
+        f = charpoly(IntMatrix.from_rows(rows))
+        assert factor_monic(f) == [(f, 1)]
+        t = pure_tower(free_group(len(rows)), rows)
+        assert limit(t).is_trivial
+        lim1 = derived_limit(t)
+        assert lim1.tag == "completion_quotient"
+        assert lim1.rank == len(rows)
+
+    def test_swinnerton_dyer_splits_modulo_primes(self):
+        # irreducible over Z, but a product of quadratics or linears mod
+        # every prime: the irreducibility comes out of recombination alone
+        for f in (SWINNERTON_DYER_4, SWINNERTON_DYER_8):
+            _, us = _modular_factors(f)
+            assert len(us) >= 2
+            assert factor_monic(f) == [(f, 1)]
+
+    def test_repeated_factor(self):
+        f = expand([([-2, 0, 1], 2), ([-1, -1, 1], 1)])
+        assert factor_monic(f) == [([-2, 0, 1], 2), ([-1, -1, 1], 1)]
+
+    def test_x_power_and_cyclotomics(self):
+        f = expand([([0, 1], 3), (PHI5, 1), (PHI7, 1)])
+        assert factor_monic(f) == [([0, 1], 3), (PHI5, 1), (PHI7, 1)]
+
+    def test_two_irreducible_quartics(self):
+        q = [1, 1, 0, 0, 1]     # x^4 + x + 1, irreducible modulo 2
+        f = poly_mul(SWINNERTON_DYER_4, q)
+        assert factor_monic(f) == sorted([(SWINNERTON_DYER_4, 1), (q, 1)])
+
+    def test_product_of_factors_is_input(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            f = [1]
+            for _ in range(rng.randint(1, 4)):
+                g = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] + [1]
+                for _ in range(rng.randint(1, 3)):
+                    f = poly_mul(f, g)
+            fs = factor_monic(f)
+            assert expand(fs) == f
+            assert all(m >= 1 and g[-1] == 1 for g, m in fs)
+            assert fs == sorted(fs)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(20)
+        for _ in range(200):
+            rank = rng.randint(1, 8)
+            f = charpoly(IntMatrix.from_rows(random_matrix(rng, rank, 9)))
+            _, expected = sympy.factor_list(sympy.Poly(f[::-1], x))
+            expected = sorted(([int(c) for c in g.all_coeffs()[::-1]], m)
+                              for g, m in expected)
+            assert factor_monic(f) == expected
 
 
 class TestLim:
