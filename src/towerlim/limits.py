@@ -473,8 +473,8 @@ def factor_monic(coeffs):
     changed = True
     while changed and len(work) > 1:
         changed = False
-        for r in sorted(set(d for x in (1, -1) for d in
-                            [x * dd for dd in _divisors(work[0])])):
+        divisors = _divisors(work[0])
+        for r in sorted(set(divisors + [-d for d in divisors])):
             if poly_eval(work, r) == 0:
                 mult = 0
                 while poly_eval(work, r) == 0 and len(work) > 1:

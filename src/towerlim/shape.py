@@ -21,7 +21,6 @@ from .limits import derived_limit, limit
 from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
-    barycentric_subdivision,
     identity_map,
     induced_cohom,
     induced_hom,
@@ -459,9 +458,9 @@ def telescope(st, m):
     for i in range(m):
         bond = st.bond_at(i)
         for _ in range(i):
-            src_labels = barycentric_subdivision(bond.source)[1]
-            tgt_labels = barycentric_subdivision(bond.target)[1]
-            bond = subdivide_map(bond, src_labels, tgt_labels)
+            # the vertex labels of sd(K) are the simplices of K in sorted order
+            bond = subdivide_map(bond, sorted(bond.source.simplices),
+                                 sorted(bond.target.simplices))
         if bond.target.simplices != top_complex.simplices:
             raise ShapeError("telescope gluing mismatch at level %d" % i)
         cyl = mapping_cylinder(bond)

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from towerlim.exactlat import IntMatrix
 from towerlim.simplicial import (
+    MappingCylinder,
     SimplicialComplex,
     SimplicialError,
     SimplicialMap,
@@ -224,3 +226,180 @@ class TestMappingCylinder:
         cyl = mapping_cylinder(f)
         assert homology_invariants(cyl.complex, 0) == (1, [])
         assert homology_invariants(cyl.complex, 1) == (0, [])
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the face-poset builders against the quadratic
+# chain enumerations they replaced
+
+
+def naive_barycentric_subdivision(K):
+    """Every chain of the face poset, found by rescanning all simplices."""
+    simplices = sorted(K.simplices)
+    label = {s: i for i, s in enumerate(simplices)}
+    chains = []
+    def grow(chain):
+        chains.append(tuple(chain))
+        last = chain[-1]
+        for s in simplices:
+            if len(s) > len(last) and set(last) < set(s):
+                grow(chain + [s])
+    for s in simplices:
+        grow([s])
+    maximal = [tuple(sorted(label[s] for s in ch)) for ch in chains]
+    return SimplicialComplex.from_maximal(len(simplices), maximal), simplices
+
+
+def naive_mapping_cylinder(f):
+    """Every descending chain of K, joined to every face of f(last)."""
+    K, L = f.source, f.target
+    simplices = sorted(K.simplices)
+    bary = {s: i for i, s in enumerate(simplices)}
+    offset = len(simplices)
+    n_vertices = offset + L.vertex_count
+    cyl = {tuple(v + offset for v in s) for s in L.simplices}
+    def descend(chain):
+        verts = tuple(sorted(bary[s] for s in chain))
+        cyl.add(verts)
+        last = chain[-1]
+        fimg = tuple(sorted(set(f.vertex_map[v] for v in last)))
+        for k in range(1, len(fimg) + 1):
+            for tau in combinations(fimg, k):
+                cyl.add(tuple(sorted(verts + tuple(v + offset for v in tau))))
+        for s in simplices:
+            if len(s) < len(last) and set(s) < set(last):
+                descend(chain + [s])
+    for s in simplices:
+        descend([s])
+    complex_ = SimplicialComplex(n_vertices, frozenset(cyl))
+    sdK, labels = naive_barycentric_subdivision(K)
+    retraction = SimplicialMap(
+        complex_, L,
+        tuple(f.vertex_map[s[0]] for s in simplices) + tuple(range(L.vertex_count)))
+    return MappingCylinder(
+        complex_, SimplicialMap(L, complex_, tuple(range(offset, n_vertices))),
+        SimplicialMap(sdK, complex_, tuple(range(len(simplices)))),
+        retraction, sdK, tuple(labels))
+
+
+def random_complex(rng, n_vertices, max_dim=3, n_maximal=4):
+    maximal = []
+    for _ in range(rng.randint(1, n_maximal)):
+        size = rng.randint(1, min(max_dim + 1, n_vertices))
+        maximal.append(tuple(rng.sample(range(n_vertices), size)))
+    return SimplicialComplex.from_maximal(n_vertices, maximal)
+
+
+def random_map(rng, K):
+    """A random vertex map out of K into a complex made to contain every
+    image, with a few extra simplices; images may be degenerate."""
+    n = rng.randint(1, 5)
+    vm = tuple(rng.randrange(n) for _ in range(K.vertex_count))
+    images = [tuple(vm[v] for v in s) for s in K.simplices]
+    extra = random_complex(rng, n, 2, 2).simplices if rng.random() < 0.5 else ()
+    L = SimplicialComplex.from_maximal(
+        n, images + [(v,) for v in range(n)] + list(extra))
+    return SimplicialMap(K, L, vm)
+
+
+def sample_maps():
+    rng = random.Random(41)
+    maps = [winding_map(2), winding_map(3), identity_map(circle(4)),
+            SimplicialMap(circle(3), point(), (0, 0, 0))]
+    for _ in range(60):
+        K = random_complex(rng, rng.randint(1, 6))
+        maps.append(random_map(rng, K))
+    return maps
+
+
+def cylinder_parts(cyl):
+    return (cyl.complex, cyl.source_subdivision, cyl.source_labels,
+            cyl.retraction.vertex_map, cyl.target_inclusion.vertex_map,
+            cyl.source_inclusion.vertex_map)
+
+
+class TestFacePosetBuilders:
+    def test_subdivision_matches_chain_enumeration(self):
+        rng = random.Random(17)
+        complexes = [circle(3), point(), winding_map(2).source]
+        complexes += [random_complex(rng, rng.randint(1, 7)) for _ in range(80)]
+        assert any(K.dimension == 3 for K in complexes)
+        for K in complexes:
+            sd, labels = barycentric_subdivision(K)
+            ref_sd, ref_labels = naive_barycentric_subdivision(K)
+            assert sd == ref_sd
+            assert labels == ref_labels
+
+    def test_cylinder_matches_chain_enumeration(self):
+        maps = sample_maps()
+        assert any(f.source.dimension == 3 for f in maps)
+        assert any(len(set(f.vertex_map)) < f.source.vertex_count for f in maps)
+        for f in maps:
+            assert cylinder_parts(mapping_cylinder(f)) == \
+                cylinder_parts(naive_mapping_cylinder(f))
+
+    def test_subdivided_maps_match(self):
+        for f in sample_maps()[:30]:
+            src, tgt = sorted(f.source.simplices), sorted(f.target.simplices)
+            sdf = subdivide_map(f, src, tgt)
+            assert sdf.source == naive_barycentric_subdivision(f.source)[0]
+            assert sdf.target == naive_barycentric_subdivision(f.target)[0]
+
+    @pytest.mark.parametrize("name,params,m", [
+        ("solenoid", (2,), 3), ("solenoid", (3,), 2), ("solenoid", (5,), 2),
+        ("hawaiian", (), 3), ("cluster_solenoids", (2,), 3),
+        ("null_sequence", (), 4)])
+    def test_telescopes_match(self, monkeypatch, name, params, m):
+        import towerlim.shape as shape
+        import towerlim.simplicial as simplicial
+        st = shape.make_example(name, params)
+        tel = shape.telescope(st, m)
+        monkeypatch.setattr(simplicial, "barycentric_subdivision",
+                            naive_barycentric_subdivision)
+        monkeypatch.setattr(shape, "mapping_cylinder", naive_mapping_cylinder)
+        ref = shape.telescope(st, m)
+        assert tel.complex == ref.complex
+        assert tel.level_vertex_ids == ref.level_vertex_ids
+        assert tel.level_complexes == ref.level_complexes
+        assert tel.base_vertex_map == ref.base_vertex_map
+
+
+class TestUnitPivotElimination:
+    def test_sparse_matches_dense_on_larger_matrices(self):
+        from towerlim.exactlat import snf
+        rng = random.Random(29)
+        values = [1, -1] * 6 + [2, -2, 3, -3]
+        for _ in range(60):
+            rows, cols = rng.randint(5, 20), rng.randint(5, 30)
+            density = rng.choice((0.1, 0.2, 0.35))
+            M = IntMatrix.from_rows([[rng.choice(values) if rng.random() < density else 0
+                                      for _ in range(cols)] for _ in range(rows)])
+            S, _, _ = snf(M)
+            assert sparse_invariants(M) == [d for d in S.diagonal() if d != 0]
+
+    def test_simplices_of_dim_is_a_fresh_list(self):
+        K = circle(4)
+        edges = K.simplices_of_dim(1)
+        edges.clear()
+        assert len(K.simplices_of_dim(1)) == 4
+        assert homology_invariants(K, 1) == (1, [])
+
+    def test_projective_plane_telescope_torsion(self):
+        # the Z/2 comes out of the dense residue after the unit pivots
+        from towerlim.shape import constant_tower, telescope
+        tris = [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5),
+                (1, 2, 4), (1, 2, 5), (1, 3, 5), (2, 3, 4), (3, 4, 5)]
+        RP2 = SimplicialComplex.from_maximal(6, tris)
+        T = telescope(constant_tower(RP2), 2).complex
+        assert len(T.simplices) == 3605
+        assert homology_invariants(T, 1) == (0, [2])
+        assert homology_invariants(T, 2) == (0, [])
+
+    def test_solenoid_5_telescope_retracts(self):
+        from towerlim.shape import make_example, telescope
+        st = make_example("solenoid", (5,))
+        T = telescope(st, 3).complex
+        assert len(T.simplices) == 16656
+        base = st.complex_at(0)
+        for n in (0, 1, 2):
+            assert homology_invariants(T, n) == homology_invariants(base, n)
