@@ -10,6 +10,7 @@ large, 4 ill-defined input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .exactlat import IllDefined
@@ -41,6 +42,7 @@ EXIT_DEPTH = 3
 EXIT_ILL_DEFINED = 4
 
 
+@functools.cache
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="towerlim",

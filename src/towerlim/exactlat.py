@@ -6,6 +6,15 @@ of Z^n) are represented by matrices of column generators and compared
 through a canonical column-style Hermite normal form, so equality of
 lattices is equality of canonical forms.
 
+An IntMatrix holds its entries as a tuple of row tuples of Python ints,
+so equality and hashing go by value.  The public constructor,
+`from_rows` and `from_columns` coerce every entry with int() and check
+the shape; results computed inside this module are built with the
+trusted `IntMatrix._new`, which skips both and is for internal code
+only.  Hermite forms run the row algorithm on plain lists; the column
+form runs it on the columns of a matrix as rows, so nothing is
+transposed back and forth.
+
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> S, U, V = snf(M)
 >>> S.diagonal()
@@ -17,6 +26,8 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, mul
 
 
 class ExactLatticeError(Exception):
@@ -32,7 +43,7 @@ class IndexUndefined(ExactLatticeError):
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major tuple of tuples."""
+    """Immutable integer matrix, row-major tuple of tuples of ints."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -47,6 +58,15 @@ class IntMatrix:
                 raise ValueError("column count mismatch")
 
     @classmethod
+    def _new(cls, rows, cols, data):
+        """Trusted constructor: data is already `rows` tuples of `cols` ints."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        return self
+
+    @classmethod
     def from_rows(cls, rows):
         rows = [list(r) for r in rows]
         if not rows:
@@ -55,11 +75,12 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._new(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
+                                    for i in range(n)))
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._new(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def from_columns(cls, n, columns):
@@ -71,66 +92,60 @@ class IntMatrix:
         return cls(n, len(cols), [[c[i] for c in cols] for i in range(n)])
 
     def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return [r[j] for r in self.data]
 
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return IntMatrix._new(self.cols, self.rows, _transposed(self.data, self.cols))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         [self.data[i] + other.data[i] for i in range(self.rows)])
+        return IntMatrix._new(self.rows, self.cols + other.cols,
+                              tuple(map(add, self.data, other.data)))
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
+        return IntMatrix._new(self.rows + other.rows, self.cols, self.data + other.data)
 
     def submatrix(self, row_range, col_range):
         rr = list(row_range)
         cc = list(col_range)
-        return IntMatrix(len(rr), len(cc), [[self.data[i][j] for j in cc] for i in rr])
+        data = self.data
+        return IntMatrix._new(len(rr), len(cc),
+                              tuple(tuple(data[i][j] for j in cc) for i in rr))
 
     def apply(self, vector):
         """Matrix times column vector, returned as a list."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum(self.data[i][j] * vector[j] for j in range(self.cols))
-                for i in range(self.rows)]
+        return [sum(map(mul, row, vector)) for row in self.data]
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix(self.rows, self.cols,
-                             [[x * other for x in row] for row in self.data])
+            return IntMatrix._new(self.rows, self.cols,
+                                  tuple(tuple(x * other for x in row) for row in self.data))
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        od = other.data
-        out = []
-        for i in range(self.rows):
-            srow = self.data[i]
-            out.append([sum(srow[k] * od[k][j] for k in range(self.cols))
-                        for j in range(other.cols)])
-        return IntMatrix(self.rows, other.cols, out)
+        ocols = _transposed(other.data, other.cols)
+        return IntMatrix._new(self.rows, other.cols,
+                              tuple(tuple(sum(map(mul, row, col)) for col in ocols)
+                                    for row in self.data))
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        return IntMatrix._new(self.rows, self.cols,
+                              tuple(tuple(map(add, r1, r2))
+                                    for r1, r2 in zip(self.data, other.data)))
 
     def __sub__(self, other):
         return self + (other * -1)
@@ -188,48 +203,76 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-def _row_hnf(mat):
-    """Row Hermite form R = W*A with W unimodular; returns (R, W) as lists."""
-    m = mat.rows
-    n = mat.cols
-    a = [list(r) for r in mat.data]
-    w = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+def _transposed(rows, width):
+    """Transpose of a sequence of rows of length `width`, as a tuple of tuples."""
+    return tuple(zip(*rows)) if rows else ((),) * width
+
+
+def _row_hnf(a, n, transform=True):
+    """Row Hermite form R = W*A of the rows `a` (n-long lists, reused).
+
+    Returns (R, W) as lists of row lists, with W unimodular; W is None
+    when transform is false.
+    """
+    m = len(a)
+    w = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
     pivot_row = 0
     for col in range(n):
         # find a nonzero entry at or below pivot_row
-        nz = [i for i in range(pivot_row, m) if a[i][col] != 0]
-        if not nz:
+        i0 = next((i for i in range(pivot_row, m) if a[i][col]), None)
+        if i0 is None:
             continue
         # gcd the column entries into pivot_row by extended euclid on rows
-        i0 = nz[0]
         if i0 != pivot_row:
             a[pivot_row], a[i0] = a[i0], a[pivot_row]
-            w[pivot_row], w[i0] = w[i0], w[pivot_row]
+            if transform:
+                w[pivot_row], w[i0] = w[i0], w[pivot_row]
+        ap = a[pivot_row]
+        wp = w[pivot_row] if transform else None
         for i in range(pivot_row + 1, m):
-            while a[i][col] != 0:
-                q = a[pivot_row][col] // a[i][col]
-                for j in range(n):
-                    a[pivot_row][j] -= q * a[i][j]
-                for j in range(m):
-                    w[pivot_row][j] -= q * w[i][j]
-                a[pivot_row], a[i] = a[i], a[pivot_row]
-                w[pivot_row], w[i] = w[i], w[pivot_row]
-        if a[pivot_row][col] < 0:
-            a[pivot_row] = [-x for x in a[pivot_row]]
-            w[pivot_row] = [-x for x in w[pivot_row]]
-        p = a[pivot_row][col]
+            ai = a[i]
+            if not ai[col]:
+                continue
+            wi = w[i] if transform else None
+            while ai[col]:
+                q = ap[col] // ai[col]
+                if q:
+                    ap = [x - q * y for x, y in zip(ap, ai)]
+                    if transform:
+                        wp = [x - q * y for x, y in zip(wp, wi)]
+                ap, ai = ai, ap
+                wp, wi = wi, wp
+            a[i] = ai
+            if transform:
+                w[i] = wi
+        if ap[col] < 0:
+            ap = [-x for x in ap]
+            if transform:
+                wp = [-x for x in wp]
+        a[pivot_row] = ap
+        if transform:
+            w[pivot_row] = wp
+        p = ap[col]
         # reduce the entries above the pivot into [0, p)
         for i in range(pivot_row):
             q = a[i][col] // p
             if q:
-                for j in range(n):
-                    a[i][j] -= q * a[pivot_row][j]
-                for j in range(m):
-                    w[i][j] -= q * w[pivot_row][j]
+                a[i] = [x - q * y for x, y in zip(a[i], ap)]
+                if transform:
+                    w[i] = [x - q * y for x, y in zip(w[i], wp)]
         pivot_row += 1
         if pivot_row == m:
             break
-    return IntMatrix(m, n, a), IntMatrix(m, m, w)
+    return a, w
+
+
+def _column_hnf(mat, transform=True):
+    """Column Hermite form of mat, read by columns: (H columns, U columns).
+
+    The row algorithm runs on the columns of mat as rows, so no matrix
+    is transposed; U is None when transform is false.
+    """
+    return _row_hnf([list(c) for c in _transposed(mat.data, mat.cols)], mat.rows, transform)
 
 
 def hnf(mat):
@@ -248,16 +291,13 @@ def hnf(mat):
     >>> abs(H.det())
     8
     """
-    R, W = _row_hnf(mat.transpose())
-    return R.transpose(), W.transpose()
+    hcols, ucols = _column_hnf(mat)
+    return (IntMatrix._new(mat.rows, mat.cols, _transposed(hcols, mat.rows)),
+            IntMatrix._new(mat.cols, mat.cols, _transposed(ucols, mat.cols)))
 
 
-def _is_diagonal(mat):
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if i != j and mat.data[i][j] != 0:
-                return False
-    return True
+def _is_diagonal(a):
+    return all(not any(row[:i]) and not any(row[i + 1:]) for i, row in enumerate(a))
 
 
 def snf(mat):
@@ -274,18 +314,22 @@ def snf(mat):
     [1, 6]
     """
     m, n = mat.rows, mat.cols
-    S = mat
-    U = IntMatrix.identity(m)
-    V = IntMatrix.identity(n)
+    a = [list(r) for r in mat.data]
+    u = v = None                       # None stands for the identity
     while True:
-        R, W = _row_hnf(S)
-        S, U = R, W * U
-        Ct, X = _row_hnf(S.transpose())
-        S, V = Ct.transpose(), V * X.transpose()
-        if _is_diagonal(S):
-            a = [list(r) for r in S.data]
-            u = [list(r) for r in U.data]
-            v = [list(r) for r in V.data]
+        a, w = _row_hnf(a, n)
+        if u is None:
+            u = w
+        else:
+            ucols = _transposed(u, m)
+            u = [[sum(map(mul, wr, uc)) for uc in ucols] for wr in w]
+        # the column step: the row algorithm on the columns of a
+        ct, x = _row_hnf([list(c) for c in _transposed(a, n)], m)
+        a = [list(r) for r in _transposed(ct, m)]
+        # v * x^T, entry (i, j) is the dot product of row i of v and row j of x
+        v = [list(c) for c in _transposed(x, n)] if v is None else \
+            [[sum(map(mul, vr, xr)) for xr in x] for vr in v]
+        if _is_diagonal(a):
             k = min(m, n)
             # sort the nonzero diagonal entries to the front
             order = sorted(range(k), key=lambda i: (a[i][i] == 0, i))
@@ -308,19 +352,16 @@ def snf(mat):
                     a[i + 1][i] = dj
                     changed = True
                     break
-            S = IntMatrix(m, n, a)
-            U = IntMatrix(m, m, u)
-            V = IntMatrix(n, n, v)
             if not changed:
                 break
     # normalize signs
-    a = [list(r) for r in S.data]
-    u = [list(r) for r in U.data]
     for i in range(min(m, n)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-    return IntMatrix(m, n, a), IntMatrix(m, m, u), IntMatrix(n, n, v)
+    return (IntMatrix._new(m, n, tuple(map(tuple, a))),
+            IntMatrix._new(m, m, tuple(map(tuple, u))),
+            IntMatrix._new(n, n, tuple(map(tuple, v))))
 
 
 def unimodular_inverse(mat):
@@ -338,9 +379,9 @@ def unimodular_inverse(mat):
 
 def lattice_canon(gens):
     """Canonical generator matrix: column HNF with zero columns dropped."""
-    H, _ = hnf(gens)
-    cols = [H.column(j) for j in range(H.cols) if any(H.column(j))]
-    return IntMatrix.from_columns(gens.rows, cols)
+    hcols, _ = _column_hnf(gens, transform=False)
+    cols = [c for c in hcols if any(c)]
+    return IntMatrix._new(gens.rows, len(cols), _transposed(cols, gens.rows))
 
 
 def lattice_sum(a, b):
@@ -353,35 +394,32 @@ def lattice_rank(gens):
 
 def solve_columns(gens, target):
     """Solve gens * X = target over Z; None when some column has no solution."""
-    H, U = hnf(gens)
+    if target.rows != gens.rows:
+        raise ValueError("row mismatch in solve_columns")
+    hcols, ucols = _column_hnf(gens)
     pivots = []
-    for j in range(H.cols):
-        col = H.column(j)
-        nz = [i for i, x in enumerate(col) if x]
-        if nz:
-            pivots.append((nz[0], j))
+    for hc, uc in zip(hcols, ucols):
+        prow = next((i for i, x in enumerate(hc) if x), None)
+        if prow is not None:
+            pivots.append((prow, hc, uc))
     xcols = []
-    for c in range(target.cols):
-        b = target.column(c)
-        y = [0] * H.cols
+    for b in _transposed(target.data, target.cols):
         residual = list(b)
-        for prow, pcol in pivots:
+        x = [0] * gens.cols
+        for prow, hc, uc in pivots:
             # rows above the pivot row must already be cleared
-            if any(residual[i] for i in range(prow)):
+            if any(residual[:prow]):
                 return None
-            p = H.data[prow][pcol]
-            if residual[prow] % p != 0:
+            q, r = divmod(residual[prow], hc[prow])
+            if r:
                 return None
-            q = residual[prow] // p
-            y[pcol] = q
             if q:
-                hc = H.column(pcol)
-                for i in range(len(residual)):
-                    residual[i] -= q * hc[i]
+                residual = [e - q * h for e, h in zip(residual, hc)]
+                x = [e + q * u for e, u in zip(x, uc)]
         if any(residual):
             return None
-        xcols.append(U.apply(y))
-    return IntMatrix.from_columns(gens.cols, xcols)
+        xcols.append(x)
+    return IntMatrix._new(gens.cols, target.cols, _transposed(xcols, gens.cols))
 
 
 def lattice_contains(gens, vector):
@@ -395,9 +433,9 @@ def kernel(mat):
 
     The basis spans a saturated sublattice (a direct summand of Z^cols).
     """
-    H, U = hnf(mat)
-    zero_cols = [j for j in range(H.cols) if not any(H.column(j))]
-    return IntMatrix.from_columns(mat.cols, [U.column(j) for j in zero_cols])
+    hcols, ucols = _column_hnf(mat)
+    basis = [uc for hc, uc in zip(hcols, ucols) if not any(hc)]
+    return IntMatrix._new(mat.cols, len(basis), _transposed(basis, mat.cols))
 
 
 def lattice_intersect(a, b):
@@ -439,7 +477,7 @@ def lattice_index(sub, sup):
     if lattice_rank(sub) < supc.cols:
         return None
     Xc = solve_columns(supc, lattice_canon(sub))
-    d = abs(IntMatrix(Xc.rows, Xc.cols, Xc.data).det()) if Xc.rows == Xc.cols else 0
+    d = abs(Xc.det()) if Xc.rows == Xc.cols else 0
     if d == 0:
         return None
     return d
@@ -469,26 +507,31 @@ class FgAbGroup:
         if self.relations.rows != self.generators:
             raise ValueError("relations must have one row per generator")
 
+    @cached_property
+    def _smith(self):
+        # (rank, torsion tuple), computed once per group
+        return _smith_invariants(self.generators, self.relations)
+
     @property
     def smith_invariants(self):
-        rank, torsion = _smith_invariants(self.generators, self.relations)
+        rank, torsion = self._smith
         return rank, list(torsion)
 
     @property
     def rank(self):
-        return self.smith_invariants[0]
+        return self._smith[0]
 
     @property
     def torsion(self):
-        return self.smith_invariants[1]
+        return list(self._smith[1])
 
     def is_trivial(self):
-        r, t = self.smith_invariants
+        r, t = self._smith
         return r == 0 and not t
 
     def order(self):
         """Group order; None when infinite."""
-        r, t = self.smith_invariants
+        r, t = self._smith
         if r > 0:
             return None
         out = 1
@@ -497,10 +540,10 @@ class FgAbGroup:
         return out
 
     def is_isomorphic(self, other):
-        return self.smith_invariants == other.smith_invariants
+        return self._smith == other._smith
 
     def describe(self):
-        r, t = self.smith_invariants
+        r, t = self._smith
         parts = []
         if r == 1:
             parts.append("Z")

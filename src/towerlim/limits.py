@@ -28,6 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactlat import (
     FgAbGroup,
@@ -40,6 +41,7 @@ from .exactlat import (
     lattice_canon,
     lattice_index,
     present,
+    snf,
     solve_columns,
     subquotient,
     unimodular_inverse,
@@ -51,6 +53,7 @@ from .towers import (
     StreamedTower,
     TailReduction,
     TowerError,
+    _minimize_with_transform,
     tail_reduction,
     truncate,
 )
@@ -75,13 +78,6 @@ class InternalInconsistency(Exception):
 
 # ---------------------------------------------------------------------------
 # exact polynomial helpers (coefficient lists, ascending, always monic input)
-
-
-def poly_eval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def poly_mul(a, b):
@@ -144,19 +140,6 @@ def charpoly(mat):
             raise InternalInconsistency("characteristic polynomial is not integral")
         out.append(int(c))
     return out
-
-
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +433,16 @@ def factor_monic(coeffs):
     """Irreducible monic factors with multiplicity, as (factor, mult) pairs
     sorted by coefficient list.
 
-    Powers of x and integer roots are split off first; a residual of
-    degree at most 3 is then irreducible.  A larger residual is factored
-    by Zassenhaus's method: its squarefree part (h divided by gcd(h, h')
-    over Z) is factored modulo a good prime, of several tried the one
-    with the fewest factors (Cantor-Zassenhaus, seeded per prime), the
-    factors are Hensel-lifted modulo p^k beyond twice a Landau-Mignotte
-    bound, and subsets of them are recombined in increasing size; a
-    candidate is accepted only when it divides exactly over Z, and each
-    multiplicity is counted by exact division of h.
+    Powers of x are split off first; a residual of degree 1 is
+    irreducible, and a larger one is factored by Zassenhaus's method,
+    which finds linear factors too: its squarefree part (h divided by
+    gcd(h, h') over Z) is factored modulo a good prime, of several tried
+    the one with the fewest factors (Cantor-Zassenhaus, seeded per
+    prime), the factors are Hensel-lifted modulo p^k beyond twice a
+    Landau-Mignotte bound, and subsets of them are recombined in
+    increasing size; a candidate is accepted only when it divides
+    exactly over Z, and each multiplicity is counted by exact division
+    of h.
     """
     work = list(coeffs)
     factors = []
@@ -469,24 +453,9 @@ def factor_monic(coeffs):
         k += 1
     if k:
         factors.append(([0, 1], k))
-    # integer roots (rational roots of a monic integer polynomial)
-    changed = True
-    while changed and len(work) > 1:
-        changed = False
-        divisors = _divisors(work[0])
-        for r in sorted(set(divisors + [-d for d in divisors])):
-            if poly_eval(work, r) == 0:
-                mult = 0
-                while poly_eval(work, r) == 0 and len(work) > 1:
-                    work, rem = poly_divmod(work, [-r, 1])
-                    mult += 1
-                factors.append(([-r, 1], mult))
-                changed = True
-                break
-    # residual with no rational roots: irreducible up to degree 3
-    if len(work) - 1 >= 4:
+    if len(work) > 2:
         factors.extend(_factor_residual(work))
-    elif len(work) > 1:
+    elif len(work) == 2:
         factors.append((work, 1))
     # merge equal factors
     merged = {}
@@ -585,12 +554,21 @@ def _certify_unit_lattice(A_free, N, image_chain_bound=4):
         chain.append(nxt)
 
 
-def periodic_lim_data(t):
-    """lim of an eventually periodic tower, with transport data."""
+@lru_cache(maxsize=64)
+def _tail_analysis(t):
+    """The one analysis of a periodic tail that lim, lim1 and the dual ML
+    verdict read: (kernel-chain reduction, its free block, the certified
+    unit lattice of that block).  Memoized on the tower's value."""
     red = tail_reduction(t)
     A_free = _free_block(red)
     N = _unit_lattice(A_free)
     _certify_unit_lattice(A_free, N)
+    return red, A_free, N
+
+
+def periodic_lim_data(t):
+    """lim of an eventually periodic tower, with transport data."""
+    red, _, N = _tail_analysis(t)
     tor = red.torsion_idx
     m = red.group.generators
     gens = []
@@ -616,10 +594,7 @@ class PeriodicLim1Data:
 
 
 def periodic_lim1_data(t):
-    red = tail_reduction(t)
-    A_free = _free_block(red)
-    N = _unit_lattice(A_free)
-    _certify_unit_lattice(A_free, N)
+    red, A_free, N = _tail_analysis(t)
     rf = A_free.rows
     s = N.cols
     if rf == s:
@@ -627,8 +602,7 @@ def periodic_lim1_data(t):
     if s == 0:
         Abar = A_free
     else:
-        from .exactlat import snf as _snf
-        Sn, U, V = _snf(N)
+        _, U, _ = snf(N)
         Uinv = unimodular_inverse(U)
         conj = U * A_free * Uinv
         Abar = IntMatrix(rf - s, rf - s,
@@ -740,10 +714,9 @@ def _ml_periodic(t):
 
 
 def _dual_ml_periodic(t):
-    # kernel chains in a f.g. group always stabilize
-    from .towers import stable_kernel
-    T, A = t.tail_group, t.tail_endo
-    stable_kernel(T, A)
+    # kernel chains in a f.g. group always stabilize; the tail analysis
+    # has run the chain to its stable kernel
+    _tail_analysis(t)
     return ConditionVerdict(True, MLCertificate(
         "stabilized", symbolic=True,
         note="kernel chains of f.g. abelian towers stabilize"))
@@ -896,7 +869,6 @@ def brute_lim(ft):
     if top.order() > _BRUTE_BOUND:
         raise TooLarge("top level has %d elements" % top.order())
     # enumerate the top level through its invariant-factor coordinates
-    from .towers import _minimize_with_transform
     grp, _, project, section, diag = _minimize_with_transform(top, identity_hom(top))
     ranges = [d for d in diag]
     values = set()
@@ -1139,11 +1111,10 @@ def six_term_delta_sample(ses, quotient_thread):
 
 
 def _lift_through(sur, target_vector):
-    from .exactlat import solve_columns as _solve
     M = sur.matrix
     rel = sur.target.relations
     stacked = M.hstack(rel) if rel.cols else M
-    X = _solve(stacked, IntMatrix.from_columns(M.rows, [list(target_vector)]))
+    X = solve_columns(stacked, IntMatrix.from_columns(M.rows, [list(target_vector)]))
     if X is None:
         raise TowerError("sample element is not in the image of the projection")
     return [X.data[i][0] for i in range(M.cols)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlat import FgAbGroup, IntMatrix, free_group
+from .exactlat import FgAbGroup, IntMatrix, free_group, snf
 
 
 def prime_factors(n):
@@ -47,7 +47,6 @@ def completion_corank_profile(rank, matrix, primes=None):
     Returns (profile dict, stabilized flag); an unstable growth pattern is
     reported rather than guessed around.
     """
-    from .exactlat import snf
     if primes is None:
         primes = prime_factors(matrix.det())
     if not primes:

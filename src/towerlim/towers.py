@@ -30,7 +30,9 @@ from .exactlat import (
     kernel as lattice_kernel,
     lattice_canon,
     present,
+    snf,
     solve_columns,
+    unimodular_inverse,
 )
 
 
@@ -387,9 +389,8 @@ def _minimize_with_transform(group, endo):
     inverse (n x m) choosing representatives; diag lists the invariant
     factor of each kept coordinate (0 for free ones).
     """
-    from .exactlat import snf as _snf, unimodular_inverse
     n = group.generators
-    S, U, _ = _snf(group.relations)
+    S, U, _ = snf(group.relations)
     diag = [0] * n
     for i in range(min(S.rows, S.cols)):
         diag[i] = S.data[i][i]

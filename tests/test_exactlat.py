@@ -319,3 +319,299 @@ def test_identity_hom_roundtrip():
     assert k.group.is_trivial()
     assert ck.group.is_trivial()
     assert im.group.is_isomorphic(G)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against plain-list reference code: the row Hermite form and the
+# Smith form as they were written before the kernel ran on trusted data, and
+# the lattice helpers on top of them, built through the public constructors
+
+
+def naive_transpose(a, cols):
+    return [[r[j] for r in a] for j in range(cols)]
+
+
+def naive_mul(a, b, inner, cols):
+    return [[sum(r[k] * b[k][j] for k in range(inner)) for j in range(cols)] for r in a]
+
+
+def naive_row_hnf(a, n):
+    """Row Hermite form R = W*A of the m x n row lists a; returns (R, W)."""
+    m = len(a)
+    a = [list(r) for r in a]
+    w = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    pivot_row = 0
+    for col in range(n):
+        nz = [i for i in range(pivot_row, m) if a[i][col] != 0]
+        if not nz:
+            continue
+        i0 = nz[0]
+        if i0 != pivot_row:
+            a[pivot_row], a[i0] = a[i0], a[pivot_row]
+            w[pivot_row], w[i0] = w[i0], w[pivot_row]
+        for i in range(pivot_row + 1, m):
+            while a[i][col] != 0:
+                q = a[pivot_row][col] // a[i][col]
+                for j in range(n):
+                    a[pivot_row][j] -= q * a[i][j]
+                for j in range(m):
+                    w[pivot_row][j] -= q * w[i][j]
+                a[pivot_row], a[i] = a[i], a[pivot_row]
+                w[pivot_row], w[i] = w[i], w[pivot_row]
+        if a[pivot_row][col] < 0:
+            a[pivot_row] = [-x for x in a[pivot_row]]
+            w[pivot_row] = [-x for x in w[pivot_row]]
+        p = a[pivot_row][col]
+        for i in range(pivot_row):
+            q = a[i][col] // p
+            if q:
+                for j in range(n):
+                    a[i][j] -= q * a[pivot_row][j]
+                for j in range(m):
+                    w[i][j] -= q * w[pivot_row][j]
+        pivot_row += 1
+        if pivot_row == m:
+            break
+    return a, w
+
+
+def naive_hnf(mat):
+    R, W = naive_row_hnf(naive_transpose(mat.data, mat.cols), mat.rows)
+    return (IntMatrix(mat.rows, mat.cols, naive_transpose(R, mat.rows)),
+            IntMatrix(mat.cols, mat.cols, naive_transpose(W, mat.cols)))
+
+
+def naive_snf(mat):
+    m, n = mat.rows, mat.cols
+    S = [list(r) for r in mat.data]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    while True:
+        S, W = naive_row_hnf(S, n)
+        U = naive_mul(W, U, m, m)
+        Ct, X = naive_row_hnf(naive_transpose(S, n), m)
+        S = naive_transpose(Ct, m)
+        V = naive_mul(V, naive_transpose(X, n), n, n)
+        if all(S[i][j] == 0 for i in range(m) for j in range(n) if i != j):
+            a, u, v = S, U, V
+            k = min(m, n)
+            order = sorted(range(k), key=lambda i: (a[i][i] == 0, i))
+            if order != list(range(k)):
+                perm_rows = order + list(range(k, m))
+                perm_cols = order + list(range(k, n))
+                u = [u[i] for i in perm_rows]
+                v = [[v[r][perm_cols[j]] for j in range(n)] for r in range(n)]
+                diag = [a[i][i] for i in order]
+                a = [[0] * n for _ in range(m)]
+                for t, d in enumerate(diag):
+                    a[t][t] = d
+            changed = False
+            for i in range(k - 1):
+                di, dj = a[i][i], a[i + 1][i + 1]
+                if di != 0 and dj % di != 0:
+                    for r in range(n):
+                        v[r][i] += v[r][i + 1]
+                    a[i + 1][i] = dj
+                    changed = True
+                    break
+            S, U, V = a, u, v
+            if not changed:
+                break
+    for i in range(min(m, n)):
+        if S[i][i] < 0:
+            S[i] = [-x for x in S[i]]
+            U[i] = [-x for x in U[i]]
+    return IntMatrix(m, n, S), IntMatrix(m, m, U), IntMatrix(n, n, V)
+
+
+def naive_lattice_canon(gens):
+    H, _ = naive_hnf(gens)
+    cols = [H.column(j) for j in range(H.cols) if any(H.column(j))]
+    return IntMatrix.from_columns(gens.rows, cols)
+
+
+def naive_kernel(mat):
+    H, U = naive_hnf(mat)
+    return IntMatrix.from_columns(
+        mat.cols, [U.column(j) for j in range(H.cols) if not any(H.column(j))])
+
+
+def naive_solve_columns(gens, target):
+    H, U = naive_hnf(gens)
+    pivots = []
+    for j in range(H.cols):
+        nz = [i for i, x in enumerate(H.column(j)) if x]
+        if nz:
+            pivots.append((nz[0], j))
+    xcols = []
+    for c in range(target.cols):
+        residual = target.column(c)
+        y = [0] * H.cols
+        for prow, pcol in pivots:
+            if any(residual[i] for i in range(prow)):
+                return None
+            p = H.data[prow][pcol]
+            if residual[prow] % p != 0:
+                return None
+            q = residual[prow] // p
+            y[pcol] = q
+            hc = H.column(pcol)
+            for i in range(len(residual)):
+                residual[i] -= q * hc[i]
+        if any(residual):
+            return None
+        xcols.append([sum(U.data[i][j] * y[j] for j in range(H.cols))
+                      for i in range(U.rows)])
+    return IntMatrix.from_columns(gens.cols, xcols)
+
+
+def assert_trusted_data(mat):
+    """The data invariant: a tuple of `rows` tuples of `cols` ints."""
+    assert type(mat.data) is tuple and len(mat.data) == mat.rows
+    for row in mat.data:
+        assert type(row) is tuple and len(row) == mat.cols
+        assert all(type(x) is int for x in row)
+
+
+def shaped(rng, rows, cols, bound):
+    """Random rows x cols matrix; unlike from_rows it keeps a zero-row shape."""
+    return IntMatrix(rows, cols, [[rng.randint(-bound, bound) for _ in range(cols)]
+                                  for _ in range(rows)])
+
+
+def random_shapes(seed, count, max_dim=5, bound=6):
+    """Random matrices, with zero-row and zero-column shapes among them."""
+    rng = random.Random(seed)
+    for t in range(count):
+        rows = rng.randint(0, max_dim) if t % 7 else 0
+        cols = rng.randint(0, max_dim) if t % 5 else 0
+        sparse = rng.random() < 0.3
+        yield rng, IntMatrix(rows, cols, [
+            [0 if sparse and rng.random() < 0.6 else rng.randint(-bound, bound)
+             for _ in range(cols)] for _ in range(rows)])
+
+
+class TestKernelDifferential:
+    def test_transpose_and_stacks(self):
+        for rng, M in random_shapes(1, 150):
+            T = M.transpose()
+            assert_trusted_data(T)
+            assert T.data == tuple(map(tuple, naive_transpose(M.data, M.cols)))
+            assert (T.rows, T.cols) == (M.cols, M.rows)
+            N = shaped(rng, M.rows, rng.randint(0, 4), 5)
+            H = M.hstack(N)
+            assert_trusted_data(H)
+            assert H == IntMatrix(M.rows, M.cols + N.cols,
+                                  [list(a) + list(b) for a, b in zip(M.data, N.data)])
+            P = shaped(rng, rng.randint(0, 4), M.cols, 5)
+            V = M.vstack(P)
+            assert_trusted_data(V)
+            assert V == IntMatrix(M.rows + P.rows, M.cols,
+                                  [list(r) for r in M.data + P.data])
+
+    def test_products(self):
+        for rng, M in random_shapes(2, 150):
+            N = shaped(rng, M.cols, rng.randint(0, 5), 7)
+            P = M * N
+            assert_trusted_data(P)
+            assert P.data == tuple(map(tuple, naive_mul(M.data, N.data, M.cols, N.cols)))
+            for k in (0, -1, 3):
+                for S in (M * k, k * M):
+                    assert_trusted_data(S)
+                    assert S == IntMatrix(M.rows, M.cols,
+                                          [[x * k for x in r] for r in M.data])
+            assert_trusted_data(M + M)
+            assert M + M == M * 2
+            assert_trusted_data(-M)
+            assert (M - M).is_zero()
+
+    def test_zero_inner_dimension(self):
+        for rows, cols in ((2, 3), (0, 3), (2, 0), (0, 0)):
+            P = IntMatrix.zero(rows, 0) * IntMatrix.zero(0, cols)
+            assert_trusted_data(P)
+            assert P == IntMatrix.zero(rows, cols)
+            assert P == IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+
+    def test_hnf_and_snf(self):
+        for rng, M in random_shapes(3, 300):
+            H, U = hnf(M)
+            Hn, Un = naive_hnf(M)
+            assert_trusted_data(H)
+            assert_trusted_data(U)
+            assert H.data == Hn.data and U.data == Un.data
+            S, U, V = snf(M)
+            Sn, Un, Vn = naive_snf(M)
+            for got, want in ((S, Sn), (U, Un), (V, Vn)):
+                assert_trusted_data(got)
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                assert got.data == want.data
+
+    def test_lattice_helpers(self):
+        for rng, M in random_shapes(4, 300):
+            for got, want in ((lattice_canon(M), naive_lattice_canon(M)),
+                              (kernel(M), naive_kernel(M))):
+                assert_trusted_data(got)
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                assert got.data == want.data
+            X = shaped(rng, M.cols, rng.randint(0, 3), 4)
+            solvable = M * X
+            unsolvable = shaped(rng, M.rows, rng.randint(0, 3), 9)
+            for target in (solvable, unsolvable):
+                got = solve_columns(M, target)
+                want = naive_solve_columns(M, target)
+                if want is None:
+                    assert got is None
+                else:
+                    assert_trusted_data(got)
+                    assert (got.rows, got.cols) == (want.rows, want.cols)
+                    assert got.data == want.data
+            assert solve_columns(M, solvable) is not None
+
+    def test_constructors_keep_the_invariant(self):
+        for M in (IntMatrix.identity(3), IntMatrix.identity(0), IntMatrix.zero(2, 3),
+                  IntMatrix.zero(0, 2), IntMatrix.from_rows([[True, 2.0], [3, -4]]),
+                  IntMatrix.from_columns(2, [[1, 2], [3, 4]]),
+                  IntMatrix.from_rows([[1, 2], [3, 4]]).submatrix([1], [0, 1])):
+            assert_trusted_data(M)
+        assert IntMatrix.from_rows([[True, 2.0]]).data == ((1, 2),)
+
+    def test_solve_columns_rejects_a_target_of_another_height(self):
+        with pytest.raises(ValueError):
+            solve_columns(IntMatrix.identity(2), IntMatrix.from_columns(3, [[1, 0, 0]]))
+
+    def test_public_constructor_rejects_ragged_rows(self):
+        with pytest.raises(ValueError):
+            IntMatrix(2, 2, [[1, 2], [3]])
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            IntMatrix(3, 2, [[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns(2, [[1, 2], [3]])
+
+    def test_value_equality_and_hash(self):
+        rng = random.Random(6)
+        for _ in range(50):
+            M = shaped(rng, 3, 3, 4)
+            via_ops = (M * IntMatrix.identity(3)).transpose().transpose()
+            public = IntMatrix(3, 3, [list(r) for r in M.data])
+            assert via_ops == public and hash(via_ops) == hash(public)
+
+
+class TestSmithCache:
+    def test_returned_lists_are_fresh(self):
+        G = present(2, IntMatrix.from_rows([[2, 0], [0, 4]]))
+        first = G.smith_invariants
+        first[1].append(99)
+        first[1][0] = 7
+        assert G.smith_invariants == (0, [2, 4])
+        G.torsion.append(5)
+        assert G.torsion == [2, 4]
+        assert G.describe() == "Z/2 (+) Z/4"
+
+    def test_cache_is_not_part_of_equality(self):
+        a = present(1, IntMatrix.from_rows([[6]]))
+        b = present(1, IntMatrix.from_rows([[6]]))
+        a.smith_invariants
+        assert a == b and hash(a) == hash(b)
+        assert a.is_isomorphic(b)

@@ -194,6 +194,34 @@ class TestFactoring:
                               for g, m in expected)
             assert factor_monic(f) == expected
 
+    # dense tails (irreducible charpolys with 45-55 bit constant terms) and
+    # block-triangular ones with a repeated integer root, so that linear
+    # factors with multiplicity come out of the Zassenhaus path
+    @pytest.mark.parametrize("blocks,seed", [
+        ((12,), 1), ((1, 1, 3, 7), 2), ((16,), 3), ((1, 1, 2, 12), 4)])
+    def test_large_charpolys_against_sympy(self, blocks, seed):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(seed)
+        n = sum(blocks)
+        rows = [[0] * n for _ in range(n)]
+        root = rng.choice([-3, -2, 2, 3])
+        start = 0
+        for size in blocks:
+            for i in range(start, start + size):
+                rows[i][start:] = [rng.randint(-9, 9) for _ in range(start, n)]
+            if size == 1:
+                rows[start][start] = root
+            start += size
+        f = charpoly(IntMatrix.from_rows(rows))
+        _, expected = sympy.factor_list(sympy.Poly(f[::-1], x))
+        expected = sorted(([int(c) for c in g.all_coeffs()[::-1]], m)
+                          for g, m in expected)
+        got = factor_monic(f)
+        assert got == expected
+        if 1 in blocks:
+            assert ([-root, 1], 2) in got
+
 
 class TestLim:
     def test_lim_Zp_zero(self):
@@ -499,3 +527,43 @@ class TestComparator:
         a = derived_limit(pure_tower(Z, [[2]]))
         b = derived_limit(pure_tower(Z2, [[2, 0], [0, 2]]))
         assert compare_structured(a, b) == "distinct"
+
+
+class TestTailAnalysis:
+    def test_memoized_and_plain_analysis_agree(self, monkeypatch):
+        from towerlim import limits
+        from towerlim.lab import LabConfig, gen_tower, trial_rng
+        cfg = LabConfig(master_seed=23, trials=0)
+        towers = [gen_tower(trial_rng(23, "analysis", i), cfg) for i in range(100)]
+
+        def reports():
+            return [(limit(t).to_json(), derived_limit(t).to_json(),
+                     ml_conditions(t).to_json()) for t in towers]
+
+        limits._tail_analysis.cache_clear()
+        memoized = reports()
+        assert limits._tail_analysis.cache_info().hits >= len(towers)
+        monkeypatch.setattr(limits, "_tail_analysis", limits._tail_analysis.__wrapped__)
+        assert reports() == memoized
+
+    def test_keyed_by_value(self):
+        from towerlim import limits
+        t = pure_tower(Z2, [[2, 1], [0, 1]])
+        same = pure_tower(free_group(2), IntMatrix.from_rows([[2, 1], [0, 1]]))
+        assert same is not t and same == t
+        assert limits._tail_analysis(same) is limits._tail_analysis(t)
+
+
+class TestKnownDefects:
+    """Wrong answers that the exact periodic-tail invariants (see
+    ROADMAP.md) must mend.  Strict, so the mending change must flip them."""
+
+    @pytest.mark.xfail(strict=True, reason="the non_ml certificate stops at the "
+                       "first two equal consecutive indices")
+    def test_non_ml_stable_index_of_z8_plus_z(self):
+        # T = Z/8 (+) Z, A = [[2, -1], [0, 6]]: the image chain indices are
+        # 12, 12, 12, 6, 6, ..., so the stable index is 6, not 12
+        T = present(2, IntMatrix.from_rows([[8], [0]]))
+        cert = ml_conditions(pure_tower(T, [[2, -1], [0, 6]])).ml.certificate
+        assert cert.kind == "non_ml"
+        assert cert.index == 6

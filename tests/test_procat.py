@@ -267,3 +267,18 @@ class TestCorpusCoherence:
             cert = find_interleaving(t, t, depth=1)
             assert cert is not None
             assert compare_invariants(t, t, depth=1).kind != "not_isomorphic"
+
+
+class TestKnownDefects:
+    """Wrong answers that the exact periodic-tail invariants (see
+    ROADMAP.md) must mend.  Strict, so the mending change must flip them."""
+
+    @pytest.mark.xfail(strict=True, reason="the sampled corank profile undercounts "
+                       "roots of fractional valuation")
+    def test_root_of_two_vs_two_not_separated(self):
+        # A^2 = 2I, so the towers are pro-isomorphic and a certificate exists
+        Z2 = free_group(2)
+        a = pure_tower(Z2, [[0, 2], [1, 0]])
+        b = pure_tower(Z2, [[2, 0], [0, 2]])
+        assert find_interleaving(a, b, depth=2) is not None
+        assert compare_invariants(a, b, depth=2).kind != "not_isomorphic"
