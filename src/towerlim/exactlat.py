@@ -203,6 +203,31 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
+def charpoly(mat):
+    """Characteristic polynomial det(xI - A), ascending coefficients.
+
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
+    the polynomial of each leading principal block is a Toeplitz matrix
+    times that of the block before it.
+
+    >>> charpoly(IntMatrix.from_rows([[0, 1], [1, 1]]))
+    [-1, -1, 1]
+    """
+    a = mat.data
+    poly = [1]                 # descending, for the leading r x r block
+    for r in range(mat.rows):
+        row = a[r][:r]
+        # first Toeplitz column: 1, -a_rr, -R C, -R M C, ..., -R M^(r-1) C
+        col = [1, -a[r][r]]
+        v = [a[i][r] for i in range(r)]
+        for _ in range(r):
+            col.append(-sum(map(mul, row, v)))
+            v = [sum(map(mul, a[i][:r], v)) for i in range(r)]
+        poly = [sum(col[i - j] * poly[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    return poly[::-1]
+
+
 def _transposed(rows, width):
     """Transpose of a sequence of rows of length `width`, as a tuple of tuples."""
     return tuple(zip(*rows)) if rows else ((),) * width

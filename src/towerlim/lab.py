@@ -12,8 +12,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .exactlat import IntMatrix, free_group, hom_make, present
+from .exactlat import (
+    IntMatrix,
+    free_group,
+    hom_make,
+    lattice_canon,
+    lattice_index,
+    present,
+    unimodular_inverse,
+)
 from .limits import brute_lim, derived_limit, limit, ml_conditions, six_term
+from .procat import compare_invariants, find_interleaving
+from .structured import compare_structured
 from .towers import PeriodicTower, periodic_tower, pure_tower, shift, tower_ses, truncate
 from .towerfile import dump_tower
 
@@ -352,6 +362,80 @@ def _suite_ml_propagation(rng, config, report):
         _fail(report, b, "middle tower of the four-term sequence is not ML")
 
 
+def _suite_ml_certificate(rng, config, report):
+    """The ML certificate of the tail against its image lattices
+    im(A^k) + relations, computed directly well past the reported onset:
+    the offset or onset must be the first k from which every consecutive
+    index equals the reported one (1 when ML holds)."""
+    t = gen_tower(rng, config)
+    cert = ml_conditions(t).ml.certificate
+    if cert.kind == "stabilized":
+        start, want = cert.j_offset, 1
+    elif cert.kind == "non_ml":
+        start, want = cert.onset, cert.index
+    else:
+        _fail(report, t, "periodic tower got a %s ML certificate" % cert.kind)
+        return
+    T, A = t.tail_group, t.tail_endo.matrix
+    depth = start + T.rank + sum(d.bit_length() for d in T.torsion) + 2
+    images = []
+    power = IntMatrix.identity(T.generators)
+    for _ in range(depth + 2):
+        images.append(lattice_canon(power.hstack(T.relations)))
+        power = power * A
+    index = [lattice_index(images[k + 1], images[k]) for k in range(depth + 1)]
+    if any(i != want for i in index[start:]) or (start and index[start - 1] == want):
+        _fail(report, t, "certificate: index %d from level %d; image chain indices %s"
+              % (want, start, index))
+    else:
+        report.passed += 1
+
+
+def _gen_unimodular(rng, n, bound):
+    """Random unimodular matrix: a product of elementary row operations."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.below(n), rng.below(n)
+        if i != j:
+            c = rng.rand_range(-bound, bound)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+def _suite_compare_vs_interleave(rng, config, report):
+    """compare against the interleaving search.  Power pairs (L, A) vs
+    (L, U A^k U^-1), U unimodular, are pro-isomorphic (pass to a
+    subsequence), so their lim1 must compare equal; for them and for
+    unrelated pairs, a certificate at depth <= 2 rules out a
+    not_isomorphic verdict.  compare says not_isomorphic from the
+    invariants alone, before any search, so it runs at depth 0 and the
+    interleaving search runs only where the invariants separate."""
+    n = rng.rand_range(1, min(2, config.max_rank))
+    bound = min(config.entry_bound, 3)
+    A = gen_matrix_between(rng, (0,) * n, (0,) * n, bound)
+    power_pair = rng.below(2) == 0
+    if power_pair:
+        U = _gen_unimodular(rng, n, 2)
+        B = U * A ** rng.rand_range(1, 2) * unimodular_inverse(U)
+    else:
+        m = rng.rand_range(1, min(2, config.max_rank))
+        B = gen_matrix_between(rng, (0,) * m, (0,) * m, bound)
+    a = pure_tower(free_group(n), A)
+    b = pure_tower(free_group(B.rows), B)
+    other = "against B = %r" % [list(r) for r in B.data]
+    if power_pair:
+        lim1_cmp = compare_structured(derived_limit(a), derived_limit(b))
+        if lim1_cmp != "equal":
+            _fail(report, a, "lim1 of a power pair compares %s %s" % (lim1_cmp, other))
+            return
+    depth = rng.rand_range(1, 2)
+    if compare_invariants(a, b, depth=0).kind == "not_isomorphic" \
+            and find_interleaving(a, b, depth) is not None:
+        _fail(report, a, "not_isomorphic despite a depth-%d certificate %s" % (depth, other))
+        return
+    report.passed += 1
+
+
 def _diag_of(group):
     diag = [0] * group.generators
     rel = group.relations
@@ -376,6 +460,8 @@ _SUITES = {
     "finite_oracle": _suite_finite_oracle,
     "six_term_exact": _suite_six_term_exact,
     "ml_propagation": _suite_ml_propagation,
+    "ml_certificate": _suite_ml_certificate,
+    "compare_vs_interleave": _suite_compare_vs_interleave,
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))

@@ -16,6 +16,13 @@ tail pair (T, A):
   lim1 = (lim L'/A'^k L') / L' on the complement, the quotient of a
   completion, which is uncountable whenever it is nonzero.
 
+The Mittag-Leffler verdict reads the same analysis: the consecutive
+image index [A^k T : A^(k+1) T] is [Z^n : A Z^n + K_k] for the kernel
+chain K_0 ... K_l, and from l on it is |det| of the free block, so ML
+holds exactly when that determinant is +-1.  The q-coranks of lim1 are
+read off the characteristic polynomial of the quotient block modulo q
+(see structured.completion_quotient); nothing is sampled.
+
 Every unit-part extraction is cross-checked against the image-lattice
 chain of A: bijectivity of A on N is certified exactly, and whenever the
 image chain stabilizes the stable lattice must coincide with N.
@@ -27,12 +34,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactlat import (
     FgAbGroup,
     IntMatrix,
+    charpoly,
     free_group,
     hom_make,
     hom_parts,
@@ -104,42 +111,6 @@ def poly_divmod(a, b):
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     return q, a
-
-
-def charpoly(mat):
-    """Characteristic polynomial det(xI - A), ascending coefficients.
-
-    Computed by exact interpolation through integer points.
-    """
-    n = mat.rows
-    if n == 0:
-        return [1]
-    pts = list(range(n + 1))
-    vals = []
-    for k in pts:
-        M = IntMatrix(n, n, [[(k if i == j else 0) - mat.data[i][j]
-                              for j in range(n)] for i in range(n)])
-        vals.append(M.det())
-    # Newton divided differences, exact over Q
-    coeffs = [Fraction(v) for v in vals]
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (pts[i] - pts[i - level])
-    # expand the Newton form back to the monomial basis
-    poly = [Fraction(0)] * (n + 1)
-    acc = [Fraction(1)]
-    for i in range(n + 1):
-        for j, c in enumerate(acc):
-            poly[j] += coeffs[i] * c
-        acc = [Fraction(0)] + acc
-        for j in range(len(acc) - 1):
-            acc[j] -= pts[i] * acc[j + 1]
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise InternalInconsistency("characteristic polynomial is not integral")
-        out.append(int(c))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +597,9 @@ class MLCertificate:
     offset j_offset on (the witness map is i -> i + j_offset).
     non_ml: from onset on, consecutive image lattices keep a constant
     index c > 1.
+    depth_limited: streamed towers only, checked to `depth` levels
+    without a registered rule; periodic towers always get an exact
+    stabilized or non_ml certificate.
     """
 
     kind: str
@@ -673,53 +647,32 @@ class ConditionsReport:
                 "nearly_ml": self.nearly_ml.to_json()}
 
 
-def _image_lattice_chain(group, endo, bound):
-    """Canonical lattices of im(A^k) + relations inside Z^n, k = 0..bound."""
-    n = group.generators
-    rel = group.relations
-    chain = []
-    power = IntMatrix.identity(n)
-    for _ in range(bound + 1):
-        gens = power.hstack(rel) if rel.cols else power
-        chain.append(lattice_canon(gens))
-        power = power * endo.matrix
-    return chain
-
-
-def _chain_bound(group):
-    bits = sum(d.bit_length() for d in group.torsion)
-    return max(6, group.rank + bits + 2)
-
-
 def _ml_periodic(t):
-    T, A = t.tail_group, t.tail_endo
-    bound = _chain_bound(T)
-    chain = _image_lattice_chain(T, A, bound + 2)
-    for k in range(len(chain) - 1):
-        if chain[k] == chain[k + 1]:
-            return ConditionVerdict(True, MLCertificate(
-                "stabilized", j_offset=k, symbolic=True,
-                note="image lattices of the tail map stabilize after %d steps" % k))
-    # chain still strictly decreasing: look for a stable rank and index
-    ranks = [c.cols for c in chain]
-    for k in range(len(chain) - 2):
-        if ranks[k] == ranks[k + 1] == ranks[k + 2]:
-            i1 = lattice_index(chain[k + 1], chain[k])
-            i2 = lattice_index(chain[k + 2], chain[k + 1])
-            if i1 is not None and i1 == i2 and i1 > 1:
-                return ConditionVerdict(False, MLCertificate(
-                    "non_ml", index=i1, onset=k,
-                    note="consecutive image index is a constant %d" % i1))
-    return ConditionVerdict(False, MLCertificate("depth_limited", depth=len(chain) - 1))
+    """ML of a periodic tail, read off its kernel chain K_0 ... K_l.
 
-
-def _dual_ml_periodic(t):
-    # kernel chains in a f.g. group always stabilize; the tail analysis
-    # has run the chain to its stable kernel
-    _tail_analysis(t)
-    return ConditionVerdict(True, MLCertificate(
-        "stabilized", symbolic=True,
-        note="kernel chains of f.g. abelian towers stabilize"))
+    A^k induces T / K_k = A^k T, so [A^k T : A^(k+1) T] = [Z^n : A Z^n + K_k]
+    (K_k contains the relations).  The index never increases with k and
+    from l on equals |det| of the free block, the torsion block being
+    bijective; so ML holds iff that determinant is +-1, which is then
+    the stable index, and the offset or onset is the first k <= l whose
+    index reaches it.
+    """
+    red, A_free, _ = _tail_analysis(t)
+    d = abs(A_free.det())
+    A = red.original_endo.matrix
+    whole = IntMatrix.identity(A.rows)
+    for k, K in enumerate(red.kernel_chain):
+        if lattice_index(A.hstack(K), whole) == d:
+            break
+    else:
+        raise InternalInconsistency("no kernel-chain step reaches the stable image index")
+    if d == 1:
+        return ConditionVerdict(True, MLCertificate(
+            "stabilized", j_offset=k, symbolic=True,
+            note="image lattices of the tail map stabilize after %d steps" % k))
+    return ConditionVerdict(False, MLCertificate(
+        "non_ml", index=d, onset=k,
+        note="consecutive image index is a constant %d" % d))
 
 
 def ml_conditions(t):
@@ -731,7 +684,9 @@ def ml_conditions(t):
     """
     if isinstance(t, PeriodicTower):
         ml = _ml_periodic(t)
-        dual = _dual_ml_periodic(t)
+        dual = ConditionVerdict(True, MLCertificate(
+            "stabilized", symbolic=True,
+            note="kernel chains of f.g. abelian towers stabilize"))
         virtually = ConditionVerdict(True, MLCertificate(
             "stabilized", symbolic=True,
             note="image ranks stabilize, so deep images have finite index"))

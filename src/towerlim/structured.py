@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlat import FgAbGroup, IntMatrix, free_group, snf
+from .exactlat import FgAbGroup, IntMatrix, charpoly, free_group
 
 
 def prime_factors(n):
@@ -39,34 +39,18 @@ def _valuation(n, p):
     return v
 
 
-def completion_corank_profile(rank, matrix, primes=None):
-    """q-torsion coranks of the completion quotient, per prime q | det(A).
+def _corank_profile(matrix, primes):
+    """((q, c_q), ...) for the given primes q and the r x r matrix A:
+    c_q = r - ord_x(chi_A mod q), the number of roots of the
+    characteristic polynomial chi_A of q-valuation 0 (Newton polygon).
 
-    The q-torsion of (lim L/A^k L)/L is (Z/q)^c where c is rank minus the
-    number of elementary divisors of A^k whose q-valuation keeps growing.
-    Returns (profile dict, stabilized flag); an unstable growth pattern is
-    reported rather than guessed around.
+    The completion lim L/A^k L is the product over q | det(A) of Z_q to
+    the number of roots of positive q-valuation, and L is dense in it,
+    so c_q is the dimension of the q-torsion of the completion quotient.
     """
-    if primes is None:
-        primes = prime_factors(matrix.det())
-    if not primes:
-        return {}, True
-    K = rank + 2
-    valuations = []
-    for k in (K, K + 1, K + 2):
-        S, _, _ = snf(matrix ** k)
-        valuations.append([S.data[i][i] for i in range(rank)])
-    profile = {}
-    stable = True
-    for q in primes:
-        grow_a = sum(1 for i in range(rank)
-                     if _valuation(valuations[1][i], q) > _valuation(valuations[0][i], q))
-        grow_b = sum(1 for i in range(rank)
-                     if _valuation(valuations[2][i], q) > _valuation(valuations[1][i], q))
-        if grow_a != grow_b:
-            stable = False
-        profile[q] = rank - grow_b
-    return profile, stable
+    chi = charpoly(matrix)
+    return tuple((q, matrix.rows - next(i for i, c in enumerate(chi) if c % q))
+                 for q in primes)
 
 
 @dataclass(frozen=True)
@@ -96,7 +80,6 @@ class StructuredGroup:
     is_uncountable: bool = False
     missing_primes: tuple = ()
     corank_profile: tuple = ()
-    profile_stable: bool = True
 
     # -- constructors (normalizing) ------------------------------------
 
@@ -113,28 +96,32 @@ class StructuredGroup:
     @staticmethod
     def completion_quotient(rank, matrix):
         """Quotient of the completion along A; assumes the unit part of A
-        was already split off, so |det| = 1 collapses to zero."""
+        was already split off, so |det| = 1 collapses to zero.
+
+        The quotient is divisible: it is Q^(c) (+) sum_q (Z/q^inf)^(c_q),
+        with c the continuum and c_q = rank - ord_x(chi_A mod q) exactly
+        (`_corank_profile`), which is the full rank at every q not
+        dividing det(A).  A divisible group is classified by these
+        numbers, so the key (rank, missing primes, their c_q) determines
+        the group and is determined by it.
+        """
         if rank == 0 or abs(matrix.det()) == 1:
             return StructuredGroup.zero()
         primes = tuple(prime_factors(matrix.det()))
-        profile, stable = completion_corank_profile(rank, matrix, primes)
         return StructuredGroup(
             tag="completion_quotient", rank=rank, matrix=matrix,
             is_uncountable=True, missing_primes=primes,
-            corank_profile=tuple(sorted(profile.items())),
-            profile_stable=stable)
+            corank_profile=_corank_profile(matrix, primes))
 
     @staticmethod
     def completion(rank, matrix):
         if rank == 0 or abs(matrix.det()) == 1:
             return StructuredGroup.fg(free_group(rank))
         primes = tuple(prime_factors(matrix.det()))
-        profile, stable = completion_corank_profile(rank, matrix, primes)
         return StructuredGroup(
             tag="completion", rank=rank, matrix=matrix,
             is_uncountable=True, missing_primes=primes,
-            corank_profile=tuple(sorted(profile.items())),
-            profile_stable=stable)
+            corank_profile=_corank_profile(matrix, primes))
 
     @staticmethod
     def localization(group, matrix):
@@ -273,9 +260,12 @@ def compare_structured(a, b):
 
     Equality of canonical keys is descriptor equality.  Distinctness is
     claimed only on sound invariants: f.g. invariants, triviality,
-    countability, and the per-prime torsion coranks of completion
-    quotients (the q-torsion of the quotient is (Z/q)^c, a group
-    invariant; at primes away from det(A) the corank is the full rank).
+    countability, and the keys of completion quotients.  A completion
+    quotient is divisible, Q^(c) (+) sum_q (Z/q^inf)^(c_q) with c the
+    continuum, and divisible groups are classified by their q-torsion
+    coranks c_q; its key lists them exactly (the full rank at primes
+    away from det(A)), so two completion quotients with different keys
+    are distinct.
     """
     if a.canonical_key() == b.canonical_key():
         return "equal"
@@ -291,13 +281,5 @@ def compare_structured(a, b):
         # a proper localization is never finitely generated
         return "distinct"
     if a.tag == "completion_quotient" and b.tag == "completion_quotient":
-        if not (a.profile_stable and b.profile_stable):
-            return "undecided"
-        if a.rank != b.rank:
-            return "distinct"
-        pa, pb = dict(a.corank_profile), dict(b.corank_profile)
-        for q in set(pa) | set(pb):
-            if pa.get(q, a.rank) != pb.get(q, b.rank):
-                return "distinct"
-        return "undecided"
+        return "distinct"
     return "undecided"

@@ -344,23 +344,26 @@ def _kernel_chain_bound(group):
     return group.rank + bits + 2
 
 
-def stable_kernel(group, endo):
-    """Union of the kernels of the powers of an endomorphism.
+def kernel_chain(group, endo):
+    """The kernels K_k of the powers A^k of an endomorphism, up to the
+    first k = l with K_l = K_(l+1): the list [K_0, ..., K_l].
 
-    Returned as a generator matrix of a sublattice of the ambient Z^n that
-    contains the relation lattice.  The chain is Noetherian so it
-    stabilizes; the iteration cap is a proven bound, not a guess.
+    Each K_k is the canonical generator matrix of a sublattice of the
+    ambient Z^n that contains the relation lattice (K_0 is the relation
+    lattice), and K_l is the union of all of them.  The chain is
+    Noetherian so it stabilizes; the iteration cap is a proven bound,
+    not a guess.
     """
     n = group.generators
     rel = group.relations
-    current = lattice_canon(rel) if rel.cols else IntMatrix.from_columns(n, [])
+    chain = [lattice_canon(rel) if rel.cols else IntMatrix.from_columns(n, [])]
     power = IntMatrix.identity(n)
     for _ in range(_kernel_chain_bound(group) + 1):
         power = power * endo.matrix
         nxt = lattice_canon(_preimage_lattice(power, rel, n))
-        if nxt == current:
-            return current
-        current = nxt
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
     raise TowerError("kernel chain failed to stabilize within its proven bound")
 
 
@@ -414,10 +417,12 @@ def _minimize_with_transform(group, endo):
 @dataclass(frozen=True)
 class TailReduction:
     """Tail of a periodic tower after kernel-chain reduction, with the
-    coordinate transport back to the original tail group."""
+    kernel chain of the original tail map and the coordinate transport
+    back to the original tail group."""
 
     original_group: FgAbGroup
     original_endo: Homomorphism
+    kernel_chain: tuple
     group: FgAbGroup
     endo: Homomorphism
     project: IntMatrix
@@ -438,11 +443,11 @@ def tail_reduction(t):
     if not isinstance(t, PeriodicTower):
         raise TowerError("tail_reduction needs an eventually periodic tower")
     T, A = t.tail_group, t.tail_endo
-    K = stable_kernel(T, A)
-    Q = quotient_by(T, K)
+    chain = tuple(kernel_chain(T, A))
+    Q = quotient_by(T, chain[-1])
     A1 = hom_make(Q, Q, A.matrix)
     grp, h, project, section, diag = _minimize_with_transform(Q, A1)
-    return TailReduction(T, A, grp, h, project, section, diag)
+    return TailReduction(T, A, chain, grp, h, project, section, diag)
 
 
 def reduce_to_images(t):

@@ -141,7 +141,7 @@ def test_criterion_7_property_suites():
     cfg = LabConfig(master_seed=42, trials=200, max_rank=3, entry_bound=5)
     expected = {"ml_equiv", "shift_invariance", "dual_ml", "nearly_ml",
                 "finite_oracle", "six_term_exact", "ml_propagation"}
-    assert set(SUITE_NAMES) == expected
+    assert set(SUITE_NAMES) == expected | {"ml_certificate", "compare_vs_interleave"}
     for name in sorted(expected):
         rep = run_suite(cfg, name)
         assert rep.ok, (name, rep.counterexamples[:1])

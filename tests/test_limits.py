@@ -75,6 +75,24 @@ def random_matrix(rng, rank, bound):
     return [[rng.randint(-bound, bound) for _ in range(rank)] for _ in range(rank)]
 
 
+def rank_mod(rows, q):
+    """Rank over GF(q) by Gaussian elimination."""
+    rows = [[x % q for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv % q
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def expand(factors):
     out = [1]
     for f, m in factors:
@@ -376,6 +394,27 @@ class TestMlConditions:
         assert rep.ml.holds
         assert derived_limit(t).is_trivial
 
+    def test_non_ml_stable_index_of_z8_plus_z(self):
+        # T = Z/8 (+) Z, A = [[2, -1], [0, 6]]: the image chain indices are
+        # 12, 12, 12, 6, 6, ..., so the stable index is 6 from level 3 on
+        T = present(2, IntMatrix.from_rows([[8], [0]]))
+        cert = ml_conditions(pure_tower(T, [[2, -1], [0, 6]])).ml.certificate
+        assert cert.kind == "non_ml"
+        assert (cert.index, cert.onset) == (6, 3)
+
+    def test_non_ml_index_plateau_before_chain_end(self):
+        # T = Z (+) Z/4, A = diag(5, 2): indices 10, 10, 5, 5, ...; the
+        # first two agree, but the stable index is 5 from level 2 on
+        T = present(2, IntMatrix.from_rows([[0], [4]]))
+        cert = ml_conditions(pure_tower(T, [[5, 0], [0, 2]])).ml.certificate
+        assert cert.kind == "non_ml"
+        assert (cert.index, cert.onset) == (5, 2)
+
+    def test_stabilized_offset_is_kernel_chain_step(self):
+        # A = [[1, 0], [0, 0]]: im A = im A^2 = Z (+) 0, reached after one step
+        cert = ml_conditions(pure_tower(Z2, [[1, 0], [0, 0]])).ml.certificate
+        assert cert.kind == "stabilized" and cert.j_offset == 1
+
 
 class TestShiftInvariance:
     def test_lim_and_lim1_shift_invariant(self):
@@ -528,6 +567,31 @@ class TestComparator:
         b = derived_limit(pure_tower(Z2, [[2, 0], [0, 2]]))
         assert compare_structured(a, b) == "distinct"
 
+    def test_root_of_two_and_two_have_equal_keys(self):
+        # chi = x^2 - 2 has both roots of 2-valuation 1/2: c_2 = 0, as for 2I
+        a = derived_limit(pure_tower(Z2, [[0, 2], [1, 0]]))
+        b = derived_limit(pure_tower(Z2, [[2, 0], [0, 2]]))
+        assert a.corank_profile == b.corank_profile == ((2, 0),)
+        assert a.canonical_key() == b.canonical_key()
+        assert compare_structured(a, b) == "equal"
+
+    def test_coranks_match_jensen_ext_oracle(self):
+        # With lim = 0, lim1 = Ext(G, Z) for G the colimit of the transposed
+        # system (Jensen, LNM 254), so c_q = dim G/qG = rank of A^r mod q
+        from towerlim.lab import LabConfig, gen_tower, trial_rng
+        cfg = LabConfig(master_seed=0, trials=0, max_rank=4)
+        checked = 0
+        for seed in range(1, 5):
+            for i in range(60):
+                sg = derived_limit(gen_tower(trial_rng(seed, "jensen", i), cfg))
+                if sg.tag != "completion_quotient":
+                    continue
+                power = sg.matrix ** sg.rank
+                for q, c in sg.corank_profile:
+                    assert c == rank_mod(power.data, q), (sg.matrix, q)
+                    checked += 1
+        assert checked >= 100
+
 
 class TestTailAnalysis:
     def test_memoized_and_plain_analysis_agree(self, monkeypatch):
@@ -552,18 +616,3 @@ class TestTailAnalysis:
         same = pure_tower(free_group(2), IntMatrix.from_rows([[2, 1], [0, 1]]))
         assert same is not t and same == t
         assert limits._tail_analysis(same) is limits._tail_analysis(t)
-
-
-class TestKnownDefects:
-    """Wrong answers that the exact periodic-tail invariants (see
-    ROADMAP.md) must mend.  Strict, so the mending change must flip them."""
-
-    @pytest.mark.xfail(strict=True, reason="the non_ml certificate stops at the "
-                       "first two equal consecutive indices")
-    def test_non_ml_stable_index_of_z8_plus_z(self):
-        # T = Z/8 (+) Z, A = [[2, -1], [0, 6]]: the image chain indices are
-        # 12, 12, 12, 6, 6, ..., so the stable index is 6, not 12
-        T = present(2, IntMatrix.from_rows([[8], [0]]))
-        cert = ml_conditions(pure_tower(T, [[2, -1], [0, 6]])).ml.certificate
-        assert cert.kind == "non_ml"
-        assert cert.index == 6

@@ -17,12 +17,12 @@ from towerlim.towers import (
     UnknownFamily,
     adic_quotient_tower,
     canonical_completion_ses,
+    kernel_chain,
     make_streamed,
     periodic_tower,
     pure_tower,
     reduce_to_images,
     shift,
-    stable_kernel,
     tower_ses,
     truncate,
 )
@@ -162,7 +162,7 @@ class TestReduceToImages:
         assert r.tail_group.is_trivial()
 
     def test_stable_kernel_of_unit(self):
-        K = stable_kernel(Z, mult(Z, 1))
+        K = kernel_chain(Z, mult(Z, 1))[-1]
         assert K.cols == 0
 
 
