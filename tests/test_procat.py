@@ -259,6 +259,9 @@ class TestCompareInvariants:
 
     def test_root_of_two_vs_two_not_separated(self):
         # A^2 = 2I, so the towers are pro-isomorphic and a certificate exists
+        # (f = I at gap 2, g_i = A^i at gap 1).  The one the search returns
+        # is a window certificate whose forward chain halves past its window
+        # (ROADMAP item 3, defect C): the verdict is right, the witness not.
         Z2 = free_group(2)
         a = pure_tower(Z2, [[0, 2], [1, 0]])
         b = pure_tower(Z2, [[2, 0], [0, 2]])
