@@ -13,6 +13,7 @@ from .exactlat import (
     FgAbGroup,
     Homomorphism,
     IntMatrix,
+    free_group,
     hnf,
     hom_make,
     hom_parts,
@@ -50,7 +51,7 @@ from .towers import (
 from .procat import compare_invariants, find_interleaving
 
 __all__ = [
-    "IntMatrix", "FgAbGroup", "Homomorphism", "hnf", "snf", "present",
+    "IntMatrix", "FgAbGroup", "Homomorphism", "free_group", "hnf", "snf", "present",
     "hom_make", "hom_parts",
     "PeriodicTower", "StreamedTower", "FiniteTower", "periodic_tower",
     "pure_tower", "make_streamed", "shift", "truncate", "reduce_to_images",

@@ -409,10 +409,6 @@ def lattice_canon(gens):
     return IntMatrix._new(gens.rows, len(cols), _transposed(cols, gens.rows))
 
 
-def lattice_sum(a, b):
-    return lattice_canon(a.hstack(b))
-
-
 def lattice_rank(gens):
     return lattice_canon(gens).cols
 
@@ -461,33 +457,6 @@ def kernel(mat):
     hcols, ucols = _column_hnf(mat)
     basis = [uc for hc, uc in zip(hcols, ucols) if not any(hc)]
     return IntMatrix._new(mat.cols, len(basis), _transposed(basis, mat.cols))
-
-
-def lattice_intersect(a, b):
-    """Intersection of two column spans in the same ambient Z^n."""
-    if a.rows != b.rows:
-        raise ValueError("ambient rank mismatch")
-    if a.cols == 0 or b.cols == 0:
-        return IntMatrix.from_columns(a.rows, [])
-    stacked = a.hstack(-b)
-    K = kernel(stacked)
-    gens = []
-    for j in range(K.cols):
-        coeffs = K.column(j)[: a.cols]
-        gens.append(a.apply(coeffs))
-    return lattice_canon(IntMatrix.from_columns(a.rows, gens))
-
-
-def lattice_saturate(gens):
-    """Saturation (Q*span) converted to Z^n, i.e. the smallest direct summand
-    of the ambient Z^n containing the lattice."""
-    n = gens.rows
-    if gens.cols == 0:
-        return IntMatrix.from_columns(n, [])
-    S, U, V = snf(gens)
-    Uinv = unimodular_inverse(U)
-    cols = [Uinv.column(i) for i in range(min(gens.rows, gens.cols)) if S.data[i][i] != 0]
-    return lattice_canon(IntMatrix.from_columns(n, cols))
 
 
 def lattice_index(sub, sup):
@@ -641,11 +610,6 @@ class Homomorphism:
             if any(col) and not lattice_contains(rel, col):
                 return False
         return True
-
-    def power(self, k):
-        if self.source.generators != self.target.generators:
-            raise ValueError("power of non-endomorphism")
-        return Homomorphism(self.source, self.target, self.matrix ** k)
 
     def __repr__(self):
         return "Homomorphism(%s -> %s, %r)" % (

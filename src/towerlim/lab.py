@@ -9,6 +9,7 @@ failure dumps a replayable counterexample in the tower file format.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -133,11 +134,7 @@ def gen_diag_group(rng, config, torsion_only=False, max_rank=None):
             diag.append(0)
         else:
             diag.append(rng.rand_range(2, max(2, config.entry_bound + 2)))
-    cols = []
-    for i, d in enumerate(diag):
-        if d:
-            cols.append([d if j == i else 0 for j in range(n)])
-    return present(n, IntMatrix.from_columns(n, cols)), tuple(diag)
+    return _diag_group_from(tuple(diag))
 
 
 def gen_matrix_between(rng, tgt_diag, src_diag, bound):
@@ -151,17 +148,10 @@ def gen_matrix_between(rng, tgt_diag, src_diag, bound):
             elif di == 0:
                 row.append(0)
             else:
-                g = _gcd(di, dj)
-                step = di // g
+                step = di // math.gcd(di, dj)
                 row.append(step * rng.rand_range(-bound, bound))
         rows.append(row)
     return IntMatrix(len(tgt_diag), len(src_diag), rows)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def gen_endo(rng, group, diag, bound):
@@ -210,17 +200,9 @@ def gen_twisted_ses(rng, config):
     ns, nq = sub.generators, quot.generators
     total_diag = sub_diag + quot_diag
     total, _ = _diag_group_from(total_diag)
-    block = [[0] * (ns + nq) for _ in range(ns + nq)]
-    for i in range(ns):
-        for j in range(ns):
-            block[i][j] = a_sub.data[i][j]
-        for j in range(nq):
-            block[i][ns + j] = twist.data[i][j]
-    for i in range(nq):
-        for j in range(nq):
-            block[ns + i][ns + j] = a_quot.data[i][j]
     t_sub = PeriodicTower((), (), sub, hom_make(sub, sub, a_sub), None)
-    t_total = PeriodicTower((), (), total, hom_make(total, total, IntMatrix.from_rows(block)), None)
+    t_total = PeriodicTower((), (), total, hom_make(
+        total, total, _block_upper(a_sub, twist, a_quot)), None)
     t_quot = PeriodicTower((), (), quot, hom_make(quot, quot, a_quot), None)
     inj = hom_make(sub, total, IntMatrix(ns + nq, ns,
                                          [[1 if (i == j and i < ns) else 0
@@ -236,6 +218,21 @@ def _diag_group_from(diag):
     cols = [[d if j == i else 0 for j in range(n)]
             for i, d in enumerate(diag) if d]
     return present(n, IntMatrix.from_columns(n, cols)), diag
+
+
+def _block_upper(top, twist, bottom):
+    """The block upper-triangular matrix [[top, twist], [0, bottom]]."""
+    ns, nq = top.rows, bottom.rows
+    block = [[0] * (ns + nq) for _ in range(ns + nq)]
+    for i in range(ns):
+        for j in range(ns):
+            block[i][j] = top.data[i][j]
+        for j in range(nq):
+            block[i][ns + j] = twist.data[i][j]
+    for i in range(nq):
+        for j in range(nq):
+            block[ns + i][ns + j] = bottom.data[i][j]
+    return IntMatrix.from_rows(block)
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +333,9 @@ def _suite_ml_propagation(rng, config, report):
     sub_diag = _diag_of(a.tail_group)
     quot_diag = _diag_of(c.tail_group)
     twist = gen_matrix_between(rng, sub_diag, quot_diag, config.entry_bound)
-    ns, nq = a.tail_group.generators, c.tail_group.generators
     total, _ = _diag_group_from(sub_diag + quot_diag)
-    block = [[0] * (ns + nq) for _ in range(ns + nq)]
-    for i in range(ns):
-        for j in range(ns):
-            block[i][j] = a.tail_endo.matrix.data[i][j]
-        for j in range(nq):
-            block[i][ns + j] = twist.data[i][j]
-    for i in range(nq):
-        for j in range(nq):
-            block[ns + i][ns + j] = c.tail_endo.matrix.data[i][j]
-    b = PeriodicTower((), (), total,
-                      hom_make(total, total, IntMatrix.from_rows(block)), None)
+    block = _block_upper(a.tail_endo.matrix, twist, c.tail_endo.matrix)
+    b = PeriodicTower((), (), total, hom_make(total, total, block), None)
     d = gen_tower(rng, config, with_prefix=False)   # gamma = 0; any periodic D is dual-ML
     if not ml_conditions(a).ml.holds or not ml_conditions(c).ml.holds:
         report.passed += 1   # vacuous hypotheses; generators guard against this

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 
 from . import __version__
 
@@ -37,7 +39,6 @@ def report_json(report):
 
 def schema():
     """The shipped JSON schema document, as a dict."""
-    import os
     path = os.path.join(os.path.dirname(__file__), "report_schema.json")
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -69,7 +70,6 @@ def validate_report(report):
         if "enum" in spec and value not in spec["enum"]:
             problems.append("key %r not in its enumeration" % key)
         if "pattern" in spec:
-            import re
             if not re.match(spec["pattern"], value):
                 problems.append("key %r does not match %s" % (key, spec["pattern"]))
         if "minimum" in spec and value < spec["minimum"]:

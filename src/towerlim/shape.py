@@ -21,6 +21,7 @@ from .limits import derived_limit, limit
 from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
+    homology_data,
     identity_map,
     induced_cohom,
     induced_hom,
@@ -28,7 +29,7 @@ from .simplicial import (
     subdivide_map,
 )
 from .structured import StructuredGroup
-from .towers import PeriodicTower, make_streamed
+from .towers import PeriodicTower, make_streamed, tail_reduction
 
 
 class ShapeError(Exception):
@@ -220,7 +221,6 @@ def homology_tower(st, n, reduced=False):
         tail_g = tail_e.source
         if not st.prefix:
             return PeriodicTower((), (), tail_g, tail_e, None)
-        from .simplicial import homology_data
         groups = tuple(homology_data(c, n, reduced).group for c, _ in st.prefix)
         bonds = tuple(induced_hom(b, n, reduced) for _, b in st.prefix[1:])
         splice = induced_hom(st.splice, n, reduced)
@@ -372,23 +372,22 @@ def cech_cohomology(st, n):
     """Colimit of the level cohomologies.
 
     Periodic towers give a finitely generated answer when the induced map
-    is bijective and a localization otherwise; the solenoid family has
-    its registered localization; other streamed families are reported
-    depth-limited.
+    is bijective and a localization otherwise; a bond with a kernel is
+    first reduced by its stable kernel chain, which the colimit kills.
+    The solenoid family has its registered localization; other streamed
+    families are reported depth-limited.
     """
     if isinstance(st, PeriodicSimplicialTower):
-        from .simplicial import simplicial_cohomology
-        H = simplicial_cohomology(st.tail_complex, n)
         B = induced_cohom(st.tail_map, n)
-        B = hom_make(H, H, B.matrix)
+        H = B.source
         k, _, ck = hom_parts(B)
-        if k.group.is_trivial() and ck.group.is_trivial():
+        if not k.group.is_trivial():
+            red = tail_reduction(PeriodicTower((), (), H, B, None))
+            H, B = red.group, red.endo
+            ck = hom_parts(B)[2]
+        if ck.group.is_trivial():
             return StructuredGroup.fg(H)
-        if k.group.is_trivial():
-            return StructuredGroup.localization(H, B.matrix)
-        # iterate to the eventual direct system; colim kills the kernels
-        return StructuredGroup.depth_limited(
-            "cohomology bond has a kernel; colimit not in closed form")
+        return StructuredGroup.localization(H, B.matrix)
     if isinstance(st, StreamedSimplicialTower):
         if st.family == "solenoid":
             (p,) = st.params

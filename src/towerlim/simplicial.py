@@ -362,18 +362,6 @@ def induced_hom(f, n, reduced=False):
 # cohomology
 
 
-def simplicial_cohomology(K, n):
-    """H^n(K) over Z via the transposed boundary maps."""
-    c_n = len(K.simplices_of_dim(n))
-    if c_n == 0:
-        return free_group(0)
-    delta_up = K.boundary_matrix(n + 1).transpose()    # C^n -> C^(n+1)
-    delta_down = K.boundary_matrix(n).transpose() if n > 0 else IntMatrix.zero(c_n, 0)
-    cocycles = lattice_kernel(delta_up)
-    part = subquotient(c_n, cocycles, delta_down)
-    return part.group
-
-
 def cohomology_data(K, n):
     c_n = len(K.simplices_of_dim(n))
     if c_n == 0:

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactlat import IntMatrix, hom_make, present
-from .shape import PeriodicSimplicialTower, make_example
+from .shape import PeriodicSimplicialTower, UnknownExample, make_example
 from .simplicial import SimplicialComplex, SimplicialError, SimplicialMap
 from .towers import (
+    StreamedTower,
     UnknownFamily,
     canonical_completion_ses,
     make_streamed,
@@ -239,7 +240,7 @@ def _resolve_stower(doc, entries, name, header):
         fam, line = entries["family"]
         try:
             return make_example(fam, _parse_params(entries))
-        except Exception as exc:
+        except UnknownExample as exc:
             raise ParseError(line, str(exc))
     tail_c = _ref(doc.complexes, _need(entries, "tail_complex", "stower", name, header)[0])
     tail_m = _ref(doc.smaps, _need(entries, "tail_map", "stower", name, header)[0])
@@ -290,7 +291,6 @@ def serialize(doc):
 
 def tower_sections(t, name="main", prefix="t"):
     """Sections describing one eventually periodic or streamed tower."""
-    from .towers import StreamedTower
     if isinstance(t, StreamedTower):
         entries = {"family": t.family}
         if t.params and t.family != "adic_quotient":

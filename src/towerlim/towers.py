@@ -374,23 +374,16 @@ def quotient_by(group, sub_gens):
     return FgAbGroup(group.generators, lattice_canon(rels))
 
 
-def minimize_presentation(group, endo):
+def _minimize_with_transform(group, endo):
     """Re-present (group, endo) on an invariant-factor generating set.
 
-    Returns (group', endo') where group' has diagonal relations with the
-    unit factors dropped, and endo' is the conjugated endomorphism.  The
-    pair is isomorphic to the input as a group-with-endomorphism.
-    """
-    grp, h, _, _, _ = _minimize_with_transform(group, endo)
-    return grp, h
-
-
-def _minimize_with_transform(group, endo):
-    """As minimize_presentation, also returning the coordinate transport.
-
-    project maps old coordinates to new (m x n), section is a one-sided
-    inverse (n x m) choosing representatives; diag lists the invariant
-    factor of each kept coordinate (0 for free ones).
+    Returns (group', endo', project, section, diag): group' has diagonal
+    relations with the unit factors dropped and endo' is the conjugated
+    endomorphism, so the pair is isomorphic to the input as a
+    group-with-endomorphism.  project maps old coordinates to new
+    (m x n), section is a one-sided inverse (n x m) choosing
+    representatives; diag lists the invariant factor of each kept
+    coordinate (0 for free ones).
     """
     n = group.generators
     S, U, _ = snf(group.relations)

@@ -154,6 +154,23 @@ class TestExitCodes:
     def test_depth_limited_is_3(self):
         assert main(["cech", fixture("hawaiian.tower"), "--degree", "1"]) == 3
 
+    def test_cech_of_a_constant_self_map_is_zero(self, tmp_path):
+        f = tmp_path / "const.tower"
+        f.write_text("[complex C]\nvertices = 3\nsimplices = [0 1; 1 2; 0 2]\n"
+                     "[smap c]\nsource = C\ntarget = C\nvertex_map = [0 0 0]\n"
+                     "[stower main]\ntail_complex = C\ntail_map = c\n")
+        code, report, text = dispatch(["cech", str(f), "--degree", "1"])
+        assert code == 0 and text == "H^1 = 0"
+        assert report["result"]["is_trivial"]
+
+    @pytest.mark.parametrize("kind", ["stower", "tower"])
+    def test_params_error_is_located_once(self, tmp_path, kind):
+        bad = tmp_path / "bad.tower"
+        bad.write_text("[%s main]\nfamily = solenoid\nparams = [2; 3]\n" % kind)
+        with pytest.raises(ParseError) as info:
+            parse(str(bad))
+        assert str(info.value) == "line 3: params must be a single row"
+
 
 class TestGoldenReports:
     @pytest.mark.parametrize("argv,name", [

@@ -615,4 +615,35 @@ class TestTailAnalysis:
         t = pure_tower(Z2, [[2, 1], [0, 1]])
         same = pure_tower(free_group(2), IntMatrix.from_rows([[2, 1], [0, 1]]))
         assert same is not t and same == t
-        assert limits._tail_analysis(same) is limits._tail_analysis(t)
+        assert limits._tail_analysis(same.tail_group, same.tail_endo) \
+            is limits._tail_analysis(t.tail_group, t.tail_endo)
+
+    def test_shifts_share_one_record(self):
+        from towerlim import limits
+        Z2t = cyclic_group(2)
+        t = periodic_tower([Z2t], [], Z2, hom_make(Z2, Z2, [[2, 1], [0, 3]]),
+                           splice=hom_make(Z2, Z2t, [[1, 0]]))
+        limits._tail_analysis.cache_clear()
+        for k in range(4):
+            s = shift(t, k)
+            limit(s), derived_limit(s), ml_conditions(s)
+        info = limits._tail_analysis.cache_info()
+        assert info.misses == 1 and info.hits == 11
+
+
+class TestUnitLatticeCertificate:
+    def test_empty_lattice_on_unimodular_tail_is_caught(self, monkeypatch):
+        from towerlim import limits
+        limits._tail_analysis.cache_clear()
+        monkeypatch.setattr(limits, "_unit_lattice",
+                            lambda A: IntMatrix.from_columns(A.rows, []))
+        with pytest.raises(limits.InternalInconsistency, match="stable image lattice"):
+            limit(pure_tower(Z2, [[2, 1], [1, 1]]))
+
+    def test_non_invariant_lattice_is_caught(self, monkeypatch):
+        from towerlim import limits
+        limits._tail_analysis.cache_clear()
+        monkeypatch.setattr(limits, "_unit_lattice",
+                            lambda A: IntMatrix.from_columns(A.rows, [[1, 0]]))
+        with pytest.raises(limits.InternalInconsistency, match="not invariant"):
+            limit(pure_tower(Z2, [[2, 1], [1, 1]]))

@@ -4,6 +4,7 @@ from towerlim.exactlat import free_group, hom_make
 from towerlim.limits import limit, derived_limit, ml_conditions
 from towerlim.shape import (
     DegreeMismatch,
+    PeriodicSimplicialTower,
     SteenrodDescriptor,
     UnknownExample,
     cech_cohomology,
@@ -14,6 +15,7 @@ from towerlim.shape import (
     make_example,
     steenrod,
     telescope,
+    _wedge_of_circles,
 )
 from towerlim.simplicial import (
     SimplicialComplex,
@@ -179,6 +181,19 @@ class TestCech:
         # periodic algebraic check instead: constant tower keeps H^1 = Z
         sg = cech_cohomology(constant_tower(K), 0)
         assert sg.tag == "fg"
+
+    def test_constant_map_kills_h1(self):
+        K = circle_complex(3)
+        st = PeriodicSimplicialTower((), K, SimplicialMap(K, K, (0, 0, 0)))
+        assert cech_cohomology(st, 1).is_trivial
+
+    def test_collapsing_one_circle_of_a_wedge(self):
+        # the self-map keeps the first circle and collapses the second, so
+        # the bond on H^1 = Z^2 has a kernel that the colimit kills
+        K = _wedge_of_circles([3, 3])
+        st = PeriodicSimplicialTower((), K, SimplicialMap(K, K, (0, 1, 2, 0, 0)))
+        sg = cech_cohomology(st, 1)
+        assert sg.tag == "fg" and sg.render() == "Z"
 
 
 class TestTelescope:

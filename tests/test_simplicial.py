@@ -10,12 +10,12 @@ from towerlim.simplicial import (
     SimplicialError,
     SimplicialMap,
     barycentric_subdivision,
+    cohomology_data,
     homology_invariants,
     identity_map,
     induced_cohom,
     induced_hom,
     mapping_cylinder,
-    simplicial_cohomology,
     simplicial_homology,
     sparse_invariants,
     subdivide_map,
@@ -171,11 +171,11 @@ class TestInducedMaps:
 
 class TestCohomology:
     def test_circle(self):
-        assert simplicial_cohomology(circle(3), 1).describe() == "Z"
-        assert simplicial_cohomology(circle(3), 0).describe() == "Z"
+        assert cohomology_data(circle(3), 1).group.describe() == "Z"
+        assert cohomology_data(circle(3), 0).group.describe() == "Z"
 
     def test_point(self):
-        assert simplicial_cohomology(point(), 0).describe() == "Z"
+        assert cohomology_data(point(), 0).group.describe() == "Z"
 
 
 class TestSubdivision:
