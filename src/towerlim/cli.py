@@ -15,14 +15,7 @@ import sys
 
 from .exactlat import IllDefined
 from .lab import LabConfig, SUITE_NAMES, UnknownSuite, run_suite
-from .limits import (
-    DepthLimited,
-    TooLarge,
-    derived_limit,
-    limit,
-    ml_conditions,
-    six_term,
-)
+from .limits import TooLarge, derived_limit, limit, ml_conditions, six_term
 from .procat import compare_invariants, find_interleaving
 from .report import build_report, input_digest, report_json
 from .shape import (
@@ -241,7 +234,7 @@ def main(argv=None):
     except (ParseError, UnresolvedReference, DimensionMismatch) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except (DepthLimited, TooLarge) as exc:
+    except TooLarge as exc:
         print("depth limited: %s" % exc, file=sys.stderr)
         return EXIT_DEPTH
     except (IllDefined, TowerError, SimplicialError, ShapeError,

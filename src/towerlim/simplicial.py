@@ -30,7 +30,6 @@ from itertools import combinations, permutations
 from .exactlat import (
     FgAbGroup,
     IntMatrix,
-    free_group,
     hom_make,
     kernel as lattice_kernel,
     present,
@@ -87,6 +86,11 @@ class SimplicialComplex:
     @cached_property
     def _boundary_memo(self):
         """Nonzero Smith invariants of each boundary map eliminated so far."""
+        return {}
+
+    @cached_property
+    def _witness_memo(self):
+        """(Co)homology with witnesses, by (cohomology?, degree, reduced)."""
         return {}
 
     @property
@@ -255,24 +259,34 @@ def homology_invariants(K, n, reduced=False):
 @dataclass(frozen=True)
 class HomologyData:
     group: FgAbGroup
-    cycle_basis: IntMatrix     # columns: cycles generating H_n, in chain coords
-    chain_rank: int
-    degree: int
-    reduced: bool
+    cycle_basis: IntMatrix     # columns: (co)cycles generating the group, in chain coords
+    incoming: IntMatrix        # the map into degree-n (co)chains whose image is divided out
+
+
+def _witness(K, co, n, reduced=False):
+    """ker(outgoing) / im(incoming) on the degree-n chains of K (the
+    cochains when co is true), computed once per complex."""
+    memo = K._witness_memo
+    key = (co, n, reduced)
+    if key not in memo:
+        if co:
+            outgoing = K.boundary_matrix(n + 1).transpose()
+            incoming = K.boundary_matrix(n).transpose()
+        else:
+            # in degree 0 the reduced outgoing map is the augmentation onto Z
+            outgoing = K.augmentation_matrix() if reduced and n == 0 else K.boundary_matrix(n)
+            incoming = K.boundary_matrix(n + 1)
+        part = subquotient(incoming.rows, lattice_kernel(outgoing), incoming)
+        memo[key] = HomologyData(part.group, part.witness, incoming)
+    return memo[key]
 
 
 def homology_data(K, n, reduced=False):
-    c_n = len(K.simplices_of_dim(n))
-    if c_n == 0:
-        return HomologyData(free_group(0), IntMatrix.from_columns(0, []), 0, n, reduced)
-    if n == 0:
-        lower = K.augmentation_matrix() if reduced else IntMatrix.zero(0, c_n)
-    else:
-        lower = K.boundary_matrix(n)
-    upper = K.boundary_matrix(n + 1)
-    cycles = lattice_kernel(lower) if lower.rows else IntMatrix.identity(c_n)
-    part = subquotient(c_n, cycles, upper)
-    return HomologyData(part.group, part.witness, c_n, n, reduced)
+    return _witness(K, False, n, reduced)
+
+
+def cohomology_data(K, n):
+    return _witness(K, True, n)
 
 
 def simplicial_homology(K, n, reduced=False):
@@ -340,56 +354,32 @@ def identity_map(K):
     return SimplicialMap(K, K, tuple(range(K.vertex_count)))
 
 
-def induced_hom(f, n, reduced=False):
-    """The induced map on degree-n homology, as a validated Homomorphism."""
-    src = homology_data(f.source, n, reduced)
-    tgt = homology_data(f.target, n, reduced)
+def _induced(f, co, n, reduced=False):
+    """The map induced by f on degree-n homology, or contravariantly on
+    cohomology: one solve against the target basis stacked with its
+    incoming map."""
+    src, tgt = (f.target, f.source) if co else (f.source, f.target)
+    src, tgt = _witness(src, co, n, reduced), _witness(tgt, co, n, reduced)
     if src.group.generators == 0 or tgt.group.generators == 0:
         return hom_make(src.group, tgt.group,
                         IntMatrix.zero(tgt.group.generators, src.group.generators))
-    C = f.chain_matrix(n)
-    img = C * src.cycle_basis
-    upper = f.target.boundary_matrix(n + 1)
-    stacked = tgt.cycle_basis.hstack(upper)
-    X = solve_columns(stacked, img)
+    C = f.chain_matrix(n).transpose() if co else f.chain_matrix(n)
+    X = solve_columns(tgt.cycle_basis.hstack(tgt.incoming), C * src.cycle_basis)
     if X is None:
-        raise SimplicialError("chain image is not a cycle modulo boundaries")
+        raise SimplicialError("{0}chain image is not a {0}cycle modulo {0}boundaries"
+                              .format("co" if co else ""))
     M = X.submatrix(range(tgt.cycle_basis.cols), range(X.cols))
     return hom_make(src.group, tgt.group, M)
 
 
-# ---------------------------------------------------------------------------
-# cohomology
-
-
-def cohomology_data(K, n):
-    c_n = len(K.simplices_of_dim(n))
-    if c_n == 0:
-        return HomologyData(free_group(0), IntMatrix.from_columns(0, []), 0, n, False)
-    delta_up = K.boundary_matrix(n + 1).transpose()
-    delta_down = K.boundary_matrix(n).transpose() if n > 0 else IntMatrix.zero(c_n, 0)
-    cocycles = lattice_kernel(delta_up)
-    part = subquotient(c_n, cocycles, delta_down)
-    return HomologyData(part.group, part.witness, c_n, n, False)
+def induced_hom(f, n, reduced=False):
+    """The induced map on degree-n homology, as a validated Homomorphism."""
+    return _induced(f, False, n, reduced)
 
 
 def induced_cohom(f, n):
     """The contravariant induced map H^n(target) -> H^n(source)."""
-    src = cohomology_data(f.target, n)
-    tgt = cohomology_data(f.source, n)
-    if src.group.generators == 0 or tgt.group.generators == 0:
-        return hom_make(src.group, tgt.group,
-                        IntMatrix.zero(tgt.group.generators, src.group.generators))
-    C = f.chain_matrix(n).transpose()
-    img = C * src.cycle_basis
-    delta_down = f.source.boundary_matrix(n).transpose() if n > 0 else \
-        IntMatrix.zero(len(f.source.simplices_of_dim(0)), 0)
-    stacked = tgt.cycle_basis.hstack(delta_down) if delta_down.cols else tgt.cycle_basis
-    X = solve_columns(stacked, img)
-    if X is None:
-        raise SimplicialError("cochain image is not a cocycle modulo coboundaries")
-    M = X.submatrix(range(tgt.cycle_basis.cols), range(X.cols))
-    return hom_make(src.group, tgt.group, M)
+    return _induced(f, True, n)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ toward index 0.  Two representations are supported:
   admit exact answers everywhere.
 
 * Streamed: one of a closed registry of families whose levels grow without
-  bound (levels are produced on demand).  Streamed towers get registered
-  closed-form answers where a family rule applies, and depth-limited
-  certificates elsewhere.
+  bound (levels are produced on demand).  Every registered family has
+  closed-form answers, chosen by family name in the limits module.
 """
 
 from __future__ import annotations
@@ -120,10 +119,6 @@ class StreamedTower:
         off = "" if not self.offset else " shifted by %d" % self.offset
         return "streamed %s%s%s" % (self.family, extra, off)
 
-    @property
-    def rule(self):
-        return _FAMILY_REGISTRY[self.family].rule(self.params)
-
 
 @dataclass(frozen=True)
 class FiniteTower:
@@ -155,21 +150,9 @@ class FiniteTower:
 
 
 class _Family:
-    def __init__(self, group, bond, rule):
+    def __init__(self, group, bond):
         self.group = group
         self.bond = bond
-        self.rule = rule
-
-
-def _hawaiian_group(params, i):
-    return free_group(i)
-
-
-def _hawaiian_bond(params, i):
-    # Z^(i+1) -> Z^i, drop the last coordinate
-    src, tgt = free_group(i + 1), free_group(i)
-    m = [[1 if r == c else 0 for c in range(i + 1)] for r in range(i)]
-    return Homomorphism(src, tgt, IntMatrix(i, i + 1, m))
 
 
 def _finite_sets_group(params, i):
@@ -212,14 +195,11 @@ def _adic_bond(params, i):
 
 
 _FAMILY_REGISTRY = {
-    "hawaiian_h1": _Family(_hawaiian_group, _hawaiian_bond,
-                           lambda p: {"bonds_surjective": True}),
-    "finite_sets": _Family(_finite_sets_group, _finite_sets_bond,
-                           lambda p: {"bonds_surjective": True}),
-    "cluster_h1": _Family(_cluster_group, _cluster_bond,
-                          lambda p: {"bonds_surjective": False, "cluster_of": p[0]}),
-    "adic_quotient": _Family(_adic_group, _adic_bond,
-                             lambda p: {"bonds_surjective": True, "adic": True}),
+    # the Hawaiian earring's H_1 tower is the cluster tower at p = 1
+    "hawaiian_h1": _Family(_cluster_group, lambda params, i: _cluster_bond((1,), i)),
+    "finite_sets": _Family(_finite_sets_group, _finite_sets_bond),
+    "cluster_h1": _Family(_cluster_group, _cluster_bond),
+    "adic_quotient": _Family(_adic_group, _adic_bond),
 }
 
 
@@ -332,8 +312,7 @@ def truncate(t, n):
 
 def _preimage_lattice(matrix, rel, src_rank):
     """Generators of {x in Z^src_rank : matrix*x in span(rel)}."""
-    stacked = matrix.hstack(rel) if rel.cols else matrix
-    K = lattice_kernel(stacked)
+    K = lattice_kernel(matrix.hstack(rel))
     cols = [K.column(j)[:src_rank] for j in range(K.cols)]
     return IntMatrix.from_columns(src_rank, cols)
 
@@ -356,7 +335,7 @@ def kernel_chain(group, endo):
     """
     n = group.generators
     rel = group.relations
-    chain = [lattice_canon(rel) if rel.cols else IntMatrix.from_columns(n, [])]
+    chain = [lattice_canon(rel)]
     power = IntMatrix.identity(n)
     for _ in range(_kernel_chain_bound(group) + 1):
         power = power * endo.matrix
@@ -370,8 +349,7 @@ def kernel_chain(group, endo):
 def quotient_by(group, sub_gens):
     """Quotient of the group by a sublattice of the ambient Z^n that
     contains the relations."""
-    rels = group.relations.hstack(sub_gens) if group.relations.cols else sub_gens
-    return FgAbGroup(group.generators, lattice_canon(rels))
+    return FgAbGroup(group.generators, lattice_canon(group.relations.hstack(sub_gens)))
 
 
 def _minimize_with_transform(group, endo):
@@ -501,8 +479,8 @@ def _exact_at(inj, sur, level):
     if not ck_sur.group.is_trivial():
         raise NotExact(level, "projection is not surjective")
     mid_rel = sur.source.relations
-    im_l = lattice_canon(im_inj.witness.hstack(mid_rel) if mid_rel.cols else im_inj.witness)
-    ker_l = lattice_canon(k_sur.witness.hstack(mid_rel) if mid_rel.cols else k_sur.witness)
+    im_l = lattice_canon(im_inj.witness.hstack(mid_rel))
+    ker_l = lattice_canon(k_sur.witness.hstack(mid_rel))
     if im_l != ker_l:
         raise NotExact(level, "image of the inclusion differs from the kernel of the projection")
 
@@ -522,9 +500,7 @@ def _solve_next_map(bond_tgt, bond_src, current):
     """
     rhs = current.matrix * bond_src.matrix
     B = bond_tgt.matrix
-    rel = bond_tgt.target.relations
-    stacked = B.hstack(rel) if rel.cols else B
-    X = solve_columns(stacked, rhs)
+    X = solve_columns(B.hstack(bond_tgt.target.relations), rhs)
     if X is None:
         return None
     N = X.submatrix(range(B.cols), range(X.cols))
@@ -535,7 +511,7 @@ def _solve_next_map(bond_tgt, bond_src, current):
 
 
 def tower_ses(sub, total, quot, inject_prefix, surject_prefix,
-              inject_tail, surject_tail, window=None):
+              inject_tail, surject_tail):
     """Validated short exact sequence of eventually periodic towers.
 
     Prefix maps are checked exhaustively.  On the tail, the supplied
@@ -563,9 +539,8 @@ def tower_ses(sub, total, quot, inject_prefix, surject_prefix,
         _square_commutes(upper_sur, surject_prefix[i],
                          quot.bond_at(i), total.bond_at(i), i, "projection")
 
-    if window is None:
-        window = max(t.tail_group.rank + len(t.tail_group.torsion)
-                     for t in (sub, total, quot)) + 2
+    window = max(t.tail_group.rank + len(t.tail_group.torsion)
+                 for t in (sub, total, quot)) + 2
 
     # a template commuting with constant maps gives identical levels
     const_inj = total.tail_endo.compose(inject_tail).equals(

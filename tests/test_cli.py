@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
-from towerlim.cli import dispatch, main
+from towerlim.cli import (
+    EXIT_DEPTH,
+    EXIT_ILL_DEFINED,
+    EXIT_OK,
+    EXIT_PARSE,
+    dispatch,
+    main,
+)
 from towerlim.report import validate_report
 from towerlim.towerfile import (
     ParseError,
@@ -180,6 +187,11 @@ class TestGoldenReports:
         (["six-term", "towers/solenoid_2.tower", "--json"], "six_term_solenoid_2"),
         (["compare", "towers/compare_2_3.tower", "--a", "two", "--b", "three",
           "--json"], "compare_2_3"),
+        (["ml", "towers/hawaiian.tower", "--json"], "ml_hawaiian"),
+        (["ml", "towers/cluster_2.tower", "--json"], "ml_cluster_2"),
+        (["ml", "towers/null_sequence.tower", "--json"], "ml_null_sequence"),
+        (["cech", "towers/solenoid_5.tower", "--degree", "1", "--json"],
+         "cech_solenoid_5_1"),
     ])
     def test_byte_for_byte(self, argv, name):
         from towerlim.report import report_json
@@ -195,6 +207,22 @@ class TestGoldenReports:
         for name in os.listdir(gdir):
             with open(os.path.join(gdir, name)) as fh:
                 assert validate_report(json.load(fh)) == []
+
+
+SMOKE_COMMANDS = (["lim"], ["lim1"], ["ml"], ["six-term"],
+                  ["cech", "--degree", "0"], ["cech", "--degree", "1"],
+                  ["steenrod", "--degree", "1"], ["telescope", "--m", "1"])
+
+
+@pytest.mark.parametrize("command", SMOKE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(os.path.join(ROOT, "towers")) if f.endswith(".tower")))
+def test_every_sample_input_exits_with_a_code(name, command, capsys):
+    # a command that does not apply to a file (no tower, no stower, no
+    # ses) is a parse error, never a traceback
+    code = main([command[0], fixture(name)] + command[1:])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DEPTH, EXIT_ILL_DEFINED)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_console_script_entrypoint():

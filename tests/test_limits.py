@@ -16,6 +16,7 @@ from towerlim.exactlat import (
     cyclic_group,
     free_group,
     hom_make,
+    hom_parts,
     present,
     snf,
 )
@@ -363,6 +364,23 @@ class TestMlConditions:
         rep = ml_conditions(make_streamed("cluster_h1", (2,)))
         assert not rep.ml.holds
         assert rep.ml.certificate.index == 2
+
+    @pytest.mark.parametrize("family,params", [
+        ("hawaiian_h1", ()), ("finite_sets", ()), ("cluster_h1", (2,))])
+    def test_streamed_dual_ml_closed_form(self, family, params):
+        # the level sampler the closed form replaced, as its oracle: at
+        # every shift the composite from level i to level 0 has a kernel
+        # of rank i, so the kernels never stabilize
+        for s in range(4):
+            t = shift(make_streamed(family, params), s)
+            ft = truncate(t, 8)
+            for i in range(9):
+                assert hom_parts(ft.composite(i, 0))[0].group.rank == i
+            dual = ml_conditions(t).dual_ml
+            assert not dual.holds
+            assert dual.certificate.to_json() == {
+                "kind": "depth_limited", "depth": 8,
+                "note": "kernels into level 0 grew at every checked depth"}
 
     def test_dual_ml_periodic_always(self):
         for mat in ([[2]], [[0]], [[2, 1], [0, 1]]):

@@ -15,7 +15,10 @@ from towerlim.shape import (
     make_example,
     steenrod,
     telescope,
+    _cluster_bond,
+    _cluster_complex,
     _wedge_of_circles,
+    _wedge_vertex,
 )
 from towerlim.simplicial import (
     SimplicialComplex,
@@ -41,6 +44,31 @@ class TestBuilders:
         K = st.complex_at(3)
         assert homology_invariants(K, 1) == (3, [])
         assert homology_invariants(K, 0) == (1, [])
+
+    def test_hawaiian_is_the_cluster_at_p_1(self):
+        # direct builders of the Hawaiian earring, as the reference
+        def hawaiian_complex(i):
+            if i == 0:
+                return SimplicialComplex.from_maximal(1, [(0,)])
+            return _wedge_of_circles([3] * i)
+
+        def hawaiian_bond(i):
+            src, tgt = hawaiian_complex(i + 1), hawaiian_complex(i)
+            vm = [0] * src.vertex_count
+            for j in range(i):
+                for k in range(3):
+                    vm[_wedge_vertex([3] * (i + 1), j, k)] = _wedge_vertex([3] * i, j, k)
+            return SimplicialMap(src, tgt, tuple(vm))
+
+        st = make_example("hawaiian")
+        for i in range(6):
+            assert st.complex_at(i) == hawaiian_complex(i) == _cluster_complex((1,), i)
+            assert st.bond_at(i) == hawaiian_bond(i) == _cluster_bond((1,), i)
+        for params in ((1,), (2,)):
+            with pytest.raises(UnknownExample):
+                make_example("hawaiian", params)
+        with pytest.raises(UnknownExample):
+            make_example("cluster_solenoids", (1,))
 
     def test_null_sequence_levels(self):
         st = make_example("null_sequence")

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from towerlim.exactlat import IntMatrix
+from towerlim import simplicial
+from towerlim.exactlat import IntMatrix, identity_hom
 from towerlim.simplicial import (
     MappingCylinder,
     SimplicialComplex,
@@ -11,6 +12,7 @@ from towerlim.simplicial import (
     SimplicialMap,
     barycentric_subdivision,
     cohomology_data,
+    homology_data,
     homology_invariants,
     identity_map,
     induced_cohom,
@@ -170,6 +172,22 @@ class TestInducedMaps:
 
 
 class TestCohomology:
+    def test_self_map_witness_computed_once(self, monkeypatch):
+        calls = []
+        real = simplicial.subquotient
+        monkeypatch.setattr(simplicial, "subquotient",
+                            lambda *args: calls.append(args) or real(*args))
+        K = circle(6)
+        f = identity_map(K)
+        h = induced_cohom(f, 1)
+        assert len(calls) == 1         # source and target share one record
+        assert h.source is h.target and h.source.describe() == "Z"
+        assert h.equals(identity_hom(h.source))
+        induced_cohom(f, 1)
+        assert induced_hom(f, 1).equals(identity_hom(homology_data(K, 1).group))
+        assert len(calls) == 2         # the homology witness is its own record
+        assert cohomology_data(K, 1) is cohomology_data(K, 1)
+
     def test_circle(self):
         assert cohomology_data(circle(3), 1).group.describe() == "Z"
         assert cohomology_data(circle(3), 0).group.describe() == "Z"

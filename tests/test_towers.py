@@ -1,6 +1,7 @@
 import pytest
 
 from towerlim.exactlat import (
+    Homomorphism,
     IntMatrix,
     cyclic_group,
     free_group,
@@ -15,6 +16,8 @@ from towerlim.towers import (
     StreamedTower,
     TowerError,
     UnknownFamily,
+    _cluster_bond,
+    _cluster_group,
     adic_quotient_tower,
     canonical_completion_ses,
     kernel_chain,
@@ -115,6 +118,25 @@ class TestStreamedFamilies:
         assert t.group_at(4).rank == 4
         b = t.bond_at(3)  # Z^4 -> Z^3 dropping the last coordinate
         assert b.matrix == IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+
+    def test_hawaiian_is_the_cluster_at_p_1(self):
+        # direct builders of the Hawaiian earring, as the reference
+        def hawaiian_group(i):
+            return free_group(i)
+
+        def hawaiian_bond(i):
+            m = [[1 if r == c else 0 for c in range(i + 1)] for r in range(i)]
+            return Homomorphism(free_group(i + 1), free_group(i), IntMatrix(i, i + 1, m))
+
+        t = make_streamed("hawaiian_h1")
+        for i in range(6):
+            assert t.group_at(i) == hawaiian_group(i) == _cluster_group((1,), i)
+            assert t.bond_at(i) == hawaiian_bond(i) == _cluster_bond((1,), i)
+
+    def test_cluster_needs_p_at_least_2(self):
+        for params in ((1,), (0,), ()):
+            with pytest.raises(UnknownFamily):
+                make_streamed("cluster_h1", params)
 
     def test_cluster_bond(self):
         t = make_streamed("cluster_h1", (2,))
