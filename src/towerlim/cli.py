@@ -16,7 +16,7 @@ import sys
 from .exactlat import IllDefined
 from .lab import LabConfig, SUITE_NAMES, UnknownSuite, run_suite
 from .limits import TooLarge, derived_limit, limit, ml_conditions, six_term
-from .procat import compare_invariants, find_interleaving
+from .procat import compare_invariants, find_interleaving, separating_invariant
 from .report import build_report, input_digest, report_json
 from .shape import (
     DegreeMismatch,
@@ -27,7 +27,7 @@ from .shape import (
 )
 from .simplicial import SimplicialError, homology_invariants
 from .towerfile import DimensionMismatch, ParseError, UnresolvedReference, parse
-from .towers import TowerError
+from .towers import PeriodicTower, TowerError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -164,6 +164,14 @@ def dispatch(argv):
     if args.command == "interleave":
         a = _pick(doc.towers, args.a, "tower")
         b = _pick(doc.towers, args.b, "tower")
+        # lim and lim1 are pro-invariants: when they differ, no depth helps
+        if isinstance(a, PeriodicTower) and isinstance(b, PeriodicTower):
+            reason = separating_invariant(a, b)
+            if reason is not None:
+                report = build_report("interleave", {"found": False, "reason": reason},
+                                      digest, depth_used=args.depth)
+                return (EXIT_OK, report,
+                        "absent (no interleaving at any depth: %s)" % reason)
         truncated = []
         cert = find_interleaving(a, b, args.depth, truncated)
         result = {"found": cert is not None}

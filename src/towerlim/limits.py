@@ -704,7 +704,8 @@ def _ml_streamed(t):
     has a kernel of rank i at every shift s, so the kernels into a fixed
     level never stabilize.  The adic_quotient kernels A^s L / A^(s+i) L
     grow in order with i when |det A| > 1.  No exact certificate kind
-    exists for this verdict, so it is reported as depth_limited.
+    exists for this verdict, so it is reported as depth_limited.  When
+    |det A| = 1 every adic_quotient level L/A^i L is 0, so dual ML holds.
     """
     if t.family == "cluster_h1":
         (p,) = t.params
@@ -720,13 +721,19 @@ def _ml_streamed(t):
         ml = nearly = virtually = ConditionVerdict(True, MLCertificate(
             "stabilized", j_offset=0, symbolic=True,
             note="registered rule: surjective bondings give the witness j(i) = i"))
-    if t.family == "adic_quotient":
-        dual = MLCertificate("depth_limited", depth=16,
-                             note="kernels into a fixed level grow at every checked depth")
+    if t.family != "adic_quotient":
+        dual = ConditionVerdict(False, MLCertificate(
+            "depth_limited", depth=8,
+            note="kernels into level 0 grew at every checked depth"))
+    elif abs(IntMatrix.from_rows(t.params[1]).det()) == 1:
+        dual = ConditionVerdict(True, MLCertificate(
+            "stabilized", symbolic=True,
+            note="|det A| = 1, so every level L/A^i L is 0"))
     else:
-        dual = MLCertificate("depth_limited", depth=8,
-                             note="kernels into level 0 grew at every checked depth")
-    return ConditionsReport(ml, ConditionVerdict(False, dual), virtually, nearly)
+        dual = ConditionVerdict(False, MLCertificate(
+            "depth_limited", depth=16,
+            note="kernels into a fixed level grow at every checked depth"))
+    return ConditionsReport(ml, dual, virtually, nearly)
 
 
 # ---------------------------------------------------------------------------

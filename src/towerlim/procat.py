@@ -25,7 +25,7 @@ from .exactlat import (
     solve_columns,
 )
 from .limits import derived_limit, limit
-from .structured import compare_structured
+from .structured import compare_structured, prime_factors
 from .towers import PeriodicTower, TowerError, reduce_to_images, shift
 
 
@@ -203,8 +203,13 @@ def find_interleaving(a, b, depth=4, truncated=None):
     pair of chains whose composites equal the bond powers exactly is
     returned.  The composites are bilinear in the two coefficient
     vectors, so the basis products and bond powers are computed once per
-    gap pair (see `_CompositeSystem`) and a candidate costs integer dot
-    products and one solve.
+    gap pair (see `_CompositeSystem`); a candidate whose system is
+    inconsistent modulo a prime of det(A) det(B) or of the torsion is
+    rejected by its residue class (see `_search_cell`), and the others
+    cost integer dot products and one exact solve.
+
+    This is a pure search: it does not consult lim or lim1, which can
+    prove an absence at every depth (see `separating_invariant`).
 
     Returns None (Absent) when the bounded search is exhausted.  A cell
     (ga, gb, c1, c2) with more than `_CANDIDATE_CAP` candidates is cut
@@ -273,15 +278,74 @@ def _identity_certificate(A, B):
 
 
 def _search_cell(system, c1, c2, cell, candidates):
+    """The first candidate of the cell that yields a verified certificate.
+
+    A candidate x has an integer solution only if its system
+    M(x) y + R lam = t is consistent modulo every prime, and M(x) mod p
+    depends only on x mod p.  So consistency modulo each of the
+    system's primes (see `_search_primes`) is decided once per residue
+    class of x (at most p^dim classes per cell), and candidates of an
+    inconsistent class are skipped.  The filter only drops candidates
+    the exact solve would reject, so the first certificate is the same
+    as without it; only the exact solve and `certificate` accept one.
+    """
     blocks, target = cell
+    rhs = target.column(0)
+    consistent = {}     # (p, x mod p) -> consistency of the system mod p
     for coeffs in candidates:
-        X = solve_columns(IntMatrix.from_rows(_rows(blocks, coeffs)), target)
+        if not all(_consistent_class(consistent, blocks, rhs, p, coeffs)
+                   for p in system.primes):
+            continue
+        rows = _rows(blocks, coeffs)
+        gens = IntMatrix._new(len(rows), len(rows[0]), tuple(map(tuple, rows)))
+        X = solve_columns(gens, target)
         if X is None:
             continue
         cert = system.certificate(c1, c2, coeffs, X)
         if cert is not None:
             return cert
     return None
+
+
+def _consistent_class(memo, blocks, rhs, p, coeffs):
+    key = (p, tuple(c % p for c in coeffs))
+    if key not in memo:
+        memo[key] = _solvable_mod(_rows(blocks, key[1]), rhs, p)
+    return memo[key]
+
+
+def _solvable_mod(rows, rhs, p):
+    """Whether rows * z = rhs has a solution over F_p (Gaussian
+    elimination, one row at a time, on the augmented rows)."""
+    pivots = []     # (column, row scaled to 1 there and zero at earlier pivots)
+    for row, t in zip(rows, rhs):
+        r = [x % p for x in row]
+        r.append(t % p)
+        for col, prow in pivots:
+            f = r[col]
+            if f:
+                r = [(x - f * y) % p for x, y in zip(r, prow)]
+        col = next((k for k, x in enumerate(r[:-1]) if x), None)
+        if col is None:
+            if r[-1]:
+                return False
+            continue
+        inv = pow(r[col], -1, p)
+        pivots.append((col, [x * inv % p for x in r]))
+    return True
+
+
+def _search_primes(A, B):
+    """The primes of the modular rejection in `_search_cell`: those
+    dividing det(A) det(B) of the two reduced tail maps (none from a
+    zero product) and those dividing the torsion orders of the two tail
+    groups.  Modulo a prime of the first kind the systems of unsolvable
+    candidates tend to be inconsistent, while over Q, or modulo a prime
+    that divides neither determinant, they rarely are; modulo a prime of
+    the second kind the relation columns drop out of the system."""
+    d = A.tail_endo.matrix.det() * B.tail_endo.matrix.det()
+    orders = [d] + A.tail_group.torsion + B.tail_group.torsion
+    return tuple(sorted({p for n in orders if n for p in prime_factors(n)}))
 
 
 def _combine(chains, coeffs):
@@ -321,7 +385,8 @@ class _CompositeSystem:
     (side, gap), and every offset cell (c1, c2) and candidate x shares
     them, so a candidate's system costs one dot product per entry.
     Integer arithmetic is exact: the system equals the one built from
-    the combined chains by matrix products.
+    the combined chains by matrix products.  `primes` are the primes of
+    the modular rejection in `_search_cell`.
     """
 
     def __init__(self, A, B, ga, gb, f_chains, g_chains, window, powers):
@@ -329,6 +394,7 @@ class _CompositeSystem:
         self.ga, self.gb, self.window = ga, gb, window
         self.f_chains, self.g_chains = f_chains, g_chains
         self.powers = powers
+        self.primes = _search_primes(A, B)
         self.entries = {}
         TA, TB = A.tail_group, B.tail_group
         relA, relB = TA.relations, TB.relations
@@ -455,6 +521,22 @@ def _verify_certificate(A, B, cert):
 # pro-isomorphism decision
 
 
+def separating_invariant(a, b):
+    """The reason lim or lim1 tells the two towers apart, or None.
+
+    lim and lim1 are functors on the pro-category, so pro-isomorphic
+    towers have isomorphic lim and lim1; a `distinct` comparison of
+    either proves that no interleaving exists at any depth.
+    """
+    la, lb = limit(a), limit(b)
+    da, db = derived_limit(a), derived_limit(b)
+    if compare_structured(la, lb) == "distinct":
+        return "lim invariants differ: %s vs %s" % (la.render(), lb.render())
+    if compare_structured(da, db) == "distinct":
+        return "lim1 invariants differ: %s vs %s" % (da.render(), db.render())
+    return None
+
+
 def compare_invariants(a, b, level_map=None, depth=4):
     """Decide pro-isomorphism through lim/lim1 invariants and certificates.
 
@@ -462,28 +544,21 @@ def compare_invariants(a, b, level_map=None, depth=4):
     requires an interleaving certificate (or a supplied commuting level
     map together with matching invariants); everything else is Undecided.
     """
-    la, lb = limit(a), limit(b)
-    da, db = derived_limit(a), derived_limit(b)
-    lim_cmp = compare_structured(la, lb)
-    lim1_cmp = compare_structured(da, db)
-    if lim_cmp == "distinct":
-        return ProIsoVerdict("not_isomorphic",
-                             "lim invariants differ: %s vs %s"
-                             % (la.render(), lb.render()))
-    if lim1_cmp == "distinct":
-        return ProIsoVerdict("not_isomorphic",
-                             "lim1 invariants differ: %s vs %s"
-                             % (da.render(), db.render()))
+    reason = separating_invariant(a, b)
+    if reason is not None:
+        return ProIsoVerdict("not_isomorphic", reason)
     cert = find_interleaving(a, b, depth)
     if cert is not None:
         return ProIsoVerdict("isomorphic", "interleaving certificate found", cert)
+    matching = all(compare_structured(inv(a), inv(b)) == "equal"
+                   for inv in (limit, derived_limit))
     if level_map is not None:
         check_level_map(a, b, level_map)
-        if lim_cmp == "equal" and lim1_cmp == "equal":
+        if matching:
             return ProIsoVerdict(
                 "isomorphic",
                 "level map with matching lim and lim1 descriptors")
-    if lim_cmp == "equal" and lim1_cmp == "equal":
+    if matching:
         return ProIsoVerdict(
             "undecided",
             "lim and lim1 descriptors match but no connecting map was found; "

@@ -17,6 +17,7 @@ from .shape import PeriodicSimplicialTower, UnknownExample, make_example
 from .simplicial import SimplicialComplex, SimplicialError, SimplicialMap
 from .towers import (
     StreamedTower,
+    TowerError,
     UnknownFamily,
     canonical_completion_ses,
     make_streamed,
@@ -214,9 +215,15 @@ def _parse_params(entries):
     return tuple(rows[0])
 
 
+_ADIC_QUOTIENT_SYNTAX = ("adic_quotient cannot be written as a [tower] family; "
+                         "[ses] canonical = G A builds the quotient tower L/A^k L")
+
+
 def _resolve_tower(doc, entries, name, header):
     if "family" in entries:
         fam, line = entries["family"]
+        if fam == "adic_quotient":
+            raise ParseError(line, _ADIC_QUOTIENT_SYNTAX)
         try:
             return make_streamed(fam, _parse_params(entries))
         except UnknownFamily as exc:
@@ -292,8 +299,10 @@ def serialize(doc):
 def tower_sections(t, name="main", prefix="t"):
     """Sections describing one eventually periodic or streamed tower."""
     if isinstance(t, StreamedTower):
+        if t.family == "adic_quotient":
+            raise TowerError(_ADIC_QUOTIENT_SYNTAX)
         entries = {"family": t.family}
-        if t.params and t.family != "adic_quotient":
+        if t.params:
             entries["params"] = _matrix_text([list(t.params)])
         return [("tower", name, entries)]
     sections = []

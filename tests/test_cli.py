@@ -85,6 +85,15 @@ class TestParser:
         assert back.tail_endo.matrix == t.tail_endo.matrix
         assert back.prefix_groups[0].smith_invariants == (0, [2])
 
+    def test_adic_quotient_is_not_dumped(self):
+        from towerlim.exactlat import free_group, hom_make
+        from towerlim.towers import TowerError, adic_quotient_tower, make_streamed
+        Z = free_group(1)
+        with pytest.raises(TowerError, match="canonical = G A"):
+            dump_tower(adic_quotient_tower(Z, hom_make(Z, Z, [[2]])))
+        text = dump_tower(make_streamed("cluster_h1", (3,)))
+        assert parse_text(text).towers["main"].params == (3,)
+
 
 class TestDispatch:
     def test_lim1_solenoid(self):
@@ -158,6 +167,14 @@ class TestExitCodes:
         parsed = json.loads(out)
         assert parsed["task"] == "lim1"
 
+    def test_adic_quotient_tower_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "adic.tower"
+        bad.write_text("[tower main]\nfamily = adic_quotient\nparams = [1 2]\n")
+        assert main(["lim", str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: line 2: adic_quotient")
+        assert "[ses] canonical = G A" in err and "Traceback" not in err
+
     def test_depth_limited_is_3(self):
         assert main(["cech", fixture("hawaiian.tower"), "--degree", "1"]) == 3
 
@@ -192,6 +209,10 @@ class TestGoldenReports:
         (["ml", "towers/null_sequence.tower", "--json"], "ml_null_sequence"),
         (["cech", "towers/solenoid_5.tower", "--degree", "1", "--json"],
          "cech_solenoid_5_1"),
+        (["interleave", "towers/interleave_4_2.tower", "--a", "four", "--b", "two",
+          "--depth", "2", "--json"], "interleave_4_2"),
+        (["interleave", "towers/compare_2_3.tower", "--a", "two", "--b", "three",
+          "--json"], "interleave_2_3"),
     ])
     def test_byte_for_byte(self, argv, name):
         from towerlim.report import report_json
@@ -211,7 +232,11 @@ class TestGoldenReports:
 
 SMOKE_COMMANDS = (["lim"], ["lim1"], ["ml"], ["six-term"],
                   ["cech", "--degree", "0"], ["cech", "--degree", "1"],
-                  ["steenrod", "--degree", "1"], ["telescope", "--m", "1"])
+                  ["steenrod", "--degree", "1"], ["telescope", "--m", "1"]) + tuple(
+    [cmd, "--a", a, "--b", b, "--depth", depth]
+    for cmd in ("interleave", "compare")
+    for a, b in (("four", "two"), ("two", "three"))     # the two shipped pair files
+    for depth in ("1", "2"))
 
 
 @pytest.mark.parametrize("command", SMOKE_COMMANDS, ids=" ".join)

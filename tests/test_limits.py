@@ -38,6 +38,7 @@ from towerlim.limits import _modular_factors
 from towerlim.structured import StructuredGroup, compare_structured
 from towerlim.towers import (
     FiniteTower,
+    adic_quotient_tower,
     canonical_completion_ses,
     make_streamed,
     periodic_tower,
@@ -381,6 +382,29 @@ class TestMlConditions:
             assert dual.certificate.to_json() == {
                 "kind": "depth_limited", "depth": 8,
                 "note": "kernels into level 0 grew at every checked depth"}
+
+    @pytest.mark.parametrize("endo", [[[-1]], [[2, 1], [1, 1]]])
+    def test_adic_quotient_dual_ml_unimodular(self, endo):
+        # |det A| = 1: every level L/A^i L is 0, so the kernels into a
+        # fixed level are all 0
+        g = free_group(len(endo))
+        t = adic_quotient_tower(g, hom_make(g, g, endo))
+        assert all(t.group_at(i).is_trivial() for i in range(6))
+        dual = ml_conditions(t).dual_ml
+        assert dual.holds
+        assert dual.certificate.to_json() == {
+            "kind": "stabilized", "witness": "j(i) = i + 0",
+            "verified_symbolically": True,
+            "note": "|det A| = 1, so every level L/A^i L is 0"}
+
+    def test_adic_quotient_dual_ml_fails_off_the_units(self):
+        for endo, det in (([[2]], 2), ([[1, 1], [0, 2]], 2), ([[3, 0], [0, -1]], -3)):
+            g = free_group(len(endo))
+            t = adic_quotient_tower(g, hom_make(g, g, endo))
+            assert t.group_at(3).order() == abs(det) ** 3
+            dual = ml_conditions(t).dual_ml
+            assert not dual.holds
+            assert dual.certificate.to_json()["depth"] == 16
 
     def test_dual_ml_periodic_always(self):
         for mat in ([[2]], [[0]], [[2, 1], [0, 1]]):

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from towerlim import procat
+from towerlim import cli, procat
 from towerlim.cli import dispatch
 from towerlim.exactlat import IntMatrix, cyclic_group, direct_sum, free_group, hom_make
 from towerlim.procat import (
@@ -11,8 +12,10 @@ from towerlim.procat import (
     check_level_map,
     compare_invariants,
     find_interleaving,
+    separating_invariant,
 )
-from towerlim.towers import pure_tower
+from towerlim.towerfile import parse
+from towerlim.towers import TowerError, pure_tower, reduce_to_images
 
 Z = free_group(1)
 
@@ -116,12 +119,9 @@ class TestCandidateCap:
 
     def test_cli_warns_when_cut_short(self, monkeypatch, tmp_path):
         path = tmp_path / "pair.tower"
-        path.write_text("[group Zg]\ngenerators = 1\n"
-                        "[map two]\nsource = Zg\ntarget = Zg\nmatrix = [2]\n"
-                        "[map three]\nsource = Zg\ntarget = Zg\nmatrix = [3]\n"
-                        "[tower a]\ntail_group = Zg\ntail_endo = two\n"
-                        "[tower b]\ntail_group = Zg\ntail_endo = three\n")
-        argv = ["interleave", str(path), "--a", "a", "--b", "b", "--depth", "1"]
+        path.write_text(_PAIR_FILE)
+        # (Z, 2) and (Z, 4) agree on lim and lim1, so the CLI searches
+        argv = ["interleave", str(path), "--a", "two", "--b", "four", "--depth", "1"]
         code, report, text = dispatch(argv)
         assert (code, report["warnings"]) == (0, [])
         assert text == "absent (searched to depth 1)"
@@ -132,6 +132,23 @@ class TestCandidateCap:
             "search cut short by the candidate cap in cell gaps (1, 1) offsets (0, 0)")
         assert len(report["warnings"]) == 4
         assert text == "not found (searched to depth 1, 4 cells cut short)"
+        # lim1 tells (Z, 2) from (Z, 3): answered without a search, so
+        # the cap cannot cut it short
+        argv = ["interleave", str(path), "--a", "two", "--b", "three", "--depth", "1"]
+        code, report, text = dispatch(argv)
+        reason = "lim1 invariants differ: Z_2/Z vs Z_3/Z"
+        assert (code, report["warnings"]) == (0, [])
+        assert report["result"] == {"found": False, "reason": reason}
+        assert text == "absent (no interleaving at any depth: %s)" % reason
+
+
+_PAIR_FILE = ("[group Zg]\ngenerators = 1\n"
+              "[map two]\nsource = Zg\ntarget = Zg\nmatrix = [2]\n"
+              "[map three]\nsource = Zg\ntarget = Zg\nmatrix = [3]\n"
+              "[map four]\nsource = Zg\ntarget = Zg\nmatrix = [4]\n"
+              "[tower two]\ntail_group = Zg\ntail_endo = two\n"
+              "[tower three]\ntail_group = Zg\ntail_endo = three\n"
+              "[tower four]\ntail_group = Zg\ntail_endo = four\n")
 
 
 def _naive_rows(A, B, ga, gb, c1, c2, fs, g_chains, window):
@@ -219,6 +236,174 @@ class TestCompositeSystem:
                         blocks, target = cell
                         assert procat._rows(blocks, coeffs) == rows
                         assert target.column(0) == rhs
+
+
+class TestModularRejection:
+    """The residue-class filter of `_search_cell` only drops candidates
+    the exact solve would reject, so the first certificate is unchanged."""
+
+    def test_solvable_mod_matches_brute_force(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            p = rng.choice((2, 3, 5))
+            n_rows, n_cols = rng.randint(1, 4), rng.randint(0, 3)
+            rows = [[rng.randint(-7, 7) for _ in range(n_cols)] for _ in range(n_rows)]
+            rhs = [rng.randint(-7, 7) for _ in range(n_rows)]
+            brute = any(all((sum(a * z for a, z in zip(row, zs)) - t) % p == 0
+                            for row, t in zip(rows, rhs))
+                        for zs in itertools.product(range(p), repeat=n_cols))
+            assert procat._solvable_mod(rows, rhs, p) == brute
+
+    def test_residue_class_decides_like_the_candidate(self):
+        # M(x) mod p depends only on x mod p, so the memoized verdict of
+        # the class must be the verdict of the candidate itself
+        rng = random.Random(1807)
+        a, b = tz(3), tz(-5)
+        seen = set()
+        for _ in range(40):
+            # window 0: the cell (0, 0) holds the two conditions g_0 f_0 = 1
+            # and f_0 g_0 = 1, two rows in one or two unknowns
+            f_chains = [[IntMatrix(1, 1, [[rng.randint(-4, 4)]])]
+                        for _ in range(rng.randint(2, 3))]
+            g_chains = [[IntMatrix(1, 1, [[rng.randint(-4, 4)]])]
+                        for _ in range(rng.randint(1, 2))]
+            powers = procat._Powers(a.tail_endo.matrix, b.tail_endo.matrix)
+            system = procat._CompositeSystem(a, b, 1, 1, f_chains, g_chains, 0, powers)
+            blocks, target = system.cell(0, 0)
+            rhs = target.column(0)
+            memo = {}
+            for coeffs in procat._candidates(len(f_chains))[0]:
+                for p in (2, 3, 5):
+                    want = procat._solvable_mod(procat._rows(blocks, coeffs), rhs, p)
+                    assert procat._consistent_class(memo, blocks, rhs, p, coeffs) == want
+                    seen.add((p, want))
+        assert len(seen) == 6
+
+    def test_search_primes(self):
+        A, B = (reduce_to_images(pure_tower(free_group(2), m))
+                for m in ([[0, 2], [1, 0]], [[2, 0], [0, 2]]))
+        assert procat._search_primes(A, B) == (2,)
+        assert procat._search_primes(A, tz(15)) == (2, 3, 5)
+        singular = pure_tower(free_group(2), [[1, 1], [1, 1]])
+        assert procat._search_primes(singular, tz(3)) == ()
+        torsion = pure_tower(direct_sum(Z, cyclic_group(12)), [[3, 0], [1, 5]])
+        assert procat._search_primes(torsion, tz(1)) == (2, 3, 5)
+
+    def test_filter_keeps_the_first_certificate(self, monkeypatch):
+        Z2 = free_group(2)
+        pairs = [(tz(p), tz(q), 3) for p, q in ((2, 4), (4, 2), (2, 3), (3, 9),
+                                                 (2, 8), (-2, 4), (6, 36), (6, 4))]
+        pairs += [(pure_tower(Z2, a), pure_tower(Z2, b), d) for a, b, d in (
+            ([[0, 2], [1, 0]], [[2, 0], [0, 2]], 2),             # A^2 = 2I
+            ([[2, 0], [0, 3]], [[2, 0], [0, 5]], 1),
+            ([[-1, 2], [-2, -2]], [[-3, -1], [5, 1]], 1),
+            ([[-1, 2], [-2, -2]], [[-3, 3], [-2, 0]], 2),        # conjugates
+            ([[2, 1], [0, 3]], [[3, 0], [1, 2]], 1),
+            ([[2, 1], [0, 1]], [[2, 1], [0, 1]], 2))]
+        from towerlim.lab import LabConfig, gen_tower, trial_rng
+        cfg = LabConfig(master_seed=11, trials=0, max_rank=2, entry_bound=3)
+        corpus = [gen_tower(trial_rng(11, "procat", i), cfg, with_prefix=False)
+                  for i in range(12)]
+        pairs += [(t, u, 1, 300) for t, u in zip(corpus, corpus[1:] + corpus[:1])]
+        # torsion tails: (T, A) against (T, A^2) and against another map;
+        # chains into Z (+) Z/4 span 11 dimensions, so cap the candidates
+        # (both searches see the same capped candidate list)
+        full_cap = procat._CANDIDATE_CAP
+        rng = random.Random(20081018)
+        for T in (cyclic_group(4), cyclic_group(8), direct_sum(Z, cyclic_group(4))):
+            for _ in range(3):
+                if T.generators == 1:
+                    A, B = ([[rng.choice((1, 2, 3, 5))]] for _ in range(2))
+                else:
+                    A, B = ([[rng.choice((-3, -2, 2, 3)), 0],
+                             [rng.randint(-3, 3), rng.choice((1, 2, 3))]]
+                            for _ in range(2))
+                A2 = [list(r) for r in (IntMatrix.from_rows(A) ** 2).data]
+                for other in (A2, B):
+                    pairs.append((pure_tower(T, A), pure_tower(T, other), 1, 60))
+
+        def search_all():
+            out = []
+            for a, b, depth, *cap in pairs:
+                monkeypatch.setattr(procat, "_CANDIDATE_CAP", cap[0] if cap else full_cap)
+                cert = find_interleaving(a, b, depth)
+                out.append(None if cert is None else cert.to_json())
+            return out
+
+        filtered = search_all()
+        monkeypatch.setattr(procat, "_search_primes", lambda A, B: ())
+        assert search_all() == filtered
+        assert sum(map(bool, filtered)) >= 10 and not all(filtered)
+
+    def test_solve_count_of_root_of_two_pair(self, monkeypatch):
+        # 1,260 exact solves without the filter; modulo 2, the one prime
+        # of det A det B = -8, rejects every candidate of the two
+        # unsolvable cells with 16 residue tests each
+        calls = []
+        solve = procat.solve_columns
+        monkeypatch.setattr(procat, "solve_columns",
+                            lambda *args: calls.append(1) or solve(*args))
+        Z2 = free_group(2)
+        cert = find_interleaving(pure_tower(Z2, [[0, 2], [1, 0]]),
+                                 pure_tower(Z2, [[2, 0], [0, 2]]), depth=2)
+        assert cert is not None and len(calls) == 12
+
+
+class TestInvariantsFirst:
+    def test_cli_does_not_search_separated_pairs(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("searched a pair that lim or lim1 separates")
+
+        monkeypatch.setattr(cli, "find_interleaving", refuse)
+        monkeypatch.setattr(procat, "find_interleaving", refuse)
+        path = tmp_path / "pairs.tower"
+        path.write_text("[group Zg]\ngenerators = 1\n[group Z2g]\ngenerators = 2\n"
+                        "[group T]\ngenerators = 1\nrelations = [2]\n"
+                        "[map two]\nsource = Zg\ntarget = Zg\nmatrix = [2]\n"
+                        "[map three]\nsource = Zg\ntarget = Zg\nmatrix = [3]\n"
+                        "[map one]\nsource = Zg\ntarget = Zg\nmatrix = [1]\n"
+                        "[map t1]\nsource = T\ntarget = T\nmatrix = [1]\n"
+                        "[map d23]\nsource = Z2g\ntarget = Z2g\nmatrix = [2 0; 0 3]\n"
+                        "[map d25]\nsource = Z2g\ntarget = Z2g\nmatrix = [2 0; 0 5]\n"
+                        "[tower two]\ntail_group = Zg\ntail_endo = two\n"
+                        "[tower three]\ntail_group = Zg\ntail_endo = three\n"
+                        "[tower z]\ntail_group = Zg\ntail_endo = one\n"
+                        "[tower z2]\ntail_group = T\ntail_endo = t1\n"
+                        "[tower d23]\ntail_group = Z2g\ntail_endo = d23\n"
+                        "[tower d25]\ntail_group = Z2g\ntail_endo = d25\n")
+        towers = parse(str(path)).towers
+        for a, b, reason in (
+                ("two", "three", "lim1 invariants differ: Z_2/Z vs Z_3/Z"),
+                ("z", "z2", "lim invariants differ: Z vs Z/2"),
+                ("d23", "d25", "lim1 invariants differ: "
+                               "Lambda_A(Z^2)/Z^2 vs Lambda_A(Z^2)/Z^2")):
+            code, report, text = dispatch(["interleave", str(path), "--a", a,
+                                           "--b", b, "--depth", "4"])
+            assert code == 0
+            assert report["result"] == {"found": False, "reason": reason}
+            assert text == "absent (no interleaving at any depth: %s)" % reason
+            assert compare_invariants(towers[a], towers[b], depth=0).reason == reason
+
+    def test_streamed_input_still_reaches_the_search(self, tmp_path):
+        path = tmp_path / "mixed.tower"
+        path.write_text("[group Zg]\ngenerators = 1\n"
+                        "[map two]\nsource = Zg\ntarget = Zg\nmatrix = [2]\n"
+                        "[tower p]\ntail_group = Zg\ntail_endo = two\n"
+                        "[tower h]\nfamily = hawaiian_h1\n")
+        with pytest.raises(TowerError, match="find_interleaving"):
+            dispatch(["interleave", str(path), "--a", "h", "--b", "p"])
+
+    def test_separating_invariant_agrees_with_compare(self):
+        from towerlim.lab import LabConfig, gen_tower, trial_rng
+        cfg = LabConfig(master_seed=7, trials=0, max_rank=2, entry_bound=3)
+        towers = [gen_tower(trial_rng(7, "procat", i), cfg, with_prefix=False)
+                  for i in range(16)]
+        for a, b in zip(towers, towers[1:]):
+            reason = separating_invariant(a, b)
+            verdict = compare_invariants(a, b, depth=0)
+            assert (verdict.kind == "not_isomorphic") == (reason is not None)
+            if reason is not None:
+                assert verdict.reason == reason
 
 
 class TestCompareInvariants:
