@@ -17,13 +17,15 @@ from .exactlat import (
     IntMatrix,
     free_group,
     hom_make,
+    kernel,
     lattice_canon,
+    lattice_contains,
     lattice_index,
     present,
     unimodular_inverse,
 )
 from .limits import brute_lim, derived_limit, limit, ml_conditions, six_term
-from .procat import compare_invariants, find_interleaving
+from .procat import chain_extends, chain_lattice, compare_invariants, find_interleaving
 from .structured import compare_structured
 from .towers import PeriodicTower, periodic_tower, pure_tower, shift, tower_ses, truncate
 from .towerfile import dump_tower
@@ -423,6 +425,74 @@ def _suite_compare_vs_interleave(rng, config, report):
     report.passed += 1
 
 
+def _suite_prohom(rng, config, report):
+    """The chain lattice of `chain_lattice` against its definition, the
+    maps f_0 whose chains f_(i+1) = B^-1 f_i A^g stay integral.  On a
+    random pair of free tails (A of rank n, B of rank m with det B != 0,
+    ranks <= 3) and a gap g <= 2, every basis map of the lattice passes
+    the extension check of `chain_extends`, and every map of a small box
+    in the window-(nm) lattice (`_window_lattice`) that passes the check
+    lies in the lattice."""
+    bound = min(config.entry_bound, 3)
+    n = rng.rand_range(1, min(3, config.max_rank))
+    m = rng.rand_range(1, min(3, config.max_rank))
+    A = gen_matrix_between(rng, (0,) * n, (0,) * n, bound)
+    B = gen_matrix_between(rng, (0,) * m, (0,) * m, bound)
+    while not B.det():
+        B = gen_matrix_between(rng, (0,) * m, (0,) * m, bound)
+    g = rng.rand_range(1, 2)
+    power = A ** g
+    src, tgt = free_group(n), free_group(m)
+    bond = hom_make(tgt, tgt, B)
+    tower = pure_tower(src, A)
+    other = "against B = %r at gap %d" % ([list(r) for r in B.data], g)
+
+    def extends(f):
+        return chain_extends((hom_make(src, tgt, f),), bond, power)
+
+    lattice = chain_lattice(power, B)
+    if not all(map(extends, lattice)):
+        _fail(report, tower, "a chain lattice basis map does not extend %s" % other)
+        return
+    span = IntMatrix.from_columns(n * m, [_flat(f) for f in lattice])
+    window = _window_lattice(power, B, n * m)
+    box = [tuple(int(i == j) for j in range(len(window))) for i in range(len(window))]
+    box += [tuple(rng.rand_range(-2, 2) for _ in window) for _ in range(_BOX_SAMPLES)]
+    for coeffs in box:
+        f = IntMatrix.zero(m, n)
+        for c, w in zip(coeffs, window):
+            f = f + w * c
+        if extends(f) and not lattice_contains(span, _flat(f)):
+            _fail(report, tower, "the extending map %r is not in the chain lattice %s"
+                  % ([list(r) for r in f.data], other))
+            return
+    report.passed += 1
+
+
+_BOX_SAMPLES = 12
+
+
+def _window_lattice(power, bond, window):
+    """Basis of the maps f_0 whose chains B f_(i+1) = f_i P hold on
+    `window` squares, one square at a time: L_0 is all of Hom, and
+    L_(k+1) holds the f with f P = B X for some X in L_k."""
+    m, n = bond.rows, power.rows
+    units = [IntMatrix(m, n, [[int((r, c) == (i, j)) for c in range(n)] for r in range(m)])
+             for i in range(m) for j in range(n)]
+    basis = units
+    for _ in range(window):
+        cols = [_flat(E * power) for E in units] + [_flat(-(bond * X)) for X in basis]
+        K = kernel(IntMatrix.from_columns(m * n, cols))
+        L = lattice_canon(K.submatrix(range(m * n), range(K.cols)))
+        basis = [IntMatrix(m, n, [v[r * n:(r + 1) * n] for r in range(m)])
+                 for v in zip(*L.data)]
+    return basis
+
+
+def _flat(f):
+    return [x for row in f.data for x in row]
+
+
 def _diag_of(group):
     diag = [0] * group.generators
     rel = group.relations
@@ -449,6 +519,7 @@ _SUITES = {
     "ml_propagation": _suite_ml_propagation,
     "ml_certificate": _suite_ml_certificate,
     "compare_vs_interleave": _suite_compare_vs_interleave,
+    "prohom": _suite_prohom,
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))

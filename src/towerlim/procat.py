@@ -1,12 +1,22 @@
-"""Pro-category machinery: level maps, interleavings, pro-isomorphism.
+"""Pro-category machinery: interleavings and pro-isomorphism.
 
 Two towers are pro-isomorphic when, after passing to subsequences, there
 are maps in both directions whose composites equal the bonding maps.  For
-towers of discrete groups "homotopic" degenerates to equal, so the
-commutation and composite equations are exact integer-linear systems and
-the bounded search below solves them by lattice kernels.
+towers of discrete groups "homotopic" degenerates to equal, so these are
+exact integer-linear conditions.
 
-A verdict of Isomorphic always carries a certificate; matching limit
+After `reduce_to_images` both tail maps A and B are injective.  A map
+chain f_0, f_1, ... with B f_(i+1) = f_i A^g is then fixed by f_0, and
+each composite g_j o f_(gb*j + c2) obeys the same recurrence as the bond
+power A^((ga*gb - 1) j + ga*c2 + c1) it must equal, so level 0 decides
+every level.  A certificate is therefore a pair of level-0 maps whose
+chains extend to every level and whose two level-0 composites are the
+right bond powers.  For free tails the level-0 maps whose chains extend
+form the exact chain lattice of `chain_lattice`; for tails with torsion
+they come from a window of commutation squares, and the extension check
+of `chain_extends` keeps only those whose chains never stop.
+
+A verdict of Isomorphic always carries such a certificate; matching limit
 invariants without a connecting map are deliberately reported Undecided,
 since the bijection criterion presupposes a morphism inducing them.
 """
@@ -14,35 +24,36 @@ since the bijection criterion presupposes a morphism inducing them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import count, islice, product
 from operator import mul
 
 from .exactlat import (
+    Homomorphism,
     IllDefined,
     IntMatrix,
+    charpoly,
     hom_make,
     kernel as lattice_kernel,
+    lattice_canon,
+    lattice_contains,
     solve_columns,
 )
-from .limits import derived_limit, limit
-from .structured import compare_structured, prime_factors
+from .limits import derived_limit, factor_monic, limit, poly_mul, poly_of_matrix
+from .structured import compare_structured, corank_difference, prime_factors
 from .towers import PeriodicTower, TowerError, reduce_to_images, shift
-
-
-class NotCommuting(TowerError):
-    def __init__(self, level, reason=""):
-        super().__init__("level map does not commute at level %s %s" % (level, reason))
-        self.level = level
 
 
 @dataclass(frozen=True)
 class Interleaving:
     """Certificate of pro-isomorphism between two periodic tails.
 
-    forward_maps[i] maps A at level (a*i + c1) into B at level i of its
-    subsequence; backward_maps[j] maps B at level (b*j + c2) back.  The
-    composites equal the corresponding bond powers at every checked
-    level, re-verified after the search.
+    forward_maps[i] maps A at level (gap_forward*i + offset_forward) into
+    B at level i; backward_maps[j] maps B at level
+    (gap_backward*j + offset_backward) back to A at level j.  Both hold
+    levels 0..L, L the larger offset, and each chain extends to every
+    level.  The tail maps are injective, so the two level-0 composites
+    g_0 f_(offset_backward) and f_0 g_(offset_forward) decide every level
+    (`_verify_certificate`), and `checked_levels` is 0.
     """
 
     gap_forward: int
@@ -78,35 +89,99 @@ class ProIsoVerdict:
         return out
 
 
-def check_level_map(a, b, tail_map, prefix_maps=()):
-    """Verify that the given maps commute with the bonding maps.
-
-    The tail template is checked symbolically: one commutation square
-    determines all deeper ones for constant tails.  Raises NotCommuting.
-    """
-    if not isinstance(a, PeriodicTower) or not isinstance(b, PeriodicTower):
-        raise TowerError("check_level_map needs eventually periodic towers")
-    if a.prefix_len != b.prefix_len or len(prefix_maps) != a.prefix_len:
-        raise TowerError("need one prefix map per shared prefix level")
-    for i in range(a.prefix_len):
-        upper = prefix_maps[i + 1] if i + 1 < a.prefix_len else tail_map
-        left = b.bond_at(i).compose(upper)
-        right = prefix_maps[i].compose(a.bond_at(i))
-        if not left.equals(right):
-            raise NotCommuting(i)
-    left = b.tail_endo.compose(tail_map)
-    right = tail_map.compose(a.tail_endo)
-    if not left.equals(right):
-        raise NotCommuting(a.prefix_len, "(tail template)")
-    return True
-
-
 # ---------------------------------------------------------------------------
-# interleaving search
+# map chains
 
 
-def _vec_index(i, r, c, n_rows, n_cols, offset=0):
-    return offset + i * (n_rows * n_cols) + r * n_cols + c
+def chain_lattice(power, bond):
+    """Basis of the chain lattice Lambda = {f_0 : T^i f_0 is integral for
+    every i}, T f = B^-1 f P, between free tails: P = A^g is the gap power
+    of the source map, B the injective target map.  Each basis element is
+    a (rank B) x (rank A) matrix, and the basis is in canonical (HNF) form.
+
+    Lambda is the largest T-stable lattice in Hom = Z^(mn).  T restricted
+    to it has an integral characteristic polynomial, so Lambda lies in
+    W = ker h(T), h the product, with multiplicity, of the irreducible
+    factors of chi_T whose roots are algebraic integers.  With D = det B,
+    T' = D T (f -> adj(B) f P) is integral, and a monic irreducible factor
+    h'(y) of chi_T' of degree k is D^k h(y/D) for such an h iff D^(k-j)
+    divides its y^j coefficient; ker h(T) = ker h'(T').  On W, h(T) = 0
+    with h monic integral of degree dim W, so by Cayley-Hamilton T^i f is
+    integral for every i once it is for i < dim W, and W meet Z^(mn) is
+    cut down to those f.  This is the charpoly, factor and unit-part
+    route of `limits._unit_lattice`.
+    """
+    m, n = bond.rows, power.rows
+    size = m * n
+    if size == 0:
+        return []
+    D = bond.det()
+    # adj(B) = D B^-1 from chi_B by Cayley-Hamilton
+    adj = poly_of_matrix(charpoly(bond)[1:], bond) * (-1) ** (m + 1)
+    # T' on row-major f: entry ((r, c), (k, l)) is adj[r][k] P[l][c]
+    Tp = IntMatrix._new(size, size, tuple(
+        tuple(adj.data[r][k] * power.data[l][c] for k in range(m) for l in range(n))
+        for r in range(m) for c in range(n)))
+    h = [1]
+    for factor, mult in factor_monic(charpoly(Tp)):
+        k = len(factor) - 1
+        if all(c % D ** (k - j) == 0 for j, c in enumerate(factor)):
+            for _ in range(mult):
+                h = poly_mul(h, factor)
+    K = lattice_kernel(poly_of_matrix(h, Tp))
+    dim = K.cols
+    lattice = lattice_canon(K)
+    TK = Tp * K
+    for _ in range(dim - 1):
+        # f = K x with T f = TK x / D in the lattice so far
+        X = lattice_kernel(TK.hstack(lattice * -D))
+        cut = lattice_canon(K * X.submatrix(range(dim), range(X.cols)))
+        if cut == lattice:
+            break
+        lattice = cut
+    return [IntMatrix._new(m, n, tuple(v[r * n:(r + 1) * n] for r in range(m)))
+            for v in map(tuple, zip(*lattice.data))]
+
+
+def _next_map(f, bond, power, relations):
+    """The matrix X with bond X = f power modulo the target `relations`, or
+    None.  With an injective bond X is unique as a map."""
+    X = solve_columns(bond.hstack(relations), f * power)
+    return None if X is None else X.submatrix(range(bond.cols), range(X.cols))
+
+
+def chain_extends(maps, bond, power):
+    """Whether the chain maps[0], maps[1], ... of homomorphisms with
+    bond o f_(i+1) = f_i o power extends to every level.
+
+    `bond` is the injective tail map of the target, so the squares fix
+    each next map (`_next_map`).  The chain extends iff some f_d is an
+    integer combination sum a_i f_i of f_0 ... f_(d-1) as maps: then
+    f_(k+d) = sum a_i f_(k+i) continues it forever, and conversely the
+    spans of f_0 ... f_k rise in the finitely generated Hom group, so they
+    stop rising.  The loop ends either way, since a chain that stops
+    fails to have a next map.  The stored maps must satisfy the squares.
+    """
+    source, target = maps[0].source, maps[0].target
+    power_hom = Homomorphism(source, source, power)
+    for f, nxt in zip(maps, maps[1:]):
+        if not bond.compose(nxt).equals(f.compose(power_hom)):
+            return False
+    m, n, rel = target.generators, source.generators, target.relations
+    # a map is fixed modulo its columns' relations: rel[:, k] in column c
+    span = [[rel.data[r][k] if cc == c else 0 for r in range(m) for cc in range(n)]
+            for k in range(rel.cols) for c in range(n)]
+    chain = [f.matrix for f in maps]
+    for i in count():
+        if i == len(chain):
+            nxt = _next_map(chain[-1], bond.matrix, power, rel)
+            if nxt is None:
+                return False
+            chain.append(nxt)
+        v = [x for row in chain[i].data for x in row]
+        if lattice_contains(IntMatrix.from_columns(m * n, span), v):
+            return True
+        span.append(v)
 
 
 def _chain_space(bond_tgt, bond_src_power, rel_src, rel_tgt, window):
@@ -128,15 +203,18 @@ def _chain_space(bond_tgt, bond_src_power, rel_src, rel_tgt, window):
     def frow():
         return [0] * total
 
+    def index(i, r, c):
+        return i * per + r * n_s + c
+
     # chain squares: bond_tgt f_{i+1} - f_i P - R_t Lam_i = 0
     for i in range(window):
         for r in range(n_t):
             for c in range(n_s):
                 row = frow()
                 for k in range(n_t):
-                    row[_vec_index(i + 1, k, c, n_t, n_s)] += bond_tgt.data[r][k]
+                    row[index(i + 1, k, c)] += bond_tgt.data[r][k]
                 for k in range(n_s):
-                    row[_vec_index(i, r, k, n_t, n_s)] -= bond_src_power.data[k][c]
+                    row[index(i, r, k)] -= bond_src_power.data[k][c]
                 for k in range(rel_tgt.cols):
                     idx = f_vars + i * (rel_tgt.cols * n_s) + k * n_s + c
                     row[idx] -= rel_tgt.data[r][k]
@@ -147,7 +225,7 @@ def _chain_space(bond_tgt, bond_src_power, rel_src, rel_tgt, window):
             for c in range(rel_src.cols):
                 row = frow()
                 for k in range(n_s):
-                    row[_vec_index(i, r, k, n_t, n_s)] += rel_src.data[k][c]
+                    row[index(i, r, k)] += rel_src.data[k][c]
                 for k in range(rel_tgt.cols):
                     idx = (f_vars + lam_vars
                            + i * (rel_tgt.cols * rel_src.cols) + k * rel_src.cols + c)
@@ -163,11 +241,32 @@ def _chain_space(bond_tgt, bond_src_power, rel_src, rel_tgt, window):
         v = K.column(j)
         mats = []
         for i in range(window + 1):
-            m = [[v[_vec_index(i, r, c, n_t, n_s)] for c in range(n_s)]
-                 for r in range(n_t)]
+            m = [[v[index(i, r, c)] for c in range(n_s)] for r in range(n_t)]
             mats.append(IntMatrix(n_t, n_s, m))
         chains.append(mats)
     return chains
+
+
+def _chain_basis(S, T, power, depth):
+    """Basis chains f_0..f_depth from tail S to tail T at the gap of
+    `power`, a power of S's map.  Between free tails they are the chains
+    of the `chain_lattice` basis, which extend to every level.  With
+    torsion they span the window space of `_chain_space`, and a
+    certificate built from them must pass `chain_extends`."""
+    TS, TT, bond = S.tail_group, T.tail_group, T.tail_endo.matrix
+    if TS.relations.cols or TT.relations.cols:
+        return _chain_space(bond, power, TS.relations, TT.relations, depth)
+    chains = []
+    for f in chain_lattice(power, bond):
+        chain = [f]
+        for _ in range(depth):
+            chain.append(_next_map(chain[-1], bond, power, TT.relations))
+        chains.append(chain)
+    return chains
+
+
+# ---------------------------------------------------------------------------
+# interleaving search
 
 
 def _enumerate_small(dim, bound):
@@ -196,17 +295,17 @@ def _candidates(dim):
 def find_interleaving(a, b, depth=4, truncated=None):
     """Bounded deterministic search for a pro-isomorphism certificate.
 
-    Reindexing gaps and offsets run up to `depth`; map chains come from
-    the integer solution lattice of the commutation squares; candidate
-    f-coefficients are enumerated in a fixed order, and for each the
-    composite conditions are solved for the g-coefficients.  The first
-    pair of chains whose composites equal the bond powers exactly is
-    returned.  The composites are bilinear in the two coefficient
-    vectors, so the basis products and bond powers are computed once per
-    gap pair (see `_CompositeSystem`); a candidate whose system is
-    inconsistent modulo a prime of det(A) det(B) or of the torsion is
-    rejected by its residue class (see `_search_cell`), and the others
-    cost integer dot products and one exact solve.
+    Reindexing gaps and offsets run up to `depth`.  The forward chains of
+    each gap come from `_chain_basis`; candidate f-coefficients are
+    enumerated in a fixed order, and for each the two level-0 composite
+    conditions are solved for the g-coefficients.  The first pair of
+    chains that passes `_verify_certificate` is returned.  The composites
+    are bilinear in the two coefficient vectors, so the basis products
+    and bond powers are computed once per gap pair (see
+    `_CompositeSystem`); a candidate whose system is inconsistent modulo
+    a prime of det(A) det(B) or of the torsion is rejected by its residue
+    class (see `_search_cell`), and the others cost integer dot products
+    and one exact solve.
 
     This is a pure search: it does not consult lim or lim1, which can
     prove an absence at every depth (see `separating_invariant`).
@@ -225,32 +324,27 @@ def find_interleaving(a, b, depth=4, truncated=None):
     if ident is not None:
         return ident
 
-    TA, TB = A.tail_group, B.tail_group
     powers = _Powers(A.tail_endo.matrix, B.tail_endo.matrix)
+    backward = {}   # gap -> backward chain basis
     by_dim = {}     # chain dimension -> _candidates(dimension)
     for ga in range(1, depth + 1):
+        f_chains = _chain_basis(A, B, powers("A", ga), depth)
+        if not f_chains:
+            continue
         for gb in range(1, depth + 1):
-            window = 2 * max(ga, gb) + 2
-            f_chains = _chain_space(B.tail_endo.matrix, powers("A", ga),
-                                    TA.relations, TB.relations, window)
-            if not f_chains:
-                continue
-            g_chains = _chain_space(A.tail_endo.matrix, powers("B", gb),
-                                    TB.relations, TA.relations, window)
+            if gb not in backward:
+                backward[gb] = _chain_basis(B, A, powers("B", gb), depth)
+            g_chains = backward[gb]
             if not g_chains:
                 continue
-            system = _CompositeSystem(A, B, ga, gb, f_chains, g_chains,
-                                      window, powers)
+            system = _CompositeSystem(A, B, ga, gb, f_chains, g_chains, powers)
             dim = len(f_chains)
             if dim not in by_dim:
                 by_dim[dim] = _candidates(dim)
             candidates, capped = by_dim[dim]
             for c1 in range(depth + 1):
                 for c2 in range(depth + 1):
-                    cell = system.cell(c1, c2)
-                    if cell is None:
-                        continue
-                    cert = _search_cell(system, c1, c2, cell, candidates)
+                    cert = _search_cell(system, c1, c2, system.cell(c1, c2), candidates)
                     if cert is not None:
                         return cert
                     if capped and truncated is not None:
@@ -261,8 +355,7 @@ def find_interleaving(a, b, depth=4, truncated=None):
 def _identity_certificate(A, B):
     if A.tail_group.generators != B.tail_group.generators:
         return None
-    n = A.tail_group.generators
-    ident = IntMatrix.identity(n)
+    ident = IntMatrix.identity(A.tail_group.generators)
     try:
         f = hom_make(A.tail_group, B.tail_group, ident)
         g = hom_make(B.tail_group, A.tail_group, ident)
@@ -270,10 +363,7 @@ def _identity_certificate(A, B):
         return None
     if not A.tail_endo.matrix == B.tail_endo.matrix:
         return None
-    window = 3
-    fs = tuple(f for _ in range(window + 1))
-    gs = tuple(g for _ in range(window + 1))
-    cert = Interleaving(1, 1, 0, 0, fs, gs, window)
+    cert = Interleaving(1, 1, 0, 0, (f,), (g,), 0)
     return cert if _verify_certificate(A, B, cert) else None
 
 
@@ -348,9 +438,10 @@ def _search_primes(A, B):
     return tuple(sorted({p for n in orders if n for p in prime_factors(n)}))
 
 
-def _combine(chains, coeffs):
+def _combine(chains, coeffs, levels):
+    """Levels 0..levels-1 of the chain sum_k coeffs[k] chains[k]."""
     out = []
-    for i in range(len(chains[0])):
+    for i in range(levels):
         acc = chains[0][i] * coeffs[0]
         for c, ch in zip(coeffs[1:], chains[1:]):
             acc = acc + ch[i] * c
@@ -373,25 +464,25 @@ class _Powers:
 
 
 class _CompositeSystem:
-    """The composite conditions of one gap pair (ga, gb).
+    """The level-0 composite conditions of one gap pair (ga, gb).
 
     With f = sum_k x_k f_k and g = sum_l y_l g_l, the condition
-    g_j o f_psi = A^gap reads, entry (r, c) by entry,
-        sum_l y_l (sum_k x_k (g_l[j] f_k[psi])[r][c]) + relations of TA
-            = A^gap[r][c],
-    which is linear in y for a fixed candidate x; f_j o g_phi = B^gap
-    likewise.  The basis products g_l[j] f_k[psi] and f_k[j] g_l[phi]
-    are computed once per (side, j, level) and the bond powers once per
-    (side, gap), and every offset cell (c1, c2) and candidate x shares
-    them, so a candidate's system costs one dot product per entry.
-    Integer arithmetic is exact: the system equals the one built from
-    the combined chains by matrix products.  `primes` are the primes of
-    the modular rejection in `_search_cell`.
+    g_0 o f_c2 = A^(ga*c2 + c1) reads, entry (r, c) by entry,
+        sum_l y_l (sum_k x_k (g_l[0] f_k[c2])[r][c]) + relations of TA
+            = A^(ga*c2 + c1)[r][c],
+    which is linear in y for a fixed candidate x; f_0 o g_c1 =
+    B^(gb*c1 + c2) likewise.  The basis products g_l[0] f_k[level] and
+    f_k[0] g_l[level] are computed once per (side, level) and the bond
+    powers once per (side, exponent), and every offset cell (c1, c2) and
+    candidate x shares them, so a candidate's system costs one dot
+    product per entry.  Integer arithmetic is exact: the system equals
+    the one built from the combined chains by matrix products.  `primes`
+    are the primes of the modular rejection in `_search_cell`.
     """
 
-    def __init__(self, A, B, ga, gb, f_chains, g_chains, window, powers):
+    def __init__(self, A, B, ga, gb, f_chains, g_chains, powers):
         self.A, self.B = A, B
-        self.ga, self.gb, self.window = ga, gb, window
+        self.ga, self.gb = ga, gb
         self.f_chains, self.g_chains = f_chains, g_chains
         self.powers = powers
         self.primes = _search_primes(A, B)
@@ -412,45 +503,31 @@ class _CompositeSystem:
                     self.suffix[side, r, c] = extra
 
     def cell(self, c1, c2):
-        """(blocks, target) of the offset cell (c1, c2), or None when no
-        composite condition falls inside the window.
+        """(blocks, target) of the offset cell (c1, c2).
 
-        Each block holds the rows of one composite identity, each row as
-        (vectors, suffix): entry l of the row is the dot product of the
-        candidate with vectors[l]; target stacks the bond-power entries.
+        The two blocks hold the rows of g_0 o f_c2 = A^(ga*c2 + c1) and
+        f_0 o g_c1 = B^(gb*c1 + c2), each row as (vectors, suffix): entry
+        l of the row is the dot product of the candidate with vectors[l];
+        target stacks the bond-power entries.
         """
-        ga, gb, window = self.ga, self.gb, self.window
         blocks, rhs = [], []
-        for j in range(min(2, window) + 1):
-            psi = gb * j + c2
-            phi_psi = ga * psi + c1
-            if psi > window:
-                continue
-            # g_j o f_psi = A^(phi_psi - j)
-            blocks.append(self._entries("A", j, psi))
-            rhs.extend(x for row in self.powers("A", phi_psi - j).data for x in row)
-            phi_j = ga * j + c1
-            psi_phi = gb * phi_j + c2
-            if phi_j > window or psi_phi > window:
-                continue
-            # f_j o g_phi_j = B^(psi_phi - j)
-            blocks.append(self._entries("B", j, phi_j))
-            rhs.extend(x for row in self.powers("B", psi_phi - j).data for x in row)
-        if not rhs:
-            return None
+        for side, level, exponent in (("A", c2, self.ga * c2 + c1),
+                                      ("B", c1, self.gb * c1 + c2)):
+            blocks.append(self._entries(side, level))
+            rhs.extend(x for row in self.powers(side, exponent).data for x in row)
         return blocks, IntMatrix.from_columns(len(rhs), [rhs])
 
-    def _entries(self, side, j, level):
-        key = (side, j, level)
+    def _entries(self, side, level):
+        key = (side, level)
         block = self.entries.get(key)
         if block is None:
             if side == "A":
                 n = self.A.tail_group.generators
-                prods = [[g[j] * f[level] for f in self.f_chains]
+                prods = [[g[0] * f[level] for f in self.f_chains]
                          for g in self.g_chains]
             else:
                 n = self.B.tail_group.generators
-                prods = [[f[j] * g[level] for f in self.f_chains]
+                prods = [[f[0] * g[level] for f in self.f_chains]
                          for g in self.g_chains]
             block = self.entries[key] = [
                 (tuple(tuple(p.data[r][c] for p in per_g) for per_g in prods),
@@ -462,15 +539,15 @@ class _CompositeSystem:
         """The verified certificate of a solved candidate, or None."""
         TA, TB = self.A.tail_group, self.B.tail_group
         ycoeffs = [X.data[i][0] for i in range(len(self.g_chains))]
-        fs = _combine(self.f_chains, coeffs)
-        gs = _combine(self.g_chains, ycoeffs)
+        levels = max(c1, c2) + 1
         try:
-            f_homs = tuple(hom_make(TA, TB, m) for m in fs)
-            g_homs = tuple(hom_make(TB, TA, m) for m in gs)
+            f_homs = tuple(hom_make(TA, TB, m)
+                           for m in _combine(self.f_chains, coeffs, levels))
+            g_homs = tuple(hom_make(TB, TA, m)
+                           for m in _combine(self.g_chains, ycoeffs, levels))
         except IllDefined:
             return None
-        cert = Interleaving(self.ga, self.gb, c1, c2, f_homs, g_homs,
-                            min(2, self.window))
+        cert = Interleaving(self.ga, self.gb, c1, c2, f_homs, g_homs, 0)
         return cert if _verify_certificate(self.A, self.B, cert) else None
 
 
@@ -481,44 +558,43 @@ def _rows(blocks, coeffs):
 
 
 def _verify_certificate(A, B, cert):
-    """Exact post-search re-verification of all composite identities."""
+    """Exact post-search check of a certificate on injective tails.
+
+    The two level-0 composites must equal the bond powers, and both
+    chains must extend to every level (`chain_extends`).  The composite
+    x_j = g_j o f_(gb*j + c2) and its target A^((ga*gb - 1) j + ga*c2 + c1)
+    both satisfy A x_(j+1) = x_j A^(ga*gb); A is injective, so they agree
+    at every level once they agree at level 0.  Likewise for f_j o g_phi.
+    """
     MA, MB = A.tail_endo, B.tail_endo
     TA, TB = A.tail_group, B.tail_group
     ga, gb = cert.gap_forward, cert.gap_backward
     c1, c2 = cert.offset_forward, cert.offset_backward
-    window = len(cert.forward_maps) - 1
-    for j in range(cert.checked_levels + 1):
-        psi = gb * j + c2
-        phi_psi = ga * psi + c1
-        if psi > window:
-            return False
-        comp = cert.backward_maps[j].compose(cert.forward_maps[psi])
-        want = hom_make(TA, TA, MA.matrix ** (phi_psi - j))
-        if not comp.equals(want):
-            return False
-        phi_j = ga * j + c1
-        psi_phi = gb * phi_j + c2
-        if phi_j > window:
-            return False
-        comp = cert.forward_maps[j].compose(cert.backward_maps[phi_j])
-        want = hom_make(TB, TB, MB.matrix ** (psi_phi - j))
-        if not comp.equals(want):
-            return False
-    # the chains must also commute with the bonds
-    for i in range(window):
-        left = MB.compose(cert.forward_maps[i + 1])
-        right = cert.forward_maps[i].compose(hom_make(TA, TA, MA.matrix ** ga))
-        if not left.equals(right):
-            return False
-        left = MA.compose(cert.backward_maps[i + 1])
-        right = cert.backward_maps[i].compose(hom_make(TB, TB, MB.matrix ** gb))
-        if not left.equals(right):
-            return False
-    return True
+    fs, gs = cert.forward_maps, cert.backward_maps
+    if len(fs) != max(c1, c2) + 1 or len(gs) != len(fs):
+        return False
+    if not gs[0].compose(fs[c2]).equals(hom_make(TA, TA, MA.matrix ** (ga * c2 + c1))):
+        return False
+    if not fs[0].compose(gs[c1]).equals(hom_make(TB, TB, MB.matrix ** (gb * c1 + c2))):
+        return False
+    return (chain_extends(fs, MB, MA.matrix ** ga)
+            and chain_extends(gs, MA, MB.matrix ** gb))
 
 
 # ---------------------------------------------------------------------------
 # pro-isomorphism decision
+
+
+def _differ(name, x, y):
+    """The reason text for two `distinct` invariants.  Two completion
+    quotients can render alike; the reason then names the first prime
+    whose coranks differ."""
+    rx, ry = x.render(), y.render()
+    reason = "%s invariants differ: %s vs %s" % (name, rx, ry)
+    diff = corank_difference(x, y) if rx == ry else None
+    if diff is not None:
+        reason += " (c_%d = %d vs %d)" % diff
+    return reason
 
 
 def separating_invariant(a, b):
@@ -528,21 +604,18 @@ def separating_invariant(a, b):
     towers have isomorphic lim and lim1; a `distinct` comparison of
     either proves that no interleaving exists at any depth.
     """
-    la, lb = limit(a), limit(b)
-    da, db = derived_limit(a), derived_limit(b)
-    if compare_structured(la, lb) == "distinct":
-        return "lim invariants differ: %s vs %s" % (la.render(), lb.render())
-    if compare_structured(da, db) == "distinct":
-        return "lim1 invariants differ: %s vs %s" % (da.render(), db.render())
+    for name, inv in (("lim", limit), ("lim1", derived_limit)):
+        x, y = inv(a), inv(b)
+        if compare_structured(x, y) == "distinct":
+            return _differ(name, x, y)
     return None
 
 
-def compare_invariants(a, b, level_map=None, depth=4):
+def compare_invariants(a, b, depth=4):
     """Decide pro-isomorphism through lim/lim1 invariants and certificates.
 
     NotIsomorphic requires a genuinely separating invariant; Isomorphic
-    requires an interleaving certificate (or a supplied commuting level
-    map together with matching invariants); everything else is Undecided.
+    requires an interleaving certificate; everything else is Undecided.
     """
     reason = separating_invariant(a, b)
     if reason is not None:
@@ -550,15 +623,8 @@ def compare_invariants(a, b, level_map=None, depth=4):
     cert = find_interleaving(a, b, depth)
     if cert is not None:
         return ProIsoVerdict("isomorphic", "interleaving certificate found", cert)
-    matching = all(compare_structured(inv(a), inv(b)) == "equal"
-                   for inv in (limit, derived_limit))
-    if level_map is not None:
-        check_level_map(a, b, level_map)
-        if matching:
-            return ProIsoVerdict(
-                "isomorphic",
-                "level map with matching lim and lim1 descriptors")
-    if matching:
+    if all(compare_structured(inv(a), inv(b)) == "equal"
+           for inv in (limit, derived_limit)):
         return ProIsoVerdict(
             "undecided",
             "lim and lim1 descriptors match but no connecting map was found; "

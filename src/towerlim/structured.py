@@ -255,6 +255,21 @@ def _free_name(rank):
     return "Z" if rank == 1 else "Z^%d" % rank
 
 
+def corank_difference(a, b):
+    """(q, c_q of a, c_q of b) at the first prime q where the corank
+    profiles of two completion quotients of equal rank differ, or None.
+    c_q is the full rank at every prime q not dividing det(A)."""
+    if a.tag != "completion_quotient" or b.tag != "completion_quotient" \
+            or a.rank != b.rank:
+        return None
+    pa, pb = dict(a.corank_profile), dict(b.corank_profile)
+    for q in sorted(set(pa) | set(pb)):
+        ca, cb = pa.get(q, a.rank), pb.get(q, b.rank)
+        if ca != cb:
+            return q, ca, cb
+    return None
+
+
 def compare_structured(a, b):
     """Three-valued comparator: 'equal', 'distinct' or 'undecided'.
 

@@ -17,7 +17,7 @@ from towerlim.cli import dispatch
 from towerlim.exactlat import IntMatrix, free_group, hom_make, snf
 from towerlim.lab import LabConfig, SUITE_NAMES, run_suite
 from towerlim.limits import derived_limit, limit, six_term
-from towerlim.procat import compare_invariants, find_interleaving
+from towerlim.procat import chain_extends, compare_invariants, find_interleaving
 from towerlim.shape import cluster, make_example, steenrod, telescope
 from towerlim.simplicial import homology_invariants
 from towerlim.structured import compare_structured
@@ -141,7 +141,8 @@ def test_criterion_7_property_suites():
     cfg = LabConfig(master_seed=42, trials=200, max_rank=3, entry_bound=5)
     expected = {"ml_equiv", "shift_invariance", "dual_ml", "nearly_ml",
                 "finite_oracle", "six_term_exact", "ml_propagation"}
-    assert set(SUITE_NAMES) == expected | {"ml_certificate", "compare_vs_interleave"}
+    assert set(SUITE_NAMES) == expected | {"ml_certificate", "compare_vs_interleave",
+                                           "prohom"}
     for name in sorted(expected):
         rep = run_suite(cfg, name)
         assert rep.ok, (name, rep.counterexamples[:1])
@@ -157,9 +158,14 @@ def test_criterion_8_pro_isomorphism():
     verdict = compare_invariants(pure_tower(Z, [[2]]), pure_tower(Z, [[3]]))
     assert verdict.kind == "not_isomorphic"
     assert "lim1" in verdict.reason
-    cert = find_interleaving(pure_tower(Z, [[4]]), pure_tower(Z, [[2]]), depth=4)
+    a, b = pure_tower(Z, [[4]]), pure_tower(Z, [[2]])
+    cert = find_interleaving(a, b, depth=4)
     assert cert is not None
-    assert cert.checked_levels >= 1
+    # both chains extend to every level, so the level-0 composites decide
+    assert chain_extends(cert.forward_maps, b.tail_endo,
+                         a.tail_endo.matrix ** cert.gap_forward)
+    assert chain_extends(cert.backward_maps, a.tail_endo,
+                         b.tail_endo.matrix ** cert.gap_backward)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report("8: (Z,x2) vs (Z,x3) distinct; (Z,x4)~(Z,x2)", elapsed, 1.0)
