@@ -109,9 +109,9 @@ def poly_divmod(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Zassenhaus factoring of a monic residual: squarefree part over Z,
-# factors modulo a small prime, Hensel lifting, and recombination of the
-# lifted factors, each candidate confirmed by exact division over Z.
+# Zassenhaus factoring of a monic squarefree residual: factors modulo a
+# small prime, Hensel lifting, and recombination of the lifted factors,
+# each candidate confirmed by exact division over Z.
 # Polynomials modulo m are ascending coefficient lists without trailing
 # zeros (the zero polynomial is []), coefficients in [0, m).
 
@@ -378,56 +378,117 @@ def _gcd_primitive(a, b):
     return [1]
 
 
-def _factor_residual(h):
-    """(factor, multiplicity) pairs of a monic h over Z."""
-    g = _gcd_primitive(h, _derivative(h))
-    if len(g) == 1:
-        return [(f, 1) for f in _factor_squarefree(h)]
+def _divide_out(h, f):
+    """(h / f^m, m) for the largest m with f^m dividing h exactly over Z."""
+    mult = 0
+    while True:
+        q, r = poly_divmod(h, f)
+        if any(r):
+            return h, mult
+        h, mult = q, mult + 1
+
+
+def _factor_residual(h, s):
+    """(factor, multiplicity) pairs of a monic h over Z with no integer
+    root, given its squarefree part s."""
+    # with no linear factor, a squarefree part of degree <= 3 is irreducible
+    fs = [s] if len(s) <= 4 else _factor_squarefree(s)
+    if s == h:
+        return [(f, 1) for f in fs]
     out = []
-    for f in _factor_squarefree(poly_divmod(h, g)[0]):
-        mult = 0
-        while True:
-            q, r = poly_divmod(h, f)
-            if any(r):
-                break
-            h, mult = q, mult + 1
+    for f in fs:
+        h, mult = _divide_out(h, f)
         out.append((f, mult))
     return out
+
+
+# ---------------------------------------------------------------------------
+# integer roots by p-adic expansion (Loos 1983): the roots modulo a good
+# prime, Newton-lifted past a root bound; no step depends on the
+# factorization of f(0) or grows with the bound beyond its bit length
+
+
+def _eval_mod(a, x, m):
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % m
+    return v
+
+
+def _root_candidates(s):
+    """Integers among which lie all integer roots of the monic squarefree
+    s of degree >= 1: the roots of s modulo a prime p with s mod p
+    squarefree, each Newton-lifted modulo p^(2^k) beyond twice a root
+    bound and read in the symmetric system."""
+    n = len(s) - 1
+    ds = _derivative(s)
+    for p in _odd_primes():
+        sp = _mod(s, p)
+        if len(_gcd_mod(sp, _mod(ds, p), p)) == 1:
+            break
+    roots = [x for x in range(p) if _eval_mod(sp, x, p) == 0]
+    if not roots:
+        return []
+    # Fujiwara: a root has |z| <= 2 max_k |a_(n-k)|^(1/k) <= 2^(e+1)
+    e = max(-(-abs(c).bit_length() // (n - j)) for j, c in enumerate(s[:-1]))
+    m = p
+    while m <= 4 << e:
+        # each root is simple modulo p, so s'(r) is a unit modulo p^k
+        m *= m
+        roots = [(r - _eval_mod(s, r, m) * pow(_eval_mod(ds, r, m), -1, m)) % m
+                 for r in roots]
+    return _symmetric(roots, m)
 
 
 def factor_monic(coeffs):
     """Irreducible monic factors with multiplicity, as (factor, mult) pairs
     sorted by coefficient list.
 
-    Powers of x are split off first; a residual of degree 1 is
-    irreducible, and a larger one is factored by Zassenhaus's method,
-    which finds linear factors too: its squarefree part (h divided by
-    gcd(h, h') over Z) is factored modulo a good prime, of several tried
-    the one with the fewest factors (Cantor-Zassenhaus, seeded per
-    prime), the factors are Hensel-lifted modulo p^k beyond twice a
-    Landau-Mignotte bound, and subsets of them are recombined in
-    increasing size; a candidate is accepted only when it divides
-    exactly over Z, and each multiplicity is counted by exact division
-    of h.
+    >>> factor_monic([0, 24, -4, 2, -7, 0, 1])    # x (x-2)^2 (x+3) (x^2+x+2)
+    [([-2, 1], 2), ([0, 1], 1), ([2, 1, 1], 1), ([3, 1], 1)]
+
+    The pipeline has four steps:
+
+    1. Powers of x are split off; a residual h of degree 1 is irreducible.
+    2. The integer roots of h are those of its squarefree part s = h /
+       gcd(h, h') over Z.  The roots of s modulo a prime p with s mod p
+       squarefree are Newton-lifted modulo p^(2^k) beyond twice Fujiwara's
+       root bound; a lift, read in the symmetric system, is accepted only
+       when x - r divides h exactly over Z, and repeated exact division
+       counts its multiplicity.
+    3. The residual now has no integer root, so if its squarefree part
+       has degree <= 3 that part is irreducible.
+    4. A larger squarefree part is factored by Zassenhaus's method: modulo
+       a good prime, of several tried the one with the fewest factors
+       (Cantor-Zassenhaus, seeded per prime), the factors are
+       Hensel-lifted modulo p^k beyond twice a Landau-Mignotte bound, and
+       subsets of them are recombined in increasing size; a candidate is
+       accepted only when it divides exactly over Z, and each
+       multiplicity is counted by exact division of the residual.
     """
     work = list(coeffs)
     factors = []
-    # powers of x
     k = 0
     while work[0] == 0 and len(work) > 1:
         work = work[1:]
         k += 1
     if k:
         factors.append(([0, 1], k))
-    if len(work) > 2:
-        factors.extend(_factor_residual(work))
-    elif len(work) == 2:
+    if len(work) == 2:
         factors.append((work, 1))
-    # merge equal factors
-    merged = {}
-    for f, m in factors:
-        merged[tuple(f)] = merged.get(tuple(f), 0) + m
-    return [(list(f), m) for f, m in sorted(merged.items())]
+    elif len(work) > 2:
+        g = _gcd_primitive(work, _derivative(work))
+        s = work if len(g) == 1 else poly_divmod(work, g)[0]
+        for r in _root_candidates(s):
+            if r == 0 or s[0] % r:
+                continue
+            work, mult = _divide_out(work, [-r, 1])
+            if mult:
+                factors.append(([-r, 1], mult))
+                s = poly_divmod(s, [-r, 1])[0]
+        if len(work) > 1:
+            factors.extend(_factor_residual(work, s))
+    return sorted(factors)
 
 
 def unit_part_polynomial(coeffs):

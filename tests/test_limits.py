@@ -8,9 +8,11 @@ enumeration for finite towers.
 
 import itertools
 import random
+import time
 
 import pytest
 
+from towerlim import procat
 from towerlim.exactlat import (
     IntMatrix,
     cyclic_group,
@@ -93,6 +95,13 @@ def rank_mod(rows, q):
                 rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def sympy_factors(f):
+    """sympy's factorization of the monic f, as factor_monic writes it."""
+    sympy = pytest.importorskip("sympy")
+    _, factors = sympy.factor_list(sympy.Poly(f[::-1], sympy.Symbol("x")))
+    return sorted(([int(c) for c in g.all_coeffs()[::-1]], m) for g, m in factors)
 
 
 def expand(factors):
@@ -203,16 +212,12 @@ class TestFactoring:
             assert fs == sorted(fs)
 
     def test_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
+        pytest.importorskip("sympy")
         rng = random.Random(20)
         for _ in range(200):
             rank = rng.randint(1, 8)
             f = charpoly(IntMatrix.from_rows(random_matrix(rng, rank, 9)))
-            _, expected = sympy.factor_list(sympy.Poly(f[::-1], x))
-            expected = sorted(([int(c) for c in g.all_coeffs()[::-1]], m)
-                              for g, m in expected)
-            assert factor_monic(f) == expected
+            assert factor_monic(f) == sympy_factors(f)
 
     # dense tails (irreducible charpolys with 45-55 bit constant terms) and
     # block-triangular ones with a repeated integer root, so that linear
@@ -220,8 +225,7 @@ class TestFactoring:
     @pytest.mark.parametrize("blocks,seed", [
         ((12,), 1), ((1, 1, 3, 7), 2), ((16,), 3), ((1, 1, 2, 12), 4)])
     def test_large_charpolys_against_sympy(self, blocks, seed):
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
+        pytest.importorskip("sympy")
         rng = random.Random(seed)
         n = sum(blocks)
         rows = [[0] * n for _ in range(n)]
@@ -234,13 +238,79 @@ class TestFactoring:
                 rows[start][start] = root
             start += size
         f = charpoly(IntMatrix.from_rows(rows))
-        _, expected = sympy.factor_list(sympy.Poly(f[::-1], x))
-        expected = sorted(([int(c) for c in g.all_coeffs()[::-1]], m)
-                          for g, m in expected)
         got = factor_monic(f)
-        assert got == expected
+        assert got == sympy_factors(f)
         if 1 in blocks:
             assert ([-root, 1], 2) in got
+
+    def test_split_charpolys_against_sympy(self):
+        # block-triangular tails of rank <= 12 whose diagonal holds a
+        # repeated integer eigenvalue r and at least one 0 (a power of x)
+        # between dense blocks, so that the integer roots, their
+        # multiplicities and the residual all come out
+        pytest.importorskip("sympy")
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            r = rng.choice([-5, -3, -2, -1, 1, 2, 3, 7])
+            # (size, fixed diagonal entry or None for a dense block)
+            blocks = [(1, r), (1, r), (1, 0)]
+            left = n - len(blocks)
+            while left:
+                size = min(rng.randint(1, 4), left)
+                blocks.append((size, None))
+                left -= size
+            rng.shuffle(blocks)
+            rows = [[0] * n for _ in range(n)]
+            start = 0
+            for size, value in blocks:
+                for i in range(start, start + size):
+                    rows[i][start:] = [rng.randint(-9, 9) for _ in range(start, n)]
+                if value is not None:
+                    rows[start][start] = value
+                start += size
+            f = charpoly(IntMatrix.from_rows(rows))
+            got = factor_monic(f)
+            assert got == sympy_factors(f)
+            mults = dict((tuple(g), m) for g, m in got)
+            assert mults[(-r, 1)] >= 2 and mults[(0, 1)] >= 1
+
+    def test_chain_lattice_polynomials_against_sympy(self, monkeypatch):
+        # the characteristic polynomials chain_lattice factors, on the
+        # root2 pair (A^2 = 2I) and on the companions of x^2+x+2 and
+        # x^2+x-4, in both directions at gaps 1 to 4
+        pytest.importorskip("sympy")
+        seen = []
+
+        def record(f):
+            seen.append(f)
+            return factor_monic(f)
+
+        monkeypatch.setattr(procat, "factor_monic", record)
+        for a, b in (([[0, 2], [1, 0]], [[2, 0], [0, 2]]),
+                     ([[0, -2], [1, -1]], [[0, 4], [1, -1]])):
+            A, B = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
+            for g in range(1, 5):
+                procat.chain_lattice(A ** g, B)
+                procat.chain_lattice(B ** g, A)
+        assert len(seen) == 16
+        for f in seen:
+            assert factor_monic(f) == sympy_factors(f)
+
+    # the integer-root step on polynomials where trial division up to
+    # sqrt|f(0)|, a loop over the root bound or a search for a prime above
+    # it would not finish; each finishes in milliseconds
+    @pytest.mark.parametrize("factors", [
+        [([-(2 ** 89 - 1), 0, 1], 1)],
+        [([-(2 ** 89 - 1), 0, 1], 1), ([-3, 1], 2)],
+        [([-(2 ** 61 - 1), 1], 1), ([2, 1], 1)],
+        [([-(2 ** 61 - 1), 1], 2)],
+    ])
+    def test_huge_constant_terms(self, factors):
+        f = expand(factors)
+        start = time.perf_counter()
+        assert factor_monic(f) == factors
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLim:
