@@ -9,57 +9,34 @@ All arithmetic is exact (arbitrary-precision integers throughout).
 
 __version__ = "0.1.0"
 
-from .exactlat import (
-    FgAbGroup,
-    Homomorphism,
-    IntMatrix,
-    free_group,
-    hnf,
-    hom_make,
-    hom_parts,
-    present,
-    snf,
-)
-from .limits import (
-    brute_lim,
-    derived_limit,
-    limit,
-    ml_conditions,
-    six_term,
-)
-from .shape import cech_cohomology, cluster, make_example, steenrod, telescope
-from .simplicial import (
-    SimplicialComplex,
-    SimplicialMap,
-    induced_hom,
-    simplicial_homology,
-)
-from .structured import StructuredGroup, compare_structured
-from .towers import (
-    FiniteTower,
-    PeriodicTower,
-    StreamedTower,
-    canonical_completion_ses,
-    make_streamed,
-    periodic_tower,
-    pure_tower,
-    reduce_to_images,
-    shift,
-    tower_ses,
-    truncate,
-)
-from .procat import compare_invariants, find_interleaving
+# Each public name is imported from its home module on first access (PEP
+# 562), so `import towerlim` loads no submodule and a command line process
+# loads only the modules its command runs.
+_EXPORTS = {
+    "exactlat": "IntMatrix FgAbGroup Homomorphism free_group hnf snf present "
+                "hom_make hom_parts",
+    "towers": "PeriodicTower StreamedTower FiniteTower periodic_tower pure_tower "
+              "make_streamed shift truncate reduce_to_images tower_ses "
+              "canonical_completion_ses",
+    "structured": "StructuredGroup compare_structured",
+    "limits": "limit derived_limit ml_conditions six_term brute_lim",
+    "simplicial": "SimplicialComplex SimplicialMap simplicial_homology induced_hom",
+    "shape": "make_example steenrod cluster cech_cohomology telescope",
+    "procat": "compare_invariants find_interleaving",
+}
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [
-    "IntMatrix", "FgAbGroup", "Homomorphism", "free_group", "hnf", "snf", "present",
-    "hom_make", "hom_parts",
-    "PeriodicTower", "StreamedTower", "FiniteTower", "periodic_tower",
-    "pure_tower", "make_streamed", "shift", "truncate", "reduce_to_images",
-    "tower_ses", "canonical_completion_ses",
-    "StructuredGroup", "compare_structured",
-    "limit", "derived_limit", "ml_conditions", "six_term", "brute_lim",
-    "SimplicialComplex", "SimplicialMap", "simplicial_homology", "induced_hom",
-    "make_example", "steenrod", "cluster", "cech_cohomology", "telescope",
-    "compare_invariants", "find_interleaving",
-    "__version__",
-]
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+    value = getattr(import_module("." + _HOMES[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

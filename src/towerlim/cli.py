@@ -13,21 +13,15 @@ import argparse
 import functools
 import sys
 
+from .errors import DegreeMismatch, ShapeError, SimplicialError, UnknownSuite
 from .exactlat import IllDefined
-from .lab import LabConfig, SUITE_NAMES, UnknownSuite, run_suite
 from .limits import TooLarge, derived_limit, limit, ml_conditions, six_term
-from .procat import compare_invariants, find_interleaving, separating_invariant
 from .report import build_report, input_digest, report_json
-from .shape import (
-    DegreeMismatch,
-    ShapeError,
-    cech_cohomology,
-    steenrod,
-    telescope,
-)
-from .simplicial import SimplicialError, homology_invariants
 from .towerfile import DimensionMismatch, ParseError, UnresolvedReference, parse
 from .towers import PeriodicTower, TowerError
+
+# procat, shape, simplicial and lab are imported by the commands that run
+# them, so the tower commands start without them.
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -35,53 +29,76 @@ EXIT_DEPTH = 3
 EXIT_ILL_DEFINED = 4
 
 
-@functools.cache
-def _build_parser():
-    ap = argparse.ArgumentParser(
-        prog="towerlim",
-        description="Exact limits, derived limits and Steenrod homology "
-                    "of towers of finitely generated abelian groups.")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _tower_args(p):
+    p.add_argument("--tower", default=None)
 
-    def add(name, needs_file=True, **kw):
-        p = sub.add_parser(name, **kw)
-        if needs_file:
-            p.add_argument("file", help="tower description file")
-        p.add_argument("--json", action="store_true",
-                       help="emit the machine-readable report")
-        return p
 
-    p = add("lim", help="inverse limit of a tower")
-    p.add_argument("--tower", default=None)
-    p = add("lim1", help="derived limit of a tower")
-    p.add_argument("--tower", default=None)
-    p = add("ml", help="Mittag-Leffler condition family")
-    p.add_argument("--tower", default=None)
-    p = add("six-term", help="six-term exact sequence of a tower SES")
+def _ses_args(p):
     p.add_argument("--ses", default=None)
-    p = add("steenrod", help="Steenrod homology descriptor of a simplicial tower")
+
+
+def _cech_args(p):
     p.add_argument("--stower", default=None)
     p.add_argument("--degree", type=int, required=True)
+
+
+def _steenrod_args(p):
+    _cech_args(p)
     p.add_argument("--reduced", action="store_true")
-    p = add("cech", help="Pontryagin (Cech) cohomology of a simplicial tower")
-    p.add_argument("--stower", default=None)
-    p.add_argument("--degree", type=int, required=True)
-    p = add("interleave", help="search for a pro-isomorphism certificate")
+
+
+def _pair_args(p):
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--depth", type=int, default=4)
-    p = add("compare", help="decide pro-isomorphism via lim/lim1 invariants")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p = add("telescope", help="finite mapping telescope homology")
+
+
+def _telescope_args(p):
     p.add_argument("--stower", default=None)
     p.add_argument("--m", type=int, required=True)
-    p = add("lab", needs_file=False, help="randomized property suites")
+
+
+def _lab_args(p):
+    from .lab import SUITE_NAMES
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--depth", type=int, default=12)
+
+
+# name -> (help, its arguments after FILE and --json); lab reads no FILE
+_COMMANDS = {
+    "lim": ("inverse limit of a tower", _tower_args),
+    "lim1": ("derived limit of a tower", _tower_args),
+    "ml": ("Mittag-Leffler condition family", _tower_args),
+    "six-term": ("six-term exact sequence of a tower SES", _ses_args),
+    "steenrod": ("Steenrod homology descriptor of a simplicial tower", _steenrod_args),
+    "cech": ("Pontryagin (Cech) cohomology of a simplicial tower", _cech_args),
+    "interleave": ("search for a pro-isomorphism certificate", _pair_args),
+    "compare": ("decide pro-isomorphism via lim/lim1 invariants", _pair_args),
+    "telescope": ("finite mapping telescope homology", _telescope_args),
+    "lab": ("randomized property suites", _lab_args),
+}
+
+
+@functools.cache
+def _build_parser(names):
+    """The parser with the subparsers of NAMES.  Its usage line names every
+    command even when NAMES is one of them."""
+    ap = argparse.ArgumentParser(
+        prog="towerlim",
+        description="Exact limits, derived limits and Steenrod homology "
+                    "of towers of finitely generated abelian groups.")
+    every = None if len(names) == len(_COMMANDS) else "{%s}" % ",".join(_COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        help_text, add_args = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if name != "lab":
+            p.add_argument("file", help="tower description file")
+        p.add_argument("--json", action="store_true",
+                       help="emit the machine-readable report")
+        add_args(p)
     return ap
 
 
@@ -100,8 +117,12 @@ def _pick(table, name, what):
 
 def dispatch(argv):
     """Run one command; returns (exit_code, report dict, human text)."""
-    args = _build_parser().parse_args(argv)
+    # only the subparser of the command being run is built; an unknown
+    # command or a bare --help gets the full listing
+    names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    args = _build_parser(names).parse_args(argv)
     if args.command == "lab":
+        from .lab import LabConfig, run_suite
         cfg = LabConfig(master_seed=args.seed, trials=args.trials, depth=args.depth)
         rep = run_suite(cfg, args.suite)
         digest = input_digest(repr(sorted(cfg.to_json().items())))
@@ -148,6 +169,7 @@ def dispatch(argv):
                          for n, v in zip(names, rep.terms()))
         return EXIT_OK, report, text
     if args.command == "steenrod":
+        from .shape import steenrod
         st = _pick(doc.stowers, args.stower, "stower")
         d = steenrod(st, args.degree, args.reduced)
         report = build_report("steenrod", d.to_json(), digest)
@@ -156,12 +178,14 @@ def dispatch(argv):
                    d.lim1_part.render(), d.lim_part.render(), d.splits, d.render()))
         return EXIT_OK, report, text
     if args.command == "cech":
+        from .shape import cech_cohomology
         st = _pick(doc.stowers, args.stower, "stower")
         sg = cech_cohomology(st, args.degree)
         report = build_report("cech", sg.to_json(), digest,
                               warnings=_depth_warnings(sg))
         return _result_code(sg), report, "H^%d = %s" % (args.degree, sg.render())
     if args.command == "interleave":
+        from .procat import find_interleaving, separating_invariant
         a = _pick(doc.towers, args.a, "tower")
         b = _pick(doc.towers, args.b, "tower")
         # lim and lim1 are pro-invariants: when they differ, no depth helps
@@ -191,6 +215,7 @@ def dispatch(argv):
             text = "absent (searched to depth %d)" % args.depth
         return EXIT_OK, report, text
     if args.command == "compare":
+        from .procat import compare_invariants
         a = _pick(doc.towers, args.a, "tower")
         b = _pick(doc.towers, args.b, "tower")
         verdict = compare_invariants(a, b, depth=args.depth)
@@ -198,6 +223,8 @@ def dispatch(argv):
                               depth_used=args.depth)
         return EXIT_OK, report, "%s: %s" % (verdict.kind, verdict.reason)
     if args.command == "telescope":
+        from .shape import telescope
+        from .simplicial import homology_invariants
         st = _pick(doc.stowers, args.stower, "stower")
         tel = telescope(st, args.m)
         base = st.complex_at(0)

@@ -1,0 +1,24 @@
+"""Exceptions the command line maps to exit codes, kept apart from the
+modules that raise them.
+
+`cli` imports them from here, so it can map an exception to its exit code
+without loading `simplicial`, `shape` or `lab`.  Each home module
+re-exports its own, so every name is one class object everywhere.
+"""
+
+
+class SimplicialError(Exception):
+    """A malformed simplicial complex, map or chain (raised by `simplicial`)."""
+
+
+class ShapeError(Exception):
+    """A shape-theoretic input the computation does not apply to (raised by
+    `shape`)."""
+
+
+class DegreeMismatch(ShapeError):
+    """Steenrod descriptors that `shape.cluster` cannot combine."""
+
+
+class UnknownSuite(Exception):
+    """A lab suite name that is not registered (raised by `lab.run_suite`)."""

@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from .errors import UnknownSuite
 from .exactlat import (
     IntMatrix,
     free_group,
@@ -29,10 +30,6 @@ from .procat import chain_extends, chain_lattice, compare_invariants, find_inter
 from .structured import compare_structured
 from .towers import PeriodicTower, periodic_tower, pure_tower, shift, tower_ses, truncate
 from .towerfile import dump_tower
-
-
-class UnknownSuite(Exception):
-    pass
 
 
 _MASK = (1 << 64) - 1

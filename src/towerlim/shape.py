@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DegreeMismatch, ShapeError
 from .exactlat import IntMatrix, free_group, hom_make, hom_parts, identity_hom
 from .limits import derived_limit, limit
 from .simplicial import (
@@ -32,15 +33,7 @@ from .structured import StructuredGroup
 from .towers import PeriodicTower, make_streamed, tail_reduction
 
 
-class ShapeError(Exception):
-    pass
-
-
 class UnknownExample(ShapeError):
-    pass
-
-
-class DegreeMismatch(ShapeError):
     pass
 
 

@@ -27,6 +27,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 
+from .errors import SimplicialError
 from .exactlat import (
     FgAbGroup,
     IntMatrix,
@@ -37,10 +38,6 @@ from .exactlat import (
     solve_columns,
     subquotient,
 )
-
-
-class SimplicialError(Exception):
-    pass
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ ParseError; dangling names raise UnresolvedReference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactlat import IntMatrix, hom_make, present
-from .shape import PeriodicSimplicialTower, UnknownExample, make_example
-from .simplicial import SimplicialComplex, SimplicialError, SimplicialMap
 from .towers import (
     StreamedTower,
     TowerError,
@@ -55,18 +54,29 @@ _SECTION_KEYS = {
 }
 
 
+_SIMPLICIAL_KINDS = ("complex", "smap", "stower")
+
+
 @dataclass
 class TowerFile:
-    """Parsed and resolved tower description document."""
+    """Parsed and resolved tower description document.
+
+    The simplicial sections ([complex], [smap], [stower]) are resolved on
+    the first read of `stowers`, so a command on the algebraic towers of a
+    file does not load the simplicial modules, and an error in those
+    sections surfaces there.
+    """
 
     groups: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
     towers: dict = field(default_factory=dict)
     ses: dict = field(default_factory=dict)
-    complexes: dict = field(default_factory=dict)
-    smaps: dict = field(default_factory=dict)
-    stowers: dict = field(default_factory=dict)
     sections: tuple = ()     # raw (kind, name, {key: value-string}) for round-trips
+    simplicial_sections: tuple = ()     # (kind, name, entries, header line)
+
+    @cached_property
+    def stowers(self):
+        return _resolve_simplicial(self.simplicial_sections)
 
 
 def _parse_matrix(text, line):
@@ -147,7 +157,8 @@ def _need(entries, key, kind, name, header_line):
 
 def _resolve(sections):
     doc = TowerFile(sections=tuple(
-        (k, n, {key: v for key, (v, _) in e.items()}) for k, n, e, _ in sections))
+        (k, n, {key: v for key, (v, _) in e.items()}) for k, n, e, _ in sections),
+        simplicial_sections=tuple(s for s in sections if s[0] in _SIMPLICIAL_KINDS))
     for kind, name, entries, header in sections:
         if kind == "group":
             text, line = _need(entries, "generators", kind, name, header)
@@ -173,29 +184,36 @@ def _resolve(sections):
                 raise DimensionMismatch(str(exc))
         elif kind == "tower":
             doc.towers[name] = _resolve_tower(doc, entries, name, header)
-        elif kind == "complex":
+        elif kind == "ses":
+            doc.ses[name] = _resolve_ses(doc, entries, name, header)
+    return doc
+
+
+def _resolve_simplicial(sections):
+    from .simplicial import SimplicialComplex, SimplicialError, SimplicialMap
+    complexes, smaps, stowers = {}, {}, {}
+    for kind, name, entries, header in sections:
+        if kind == "complex":
             n, line = _need(entries, "vertices", kind, name, header)
             n = _parse_int(n, line)
             simp = _parse_matrix(*_need(entries, "simplices", kind, name, header))
             try:
-                doc.complexes[name] = SimplicialComplex.from_maximal(n, simp)
+                complexes[name] = SimplicialComplex.from_maximal(n, simp)
             except SimplicialError as exc:
                 raise DimensionMismatch(str(exc))
         elif kind == "smap":
-            src = _ref(doc.complexes, _need(entries, "source", kind, name, header)[0])
-            tgt = _ref(doc.complexes, _need(entries, "target", kind, name, header)[0])
+            src = _ref(complexes, _need(entries, "source", kind, name, header)[0])
+            tgt = _ref(complexes, _need(entries, "target", kind, name, header)[0])
             vm = _parse_matrix(*_need(entries, "vertex_map", kind, name, header))
             if len(vm) != 1:
                 raise ParseError(header, "vertex_map must be a single row")
             try:
-                doc.smaps[name] = SimplicialMap(src, tgt, tuple(vm[0]))
+                smaps[name] = SimplicialMap(src, tgt, tuple(vm[0]))
             except SimplicialError as exc:
                 raise DimensionMismatch(str(exc))
-        elif kind == "stower":
-            doc.stowers[name] = _resolve_stower(doc, entries, name, header)
-        elif kind == "ses":
-            doc.ses[name] = _resolve_ses(doc, entries, name, header)
-    return doc
+        else:
+            stowers[name] = _resolve_stower(complexes, smaps, entries, name, header)
+    return stowers
 
 
 def _ref(table, name):
@@ -242,15 +260,16 @@ def _resolve_tower(doc, entries, name, header):
     return periodic_tower(prefix_groups, prefix_bonds, tail_group, tail_endo, splice)
 
 
-def _resolve_stower(doc, entries, name, header):
+def _resolve_stower(complexes, smaps, entries, name, header):
+    from .shape import PeriodicSimplicialTower, UnknownExample, make_example
     if "family" in entries:
         fam, line = entries["family"]
         try:
             return make_example(fam, _parse_params(entries))
         except UnknownExample as exc:
             raise ParseError(line, str(exc))
-    tail_c = _ref(doc.complexes, _need(entries, "tail_complex", "stower", name, header)[0])
-    tail_m = _ref(doc.smaps, _need(entries, "tail_map", "stower", name, header)[0])
+    tail_c = _ref(complexes, _need(entries, "tail_complex", "stower", name, header)[0])
+    tail_m = _ref(smaps, _need(entries, "tail_map", "stower", name, header)[0])
     return PeriodicSimplicialTower((), tail_c, tail_m)
 
 

@@ -192,8 +192,104 @@ class TestExitCodes:
         bad = tmp_path / "bad.tower"
         bad.write_text("[%s main]\nfamily = solenoid\nparams = [2; 3]\n" % kind)
         with pytest.raises(ParseError) as info:
-            parse(str(bad))
+            parse(str(bad)).stowers     # [stower] sections resolve on first read
         assert str(info.value) == "line 3: params must be a single row"
+
+
+COMMANDS = ("lim", "lim1", "ml", "six-term", "steenrod", "cech", "interleave",
+            "compare", "telescope", "lab")
+
+
+class TestCommandSurface:
+    """What `main` shows for bad or missing commands, and the exceptions it
+    maps to exit codes, whichever modules the command loaded."""
+
+    def test_unknown_suite_is_2_and_names_the_suites(self, capsys):
+        from towerlim.lab import SUITE_NAMES
+        with pytest.raises(SystemExit) as info:
+            main(["lab", "--suite", "nosuch"])
+        assert info.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "nosuch" in err and all(name in err for name in SUITE_NAMES)
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert all(name in out for name in COMMANDS)
+
+    def test_unknown_command_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["nosuch", fixture("solenoid_2.tower")])
+        assert info.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "nosuch" in err and all(name in err for name in COMMANDS)
+
+    def test_shape_error_is_4(self, capsys):
+        code = main(["telescope", fixture("solenoid_2.tower"), "--m", "-1"])
+        assert code == EXIT_ILL_DEFINED
+        assert capsys.readouterr().err == "ill-defined input: telescope needs m >= 0\n"
+
+    def test_degree_mismatch_is_4(self, monkeypatch, capsys):
+        from towerlim import shape
+
+        def mismatch(*args):
+            raise shape.DegreeMismatch("degrees differ")
+
+        monkeypatch.setattr(shape, "homology_tower", mismatch)
+        assert main(["steenrod", fixture("solenoid_2.tower"), "--degree", "0"]) == \
+            EXIT_ILL_DEFINED
+        assert capsys.readouterr().err == "ill-defined input: degrees differ\n"
+
+    def test_cli_names_every_mapped_exception(self):
+        # the benchmark worker maps exceptions to exit codes by these names
+        from towerlim import cli
+        for name in ("ParseError", "UnresolvedReference", "DimensionMismatch",
+                     "TooLarge", "IllDefined", "TowerError", "SimplicialError",
+                     "ShapeError", "DegreeMismatch", "UnknownSuite"):
+            assert issubclass(getattr(cli, name), Exception), name
+
+
+def _fresh(code):
+    """Run CODE in a fresh interpreter on this checkout; its printed JSON."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('towerlim'))"
+
+
+class TestImportBoundary:
+    """A process loads only the modules its command runs."""
+
+    def test_commands_load_only_their_modules(self):
+        after_lim, after_steenrod = _fresh(
+            "import json, sys\n"
+            "import towerlim.cli as cli\n"
+            "assert cli.main(['lim', 'towers/solenoid_2.tower']) == 0\n"
+            "lim = %s\n"
+            "assert cli.main(['steenrod', 'towers/solenoid_2.tower', '--degree', '0']) == 0\n"
+            "print(json.dumps([lim, %s]))" % (LOADED, LOADED))
+        lazy = {"towerlim." + m for m in ("procat", "shape", "simplicial", "lab")}
+        assert not lazy & set(after_lim)
+        assert {"towerlim.shape", "towerlim.simplicial"} <= set(after_steenrod)
+
+    def test_bare_import_loads_no_submodule(self):
+        loaded, unresolved, unlisted = _fresh(
+            "import json, sys\n"
+            "import towerlim\n"
+            "loaded = %s\n"
+            "unresolved = [n for n in towerlim.__all__ if n != '__version__' and\n"
+            "              getattr(sys.modules[getattr(towerlim, n).__module__], n)\n"
+            "              is not getattr(towerlim, n)]\n"
+            "unlisted = sorted(set(towerlim.__all__) - set(dir(towerlim)))\n"
+            "print(json.dumps([loaded, unresolved, unlisted]))" % LOADED)
+        assert loaded == ["towerlim"]
+        assert unresolved == [] and unlisted == []
 
 
 class TestGoldenReports:

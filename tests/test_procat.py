@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from towerlim import cli, procat
+from towerlim import procat
 from towerlim.cli import dispatch
 from towerlim.exactlat import IntMatrix, cyclic_group, direct_sum, free_group, hom_make
 from towerlim.procat import (
@@ -349,7 +349,6 @@ class TestInvariantsFirst:
         def refuse(*args):
             raise AssertionError("searched a pair that lim or lim1 separates")
 
-        monkeypatch.setattr(cli, "find_interleaving", refuse)
         monkeypatch.setattr(procat, "find_interleaving", refuse)
         path = tmp_path / "pairs.tower"
         path.write_text("[group Zg]\ngenerators = 1\n[group Z2g]\ngenerators = 2\n"
