@@ -29,10 +29,17 @@ _HOMES = {name: home for home, names in _EXPORTS.items() for name in names.split
 __all__ = [*_HOMES, "__version__"]
 
 
+# submodules, reachable as attributes after a bare `import towerlim`
+_SUBMODULES = {"cli", "errors", "exactlat", "lab", "limits", "procat", "report",
+               "shape", "simplicial", "structured", "towerfile", "towers"}
+
+
 def __getattr__(name):
+    from importlib import import_module
+    if name in _SUBMODULES:
+        return import_module("." + name, __name__)
     if name not in _HOMES:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from importlib import import_module
     value = getattr(import_module("." + _HOMES[name], __name__), name)
     globals()[name] = value
     return value

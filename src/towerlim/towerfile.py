@@ -54,17 +54,16 @@ _SECTION_KEYS = {
 }
 
 
-_SIMPLICIAL_KINDS = ("complex", "smap", "stower")
-
-
 @dataclass
 class TowerFile:
     """Parsed and resolved tower description document.
 
-    The simplicial sections ([complex], [smap], [stower]) are resolved on
-    the first read of `stowers`, so a command on the algebraic towers of a
-    file does not load the simplicial modules, and an error in those
-    sections surfaces there.
+    `parse` checks every section.  The simplicial objects of the [complex],
+    [smap] and [stower] sections are built on the first read of `stowers`,
+    so a command on the algebraic towers of a file does not load the
+    simplicial modules; an error that only those objects detect (a simplex
+    out of range, a vertex map that is not simplicial, an unknown or
+    mis-parameterised stower family) surfaces there.
     """
 
     groups: dict = field(default_factory=dict)
@@ -72,11 +71,11 @@ class TowerFile:
     towers: dict = field(default_factory=dict)
     ses: dict = field(default_factory=dict)
     sections: tuple = ()     # raw (kind, name, {key: value-string}) for round-trips
-    simplicial_sections: tuple = ()     # (kind, name, entries, header line)
+    _simplicial = ()         # checked (kind, name, spec, line), in file order
 
     @cached_property
     def stowers(self):
-        return _resolve_simplicial(self.simplicial_sections)
+        return _build_simplicial(self._simplicial)
 
 
 def _parse_matrix(text, line):
@@ -157,8 +156,9 @@ def _need(entries, key, kind, name, header_line):
 
 def _resolve(sections):
     doc = TowerFile(sections=tuple(
-        (k, n, {key: v for key, (v, _) in e.items()}) for k, n, e, _ in sections),
-        simplicial_sections=tuple(s for s in sections if s[0] in _SIMPLICIAL_KINDS))
+        (k, n, {key: v for key, (v, _) in e.items()}) for k, n, e, _ in sections))
+    # simplicial sections are checked here and built by _build_simplicial
+    complexes, smaps, simplicial = {}, {}, []
     for kind, name, entries, header in sections:
         if kind == "group":
             text, line = _need(entries, "generators", kind, name, header)
@@ -184,35 +184,53 @@ def _resolve(sections):
                 raise DimensionMismatch(str(exc))
         elif kind == "tower":
             doc.towers[name] = _resolve_tower(doc, entries, name, header)
-        elif kind == "ses":
-            doc.ses[name] = _resolve_ses(doc, entries, name, header)
-    return doc
-
-
-def _resolve_simplicial(sections):
-    from .simplicial import SimplicialComplex, SimplicialError, SimplicialMap
-    complexes, smaps, stowers = {}, {}, {}
-    for kind, name, entries, header in sections:
-        if kind == "complex":
+        elif kind == "complex":
             n, line = _need(entries, "vertices", kind, name, header)
             n = _parse_int(n, line)
             simp = _parse_matrix(*_need(entries, "simplices", kind, name, header))
-            try:
-                complexes[name] = SimplicialComplex.from_maximal(n, simp)
-            except SimplicialError as exc:
-                raise DimensionMismatch(str(exc))
+            complexes[name] = (n, simp)
+            simplicial.append((kind, name, (n, simp), header))
         elif kind == "smap":
-            src = _ref(complexes, _need(entries, "source", kind, name, header)[0])
-            tgt = _ref(complexes, _need(entries, "target", kind, name, header)[0])
+            src = _need(entries, "source", kind, name, header)[0]
+            _ref(complexes, src)
+            tgt = _need(entries, "target", kind, name, header)[0]
+            _ref(complexes, tgt)
             vm = _parse_matrix(*_need(entries, "vertex_map", kind, name, header))
             if len(vm) != 1:
                 raise ParseError(header, "vertex_map must be a single row")
+            smaps[name] = (src, tgt, tuple(vm[0]))
+            simplicial.append((kind, name, smaps[name], header))
+        elif kind == "stower":
+            simplicial.append(_check_stower(complexes, smaps, entries, name, header))
+        elif kind == "ses":
+            doc.ses[name] = _resolve_ses(doc, entries, name, header)
+    doc._simplicial = tuple(simplicial)
+    return doc
+
+
+def _build_simplicial(checked):
+    """The stowers of a document from its checked simplicial sections."""
+    from .shape import PeriodicSimplicialTower, UnknownExample, make_example
+    from .simplicial import SimplicialComplex, SimplicialError, SimplicialMap
+    complexes, smaps, stowers = {}, {}, {}
+    for kind, name, spec, line in checked:
+        if kind == "family":
             try:
-                smaps[name] = SimplicialMap(src, tgt, tuple(vm[0]))
+                stowers[name] = make_example(*spec)
+            except UnknownExample as exc:
+                raise ParseError(line, str(exc))
+        elif kind == "stower":
+            tail_c, tail_m = spec
+            stowers[name] = PeriodicSimplicialTower((), complexes[tail_c], smaps[tail_m])
+        else:
+            try:
+                if kind == "complex":
+                    complexes[name] = SimplicialComplex.from_maximal(*spec)
+                else:
+                    src, tgt, vm = spec
+                    smaps[name] = SimplicialMap(complexes[src], complexes[tgt], vm)
             except SimplicialError as exc:
                 raise DimensionMismatch(str(exc))
-        else:
-            stowers[name] = _resolve_stower(complexes, smaps, entries, name, header)
     return stowers
 
 
@@ -260,17 +278,15 @@ def _resolve_tower(doc, entries, name, header):
     return periodic_tower(prefix_groups, prefix_bonds, tail_group, tail_endo, splice)
 
 
-def _resolve_stower(complexes, smaps, entries, name, header):
-    from .shape import PeriodicSimplicialTower, UnknownExample, make_example
+def _check_stower(complexes, smaps, entries, name, header):
     if "family" in entries:
         fam, line = entries["family"]
-        try:
-            return make_example(fam, _parse_params(entries))
-        except UnknownExample as exc:
-            raise ParseError(line, str(exc))
-    tail_c = _ref(complexes, _need(entries, "tail_complex", "stower", name, header)[0])
-    tail_m = _ref(smaps, _need(entries, "tail_map", "stower", name, header)[0])
-    return PeriodicSimplicialTower((), tail_c, tail_m)
+        return ("family", name, (fam, _parse_params(entries)), line)
+    tail_c = _need(entries, "tail_complex", "stower", name, header)[0]
+    _ref(complexes, tail_c)
+    tail_m = _need(entries, "tail_map", "stower", name, header)[0]
+    _ref(smaps, tail_m)
+    return ("stower", name, (tail_c, tail_m), header)
 
 
 def _resolve_ses(doc, entries, name, header):

@@ -192,8 +192,45 @@ class TestExitCodes:
         bad = tmp_path / "bad.tower"
         bad.write_text("[%s main]\nfamily = solenoid\nparams = [2; 3]\n" % kind)
         with pytest.raises(ParseError) as info:
-            parse(str(bad)).stowers     # [stower] sections resolve on first read
+            parse(str(bad))
         assert str(info.value) == "line 3: params must be a single row"
+
+    @pytest.mark.parametrize("section,message", [
+        ("[stower s]\nfamily = solenoid\nparams = [2; 3]\n",
+         "line 9: params must be a single row"),
+        ("[complex C]\nvertices = x\nsimplices = [0 1]\n",
+         "line 8: expected an integer, got 'x'"),
+        ("[complex C]\nvertices = 2\nsimplices = [x]\n",
+         "line 9: matrix entries must be decimal integers"),
+        ("[complex C]\nvertices = 2\n", "line 7: [complex C] is missing 'simplices'"),
+        ("[smap c]\nsource = C\ntarget = C\nvertex_map = [0]\n",
+         "unresolved reference: C"),
+        ("[complex C]\nvertices = 2\nsimplices = [0 1]\n"
+         "[smap c]\nsource = C\ntarget = C\nvertex_map = [0; 1]\n",
+         "line 10: vertex_map must be a single row"),
+        ("[stower s]\ntail_complex = C\ntail_map = c\n", "unresolved reference: C"),
+    ])
+    def test_lim_rejects_a_malformed_simplicial_section(self, tmp_path, capsys,
+                                                        section, message):
+        bad = tmp_path / "bad.tower"
+        bad.write_text("[group Z]\ngenerators = 1\n[map two]\nsource = Z\ntarget = Z\n"
+                       "matrix = [2]\n" + section + "[tower main]\ntail_group = Z\n"
+                       "tail_endo = two\n")
+        assert main(["lim", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: %s\n" % message
+
+    @pytest.mark.parametrize("section,message", [
+        ("[stower s]\nfamily = nosuch\n", "line 2: nosuch"),
+        ("[complex C]\nvertices = 2\nsimplices = [0 2]\n"
+         "[smap c]\nsource = C\ntarget = C\nvertex_map = [0 1]\n"
+         "[stower s]\ntail_complex = C\ntail_map = c\n", "bad simplex (0, 2)"),
+    ])
+    def test_steenrod_rejects_an_ill_built_simplicial_section(self, tmp_path, capsys,
+                                                              section, message):
+        bad = tmp_path / "bad.tower"
+        bad.write_text(section)
+        assert main(["steenrod", str(bad), "--degree", "0"]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: %s\n" % message
 
 
 COMMANDS = ("lim", "lim1", "ml", "six-term", "steenrod", "cech", "interleave",
@@ -290,6 +327,19 @@ class TestImportBoundary:
             "print(json.dumps([loaded, unresolved, unlisted]))" % LOADED)
         assert loaded == ["towerlim"]
         assert unresolved == [] and unlisted == []
+
+    def test_submodules_are_attributes_of_a_bare_import(self):
+        package = os.path.join(ROOT, "src", "towerlim")
+        names = sorted(f[:-3] for f in os.listdir(package)
+                       if f.endswith(".py") and f != "__init__.py")
+        missing, unknown = _fresh(
+            "import json, sys\n"
+            "import towerlim\n"
+            "missing = [m for m in %r\n"
+            "           if getattr(towerlim, m) is not sys.modules['towerlim.' + m]]\n"
+            "unknown = not hasattr(towerlim, 'nosuch')\n"
+            "print(json.dumps([missing, unknown]))" % names)
+        assert missing == [] and unknown
 
 
 class TestGoldenReports:
