@@ -581,6 +581,20 @@ def direct_sum(a, b):
     return FgAbGroup(a.generators + b.generators, top.vstack(bottom))
 
 
+def diagonal_orders(group):
+    """The order of each generator of a group whose relation columns are
+    d e_i (0 for a free generator).
+
+    >>> diagonal_orders(direct_sum(free_group(1), cyclic_group(4)))
+    (0, 4)
+    """
+    orders = [0] * group.generators
+    for col in zip(*group.relations.data):
+        i = next(i for i, x in enumerate(col) if x)
+        orders[i] = abs(col[i])
+    return tuple(orders)
+
+
 @dataclass(frozen=True)
 class Homomorphism:
     """Map of f.g. abelian groups given by a matrix on chosen generators."""

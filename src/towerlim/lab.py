@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownSuite
 from .exactlat import (
+    IllDefined,
     IntMatrix,
+    diagonal_orders,
     free_group,
     hom_make,
     kernel,
@@ -26,9 +28,10 @@ from .exactlat import (
     unimodular_inverse,
 )
 from .limits import brute_lim, derived_limit, limit, ml_conditions, six_term
-from .procat import chain_extends, chain_lattice, compare_invariants, find_interleaving
+from .procat import chain_basis, chain_extends, compare_invariants, find_interleaving
 from .structured import compare_structured
-from .towers import PeriodicTower, periodic_tower, pure_tower, shift, tower_ses, truncate
+from .towers import (PeriodicTower, periodic_tower, pure_tower, reduce_to_images, shift,
+                     tower_ses, truncate)
 from .towerfile import dump_tower
 
 
@@ -209,7 +212,7 @@ def gen_twisted_ses(rng, config):
     sur = hom_make(total, quot, IntMatrix(nq, ns + nq,
                                           [[1 if j == ns + i else 0
                                             for j in range(ns + nq)] for i in range(nq)]))
-    return tower_ses(t_sub, t_total, t_quot, [], [], inj, sur)
+    return tower_ses(t_sub, t_total, t_quot, inj, sur)
 
 
 def _diag_group_from(diag):
@@ -329,8 +332,8 @@ def _suite_ml_propagation(rng, config, report):
     and D dual-Mittag-Leffler must have B Mittag-Leffler."""
     a = gen_ml_tower(rng, config)
     c = gen_ml_tower(rng, config)
-    sub_diag = _diag_of(a.tail_group)
-    quot_diag = _diag_of(c.tail_group)
+    sub_diag = diagonal_orders(a.tail_group)
+    quot_diag = diagonal_orders(c.tail_group)
     twist = gen_matrix_between(rng, sub_diag, quot_diag, config.entry_bound)
     total, _ = _diag_group_from(sub_diag + quot_diag)
     block = _block_upper(a.tail_endo.matrix, twist, c.tail_endo.matrix)
@@ -423,47 +426,81 @@ def _suite_compare_vs_interleave(rng, config, report):
 
 
 def _suite_prohom(rng, config, report):
-    """The chain lattice of `chain_lattice` against its definition, the
-    maps f_0 whose chains f_(i+1) = B^-1 f_i A^g stay integral.  On a
-    random pair of free tails (A of rank n, B of rank m with det B != 0,
-    ranks <= 3) and a gap g <= 2, every basis map of the lattice passes
-    the extension check of `chain_extends`, and every map of a small box
-    in the window-(nm) lattice (`_window_lattice`) that passes the check
-    lies in the lattice."""
+    """The level-0 basis of `chain_basis` against its definition, the maps
+    f_0 whose chains B f_(i+1) = f_i A^g stay maps (modulo the target
+    relations) at every level.  Every basis map must pass the extension
+    check of `chain_extends`, and every map of a box that passes the check
+    must lie in the span of the basis and the target relations.
+
+    Half the draws are free tails (A of rank n, B of rank m with
+    det B != 0, ranks <= 3), whose box samples the window-(nm) lattice
+    (`_window_lattice`).  The others are reduced tails (`reduce_to_images`)
+    of Z/d or Z/d (+) Z on each side, whose box holds the small integer
+    matrices that `hom_make` accepts.  The gap is g <= 2."""
     bound = min(config.entry_bound, 3)
-    n = rng.rand_range(1, min(3, config.max_rank))
-    m = rng.rand_range(1, min(3, config.max_rank))
-    A = gen_matrix_between(rng, (0,) * n, (0,) * n, bound)
-    B = gen_matrix_between(rng, (0,) * m, (0,) * m, bound)
-    while not B.det():
-        B = gen_matrix_between(rng, (0,) * m, (0,) * m, bound)
+    torsion = rng.below(2) == 0
     g = rng.rand_range(1, 2)
-    power = A ** g
-    src, tgt = free_group(n), free_group(m)
-    bond = hom_make(tgt, tgt, B)
-    tower = pure_tower(src, A)
-    other = "against B = %r at gap %d" % ([list(r) for r in B.data], g)
+    if torsion:
+        a, b = (reduce_to_images(_gen_torsion_tail(rng, config, bound)) for _ in range(2))
+    else:
+        n = rng.rand_range(1, min(3, config.max_rank))
+        m = rng.rand_range(1, min(3, config.max_rank))
+        A = gen_matrix_between(rng, (0,) * n, (0,) * n, bound)
+        B = gen_matrix_between(rng, (0,) * m, (0,) * m, bound)
+        while not B.det():
+            B = gen_matrix_between(rng, (0,) * m, (0,) * m, bound)
+        a, b = pure_tower(free_group(n), A), pure_tower(free_group(m), B)
+    src, tgt, bond = a.tail_group, b.tail_group, b.tail_endo
+    n, m = src.generators, tgt.generators
+    power = a.tail_endo.matrix ** g
+    other = "against (%s, B = %r) at gap %d" % (
+        tgt.describe(), [list(r) for r in bond.matrix.data], g)
 
     def extends(f):
-        return chain_extends((hom_make(src, tgt, f),), bond, power)
+        return _is_hom(src, tgt, f) and chain_extends((hom_make(src, tgt, f),), bond, power)
 
-    lattice = chain_lattice(power, B)
-    if not all(map(extends, lattice)):
-        _fail(report, tower, "a chain lattice basis map does not extend %s" % other)
+    basis = chain_basis(src, tgt, power, bond.matrix)
+    if not all(map(extends, basis)):
+        _fail(report, a, "a chain basis map does not extend %s" % other)
         return
-    span = IntMatrix.from_columns(n * m, [_flat(f) for f in lattice])
-    window = _window_lattice(power, B, n * m)
-    box = [tuple(int(i == j) for j in range(len(window))) for i in range(len(window))]
-    box += [tuple(rng.rand_range(-2, 2) for _ in window) for _ in range(_BOX_SAMPLES)]
-    for coeffs in box:
-        f = IntMatrix.zero(m, n)
-        for c, w in zip(coeffs, window):
-            f = f + w * c
+    rel = tgt.relations
+    span = IntMatrix.from_columns(n * m, [_flat(f) for f in basis] + [
+        [rel.data[r][k] * (cc == c) for r in range(m) for cc in range(n)]
+        for k in range(rel.cols) for c in range(n)])
+    if torsion:
+        box = [IntMatrix(m, n, [[int((r, c) == (i, j)) for c in range(n)] for r in range(m)])
+               for i in range(m) for j in range(n)]
+        box += [IntMatrix(m, n, [[rng.below(2) and rng.rand_range(-3, 3) for _ in range(n)]
+                                 for _ in range(m)]) for _ in range(_BOX_SAMPLES)]
+    else:
+        window = _window_lattice(power, bond.matrix, n * m)
+        box = list(window)
+        for _ in range(_BOX_SAMPLES):
+            f = IntMatrix.zero(m, n)
+            for w in window:
+                f = f + w * rng.rand_range(-2, 2)
+            box.append(f)
+    for f in box:
         if extends(f) and not lattice_contains(span, _flat(f)):
-            _fail(report, tower, "the extending map %r is not in the chain lattice %s"
+            _fail(report, a, "the extending map %r is not in the chain basis span %s"
                   % ([list(r) for r in f.data], other))
             return
     report.passed += 1
+
+
+def _gen_torsion_tail(rng, config, bound):
+    """A random tail on Z/d or Z/d (+) Z."""
+    diag = (rng.rand_range(2, max(2, config.entry_bound + 2)),) + (0,) * rng.below(2)
+    group, _ = _diag_group_from(diag)
+    return PeriodicTower((), (), group, gen_endo(rng, group, diag, bound), None)
+
+
+def _is_hom(source, target, matrix):
+    try:
+        hom_make(source, target, matrix)
+    except IllDefined:
+        return False
+    return True
 
 
 _BOX_SAMPLES = 12
@@ -488,16 +525,6 @@ def _window_lattice(power, bond, window):
 
 def _flat(f):
     return [x for row in f.data for x in row]
-
-
-def _diag_of(group):
-    diag = [0] * group.generators
-    rel = group.relations
-    for j in range(rel.cols):
-        col = rel.column(j)
-        nz = [i for i, x in enumerate(col) if x]
-        diag[nz[0]] = col[nz[0]]
-    return tuple(diag)
 
 
 def _fail(report, tower, message):

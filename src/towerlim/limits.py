@@ -981,8 +981,8 @@ def six_term(ses):
     lim_t = StructuredGroup.fg(dt.group)
     lim_q = StructuredGroup.fg(dq.group)
 
-    inj = ses.inject_at(max(0, sub.prefix_len))
-    sur = ses.surject_at(max(0, sub.prefix_len))
+    inj = ses.inject_at(0)
+    sur = ses.surject_at(0)
     lim_j = _lim_subgroup_hom(ds, dt, inj)
     lim_f = _lim_subgroup_hom(dt, dq, sur)
 

@@ -11,10 +11,11 @@ each composite g_j o f_(gb*j + c2) obeys the same recurrence as the bond
 power A^((ga*gb - 1) j + ga*c2 + c1) it must equal, so level 0 decides
 every level.  A certificate is therefore a pair of level-0 maps whose
 chains extend to every level and whose two level-0 composites are the
-right bond powers.  For free tails the level-0 maps whose chains extend
-form the exact chain lattice of `chain_lattice`; for tails with torsion
-they come from a window of commutation squares, and the extension check
-of `chain_extends` keeps only those whose chains never stop.
+right bond powers.  The level-0 maps whose chains extend form an exact
+lattice (`chain_basis`): every map of the torsion into the target's
+torsion, plus the chain lattice `chain_lattice` of the free blocks, since
+B is bijective on the finite torsion and so only the free block can stop
+a chain.
 
 A verdict of Isomorphic always carries such a certificate; matching limit
 invariants without a connecting map are deliberately reported Undecided,
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice, product
+from math import gcd
 from operator import mul
 
 from .exactlat import (
@@ -32,6 +34,7 @@ from .exactlat import (
     IllDefined,
     IntMatrix,
     charpoly,
+    diagonal_orders,
     hom_make,
     kernel as lattice_kernel,
     lattice_canon,
@@ -40,7 +43,7 @@ from .exactlat import (
 )
 from .limits import derived_limit, factor_monic, limit, poly_mul, poly_of_matrix
 from .structured import compare_structured, corank_difference, prime_factors
-from .towers import PeriodicTower, TowerError, reduce_to_images, shift
+from .towers import PeriodicTower, TowerError, reduce_to_images, shift, solve_next_map
 
 
 @dataclass(frozen=True)
@@ -143,20 +146,13 @@ def chain_lattice(power, bond):
             for v in map(tuple, zip(*lattice.data))]
 
 
-def _next_map(f, bond, power, relations):
-    """The matrix X with bond X = f power modulo the target `relations`, or
-    None.  With an injective bond X is unique as a map."""
-    X = solve_columns(bond.hstack(relations), f * power)
-    return None if X is None else X.submatrix(range(bond.cols), range(X.cols))
-
-
 def chain_extends(maps, bond, power):
     """Whether the chain maps[0], maps[1], ... of homomorphisms with
     bond o f_(i+1) = f_i o power extends to every level.
 
     `bond` is the injective tail map of the target, so the squares fix
-    each next map (`_next_map`).  The chain extends iff some f_d is an
-    integer combination sum a_i f_i of f_0 ... f_(d-1) as maps: then
+    each next map (`solve_next_map`).  The chain extends iff some f_d is
+    an integer combination sum a_i f_i of f_0 ... f_(d-1) as maps: then
     f_(k+d) = sum a_i f_(k+i) continues it forever, and conversely the
     spans of f_0 ... f_k rise in the finitely generated Hom group, so they
     stop rising.  The loop ends either way, since a chain that stops
@@ -174,7 +170,7 @@ def chain_extends(maps, bond, power):
     chain = [f.matrix for f in maps]
     for i in count():
         if i == len(chain):
-            nxt = _next_map(chain[-1], bond.matrix, power, rel)
+            nxt = solve_next_map(chain[-1], bond.matrix, power, rel)
             if nxt is None:
                 return False
             chain.append(nxt)
@@ -184,83 +180,55 @@ def chain_extends(maps, bond, power):
         span.append(v)
 
 
-def _chain_space(bond_tgt, bond_src_power, rel_src, rel_tgt, window):
-    """Integer basis of commuting map chains f_0..f_window with
-    bond_tgt * f_{i+1} = f_i * bond_src_power, modulo target relations,
-    all f_i well defined on the source relations.
+def chain_basis(source, target, power, bond):
+    """Basis of the level-0 maps f_0 whose chains B f_(i+1) = f_i P
+    extend to every level, between tail groups presented on
+    invariant-factor coordinates (as `reduce_to_images` leaves them): P is
+    a power of the source map, B the injective target map.  The maps are
+    matrices modulo the target relations.
 
-    Returns (basis chains, each a list of matrices).
+    A map sends torsion to torsion, so P, B and every f_i are block
+    triangular with a zero block from the torsion coordinates into the
+    free ones.  B is injective, hence bijective on the finite torsion F of
+    the target, so f_i P lies in the image of B iff its free block does:
+    the chain extends iff its free block f_ff has a free chain, that is,
+    lies in the `chain_lattice` of the free blocks, while the torsion rows
+    are free to take any homomorphism into F.  The basis is the free
+    lattice embedded, then for each torsion row r (order d_r) and each
+    column c the unit e_rc, times d_r / gcd(d_r, d_c) when c is a torsion
+    coordinate of order d_c.  Between free tails it is `chain_lattice`.
     """
-    n_t = bond_tgt.rows
-    n_s = bond_src_power.cols
-    per = n_t * n_s
-    f_vars = per * (window + 1)
-    lam_vars = rel_tgt.cols * n_s * window
-    mu_vars = rel_tgt.cols * rel_src.cols * (window + 1)
-    total = f_vars + lam_vars + mu_vars
-    rows = []
+    m, n = target.generators, source.generators
+    rows, cols = diagonal_orders(target), diagonal_orders(source)
+    free_r = [r for r in range(m) if not rows[r]]
+    free_c = [c for c in range(n) if not cols[c]]
 
-    def frow():
-        return [0] * total
+    def matrix(entries):
+        data = [[0] * n for _ in range(m)]
+        for r, c, x in entries:
+            data[r][c] = x
+        return IntMatrix._new(m, n, tuple(map(tuple, data)))
 
-    def index(i, r, c):
-        return i * per + r * n_s + c
-
-    # chain squares: bond_tgt f_{i+1} - f_i P - R_t Lam_i = 0
-    for i in range(window):
-        for r in range(n_t):
-            for c in range(n_s):
-                row = frow()
-                for k in range(n_t):
-                    row[index(i + 1, k, c)] += bond_tgt.data[r][k]
-                for k in range(n_s):
-                    row[index(i, r, k)] -= bond_src_power.data[k][c]
-                for k in range(rel_tgt.cols):
-                    idx = f_vars + i * (rel_tgt.cols * n_s) + k * n_s + c
-                    row[idx] -= rel_tgt.data[r][k]
-                rows.append(row)
-    # well-definedness: f_i R_s - R_t Mu_i = 0
-    for i in range(window + 1):
-        for r in range(n_t):
-            for c in range(rel_src.cols):
-                row = frow()
-                for k in range(n_s):
-                    row[index(i, r, k)] += rel_src.data[k][c]
-                for k in range(rel_tgt.cols):
-                    idx = (f_vars + lam_vars
-                           + i * (rel_tgt.cols * rel_src.cols) + k * rel_src.cols + c)
-                    row[idx] -= rel_tgt.data[r][k]
-                rows.append(row)
-    if not rows:
-        sys = IntMatrix.zero(1, total)
-    else:
-        sys = IntMatrix.from_rows(rows)
-    K = lattice_kernel(sys)
-    chains = []
-    for j in range(K.cols):
-        v = K.column(j)
-        mats = []
-        for i in range(window + 1):
-            m = [[v[index(i, r, c)] for c in range(n_s)] for r in range(n_t)]
-            mats.append(IntMatrix(n_t, n_s, m))
-        chains.append(mats)
-    return chains
+    basis = [matrix((r, c, f.data[i][j]) for i, r in enumerate(free_r)
+                    for j, c in enumerate(free_c))
+             for f in chain_lattice(power.submatrix(free_c, free_c),
+                                    bond.submatrix(free_r, free_r))]
+    for r in range(m):
+        if rows[r]:
+            basis += [matrix([(r, c, rows[r] // gcd(rows[r], cols[c]))]) for c in range(n)]
+    return basis
 
 
 def _chain_basis(S, T, power, depth):
-    """Basis chains f_0..f_depth from tail S to tail T at the gap of
-    `power`, a power of S's map.  Between free tails they are the chains
-    of the `chain_lattice` basis, which extend to every level.  With
-    torsion they span the window space of `_chain_space`, and a
-    certificate built from them must pass `chain_extends`."""
-    TS, TT, bond = S.tail_group, T.tail_group, T.tail_endo.matrix
-    if TS.relations.cols or TT.relations.cols:
-        return _chain_space(bond, power, TS.relations, TT.relations, depth)
+    """Levels 0..depth of the chains of the `chain_basis` maps from tail S
+    to tail T at the gap of `power`, a power of S's map; each extends to
+    every level."""
+    bond, rel = T.tail_endo.matrix, T.tail_group.relations
     chains = []
-    for f in chain_lattice(power, bond):
+    for f in chain_basis(S.tail_group, T.tail_group, power, bond):
         chain = [f]
         for _ in range(depth):
-            chain.append(_next_map(chain[-1], bond, power, TT.relations))
+            chain.append(solve_next_map(chain[-1], bond, power, rel))
         chains.append(chain)
     return chains
 

@@ -303,7 +303,7 @@ def _resolve_ses(doc, entries, name, header):
     quot = _ref(doc.towers, _need(entries, "quot", "ses", name, header)[0])
     inject = _ref(doc.maps, _need(entries, "inject", "ses", name, header)[0])
     surject = _ref(doc.maps, _need(entries, "surject", "ses", name, header)[0])
-    return tower_ses(sub, total, quot, [], [], inject, surject)
+    return tower_ses(sub, total, quot, inject, surject)
 
 
 # ---------------------------------------------------------------------------

@@ -440,34 +440,45 @@ def reduce_to_images(t):
 
 @dataclass(frozen=True)
 class TowerSES:
-    """A verified levelwise short exact sequence of towers.
+    """A verified levelwise short exact sequence of pure periodic towers.
 
-    The tail maps are stored as chains starting at the first tail level;
-    deeper levels repeat the commutation-square solving that produced the
-    chains.  verified_to records the deepest level checked exhaustively.
+    inject_chain[i] and surject_chain[i] are the maps at level i, solved
+    from the level-0 templates through the commutation squares; verified_to
+    records the deepest level checked exhaustively.  A constant chain (the
+    templates commute with the tail maps) holds at every level, and so does
+    the closed form A^i, id of the canonical completion sequence; a
+    propagated chain is known only on its stored levels.
     """
 
     sub: object
     total: object
     quot: object
-    inject_prefix: tuple
-    surject_prefix: tuple
     inject_chain: tuple
     surject_chain: tuple
     verified_to: int
     canonical_completion: bool = False
+    constant: bool = False
 
     def inject_at(self, i):
-        plen = self.sub.prefix_len if isinstance(self.sub, PeriodicTower) else 0
-        if i < plen:
-            return self.inject_prefix[i]
-        return self.inject_chain[min(i - plen, len(self.inject_chain) - 1)]
+        if self.canonical_completion:
+            return Homomorphism(self.sub.tail_group, self.total.tail_group,
+                                self.sub.tail_endo.matrix ** i)
+        return self._level(self.inject_chain, i)
 
     def surject_at(self, i):
-        plen = self.sub.prefix_len if isinstance(self.sub, PeriodicTower) else 0
-        if i < plen:
-            return self.surject_prefix[i]
-        return self.surject_chain[min(i - plen, len(self.surject_chain) - 1)]
+        if self.canonical_completion:
+            group = self.total.tail_group
+            return Homomorphism(group, self.quot.group_at(i),
+                                IntMatrix.identity(group.generators))
+        return self._level(self.surject_chain, i)
+
+    def _level(self, chain, i):
+        if self.constant:
+            return chain[0]
+        if i >= len(chain):
+            raise TowerError("level %d is past the %d stored levels of the sequence"
+                             % (i, len(chain)))
+        return chain[i]
 
 
 def _exact_at(inj, sur, level):
@@ -493,51 +504,39 @@ def _square_commutes(upper, lower, left_bond, right_bond, level, what):
         raise NotExact(level, "%s square does not commute" % what)
 
 
-def _solve_next_map(bond_tgt, bond_src, current):
-    """Solve bond_tgt o next = current o bond_src for `next`, over Z.
+def solve_next_map(f, bond, power, relations):
+    """The matrix X with bond X = f power modulo the target `relations`,
+    or None when no integral X exists.  With an injective bond X is unique
+    as a map."""
+    X = solve_columns(bond.hstack(relations), f * power)
+    return None if X is None else X.submatrix(range(bond.cols), range(X.cols))
 
-    Returns None when no integral solution exists.
-    """
-    rhs = current.matrix * bond_src.matrix
-    B = bond_tgt.matrix
-    X = solve_columns(B.hstack(bond_tgt.target.relations), rhs)
-    if X is None:
+
+def _next_hom(bond_tgt, bond_src, current):
+    """The homomorphism `next` with bond_tgt o next = current o bond_src,
+    or None."""
+    N = solve_next_map(current.matrix, bond_tgt.matrix, bond_src.matrix,
+                       bond_tgt.target.relations)
+    if N is None:
         return None
-    N = X.submatrix(range(B.cols), range(X.cols))
     try:
         return hom_make(bond_src.source, bond_tgt.source, N)
     except IllDefined:
         return None
 
 
-def tower_ses(sub, total, quot, inject_prefix, surject_prefix,
-              inject_tail, surject_tail):
-    """Validated short exact sequence of eventually periodic towers.
+def tower_ses(sub, total, quot, inject_tail, surject_tail):
+    """Validated short exact sequence of pure periodic towers.
 
-    Prefix maps are checked exhaustively.  On the tail, the supplied
-    template maps (at the first tail level) are propagated upward by
-    solving the commutation squares, and exactness is checked level by
-    level through a stabilization window.  Raises NotExact on the first
-    failure.
+    The template maps at level 0 are propagated upward by solving the
+    commutation squares, and exactness is checked level by level through
+    a stabilization window.  Raises NotExact on the first failure.
     """
     for t in (sub, total, quot):
         if not isinstance(t, PeriodicTower):
             raise TowerError("tower_ses needs eventually periodic towers")
-    plens = {sub.prefix_len, total.prefix_len, quot.prefix_len}
-    if len(plens) != 1:
-        raise TowerError("towers must share one prefix length")
-    plen = plens.pop()
-    if len(inject_prefix) != plen or len(surject_prefix) != plen:
-        raise TowerError("need one inject/surject per prefix level")
-
-    for i in range(plen):
-        _exact_at(inject_prefix[i], surject_prefix[i], i)
-        upper_inj = inject_prefix[i + 1] if i + 1 < plen else inject_tail
-        upper_sur = surject_prefix[i + 1] if i + 1 < plen else surject_tail
-        _square_commutes(upper_inj, inject_prefix[i],
-                         total.bond_at(i), sub.bond_at(i), i, "inclusion")
-        _square_commutes(upper_sur, surject_prefix[i],
-                         quot.bond_at(i), total.bond_at(i), i, "projection")
+        if not t.is_pure_periodic():
+            raise TowerError("tower_ses needs towers without a prefix")
 
     window = max(t.tail_group.rank + len(t.tail_group.torsion)
                  for t in (sub, total, quot)) + 2
@@ -548,22 +547,18 @@ def tower_ses(sub, total, quot, inject_prefix, surject_prefix,
     const_sur = quot.tail_endo.compose(surject_tail).equals(
         surject_tail.compose(total.tail_endo))
     if const_inj and const_sur:
-        _exact_at(inject_tail, surject_tail, plen)
-        chain = tuple([inject_tail] * (window + 2))
-        surs = tuple([surject_tail] * (window + 2))
-        return TowerSES(sub, total, quot, tuple(inject_prefix),
-                        tuple(surject_prefix), chain, surs,
-                        verified_to=plen + window)
+        _exact_at(inject_tail, surject_tail, 0)
+        return TowerSES(sub, total, quot, (inject_tail,), (surject_tail,),
+                        verified_to=window, constant=True)
 
     inj, sur = inject_tail, surject_tail
     inj_chain, sur_chain = [inj], [sur]
-    for j in range(window + 1):
-        level = plen + j
+    for level in range(window + 1):
         _exact_at(inj, sur, level)
-        nxt_inj = _solve_next_map(total.tail_endo, sub.tail_endo, inj)
+        nxt_inj = _next_hom(total.tail_endo, sub.tail_endo, inj)
         if nxt_inj is None:
             raise NotExact(level + 1, "no integral inclusion solves the commutation square")
-        nxt_sur = _solve_next_map(quot.tail_endo, total.tail_endo, sur)
+        nxt_sur = _next_hom(quot.tail_endo, total.tail_endo, sur)
         if nxt_sur is None:
             raise NotExact(level + 1, "no integral projection solves the commutation square")
         _square_commutes(nxt_inj, inj, total.tail_endo, sub.tail_endo, level, "inclusion")
@@ -572,8 +567,8 @@ def tower_ses(sub, total, quot, inject_prefix, surject_prefix,
         inj_chain.append(inj)
         sur_chain.append(sur)
 
-    return TowerSES(sub, total, quot, tuple(inject_prefix), tuple(surject_prefix),
-                    tuple(inj_chain), tuple(sur_chain), verified_to=plen + window)
+    return TowerSES(sub, total, quot, tuple(inj_chain), tuple(sur_chain),
+                    verified_to=window)
 
 
 def canonical_completion_ses(group, endo):
@@ -589,13 +584,7 @@ def canonical_completion_ses(group, endo):
     sub = PeriodicTower((), (), group, endo, None)
     total = PeriodicTower((), (), group, identity_hom(group), None)
     quot = adic_quotient_tower(group, endo)
-    inj_chain, sur_chain = [], []
+    ses = TowerSES(sub, total, quot, (), (), verified_to=3, canonical_completion=True)
     for i in range(4):
-        inj = hom_make(group, group, endo.matrix ** i)
-        sur = hom_make(group, quot.group_at(i), IntMatrix.identity(group.generators))
-        _exact_at(inj, sur, i)
-        inj_chain.append(inj)
-        sur_chain.append(sur)
-    return TowerSES(sub, total, quot, (), (),
-                    tuple(inj_chain), tuple(sur_chain),
-                    verified_to=3, canonical_completion=True)
+        _exact_at(ses.inject_at(i), ses.surject_at(i), i)
+    return ses

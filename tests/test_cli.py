@@ -158,6 +158,18 @@ class TestExitCodes:
                        "[map m]\nsource = Z2\ntarget = Z4\nmatrix = [1]\n")
         assert main(["lim", str(bad)]) == 4
 
+    def test_ses_with_a_prefix_is_4(self, tmp_path):
+        bad = tmp_path / "prefix.tower"
+        bad.write_text("[group Zg]\ngenerators = 1\n"
+                       "[group T]\ngenerators = 1\nrelations = [2]\n"
+                       "[map one]\nsource = Zg\ntarget = Zg\nmatrix = [1]\n"
+                       "[map s]\nsource = Zg\ntarget = T\nmatrix = [1]\n"
+                       "[tower p]\ntail_group = Zg\ntail_endo = one\n"
+                       "prefix_groups = T\nsplice = s\n"
+                       "[ses e]\nsub = p\ntotal = p\nquot = p\n"
+                       "inject = one\nsurject = one\n")
+        assert main(["six-term", str(bad)]) == 4
+
     def test_unresolved_is_2(self):
         assert main(["lim", fixture("compare_2_3.tower"), "--tower", "nope"]) == 2
 

@@ -602,7 +602,7 @@ class TestSixTerm:
         zero = pure_tower(free_group(0), IntMatrix.from_columns(0, []))
         inj = hom_make(Z, Z, [[1]])
         sur = hom_make(Z, zero.tail_group, IntMatrix.zero(0, 1))
-        rep = six_term(tower_ses(t, t, zero, [], [], inj, sur))
+        rep = six_term(tower_ses(t, t, zero, inj, sur))
         assert rep.lim_sub.canonical_key() == rep.lim_total.canonical_key()
         assert rep.lim_quot.is_trivial
         assert rep.lim1_sub.canonical_key() == rep.lim1_total.canonical_key()
@@ -613,7 +613,7 @@ class TestSixTerm:
         zero = pure_tower(free_group(0), IntMatrix.from_columns(0, []))
         inj = hom_make(Z2t, Z2t, [[1]])
         sur = hom_make(Z2t, zero.tail_group, IntMatrix.zero(0, 1))
-        rep = six_term(tower_ses(t, t, zero, [], [], inj, sur))
+        rep = six_term(tower_ses(t, t, zero, inj, sur))
         assert rep.lim_sub.group.smith_invariants == (0, [2])
         assert rep.lim_total.group.smith_invariants == (0, [2])
         assert all(v.is_trivial for v in
@@ -625,7 +625,7 @@ class TestSixTerm:
         quot = pure_tower(Z, [[2]])
         inj = hom_make(Z, Z2, [[1], [0]])
         sur = hom_make(Z2, Z, [[0, 1]])
-        ses = tower_ses(sub, total, quot, [], [], inj, sur)
+        ses = tower_ses(sub, total, quot, inj, sur)
         rep = six_term(ses)
         assert rep.lim_sub.group.smith_invariants == (1, [])
         assert rep.lim_total.group.smith_invariants == (1, [])

@@ -8,6 +8,7 @@ from towerlim.cli import dispatch
 from towerlim.exactlat import IntMatrix, cyclic_group, direct_sum, free_group, hom_make
 from towerlim.procat import (
     Interleaving,
+    chain_basis,
     chain_extends,
     chain_lattice,
     compare_invariants,
@@ -297,8 +298,8 @@ class TestModularRejection:
                   for i in range(12)]
         pairs += [(t, u, 1, 300) for t, u in zip(corpus, corpus[1:] + corpus[:1])]
         # torsion tails: (T, A) against (T, A^2) and against another map;
-        # chains into Z (+) Z/4 span 11 dimensions, so cap the candidates
-        # (both searches see the same capped candidate list)
+        # a cap of 60 candidates keeps every cell short (both searches see
+        # the same capped candidate list)
         full_cap = procat._CANDIDATE_CAP
         rng = random.Random(20081018)
         for T in (cyclic_group(4), cyclic_group(8), direct_sum(Z, cyclic_group(4))):
@@ -484,6 +485,54 @@ class TestCorpusCoherence:
             assert compare_invariants(t, t, depth=1).kind != "not_isomorphic"
 
 
+class TestTorsionChains:
+    """Between tails with torsion the level-0 maps whose chains extend are
+    the free chain lattice plus every map into the target's torsion."""
+
+    T = direct_sum(Z, cyclic_group(4))
+
+    def test_power_pair_certificate(self):
+        # (T, A) against (T, A^2): a certificate at gaps (2, 1), with no
+        # cell cut short by the candidate cap
+        a, b = pure_tower(self.T, [[2, 0], [0, 1]]), pure_tower(self.T, [[4, 0], [0, 1]])
+        truncated = []
+        cert = find_interleaving(a, b, 2, truncated)
+        assert truncated == []
+        assert (cert.gap_forward, cert.gap_backward) == (2, 1)
+        assert procat._verify_certificate(reduce_to_images(a), reduce_to_images(b), cert)
+
+    def test_absent_pair_is_exhaustive(self):
+        a = pure_tower(self.T, [[-3, 0], [-1, 1]])
+        b = pure_tower(self.T, [[9, 0], [2, 1]])
+        truncated = []
+        assert find_interleaving(a, b, 1, truncated) is None
+        assert truncated == []
+
+    def test_basis_of_reduced_torsion_tails(self):
+        # reduced Z (+) Z/4 has the torsion coordinate first: relations
+        # ((4,), (0,)); from Z/2 (+) Z the torsion row takes 2 e_00 and e_01
+        A = reduce_to_images(pure_tower(self.T, [[2, 0], [0, 1]]))
+        S = direct_sum(cyclic_group(2), Z)
+        basis = chain_basis(S, A.tail_group, IntMatrix.from_rows([[1, 0], [0, 4]]),
+                            A.tail_endo.matrix)
+        assert basis == [IntMatrix.from_rows(m) for m in (
+            [[0, 0], [0, 1]], [[2, 0], [0, 0]], [[0, 1], [0, 0]])]
+
+    def test_free_tails_have_the_chain_lattice(self):
+        for src, tgt in (([[0, 2], [1, 0]], [[2, 0], [0, 2]]),
+                         ([[-2, -1], [0, 3]], [[3, -2], [0, 2]]),
+                         ([[2]], [[4]]), ([[3]], [[2, 0], [0, 5]])):
+            a = pure_tower(free_group(len(src)), src)
+            b = pure_tower(free_group(len(tgt)), tgt)
+            for g in (1, 2):
+                power, bond = a.tail_endo.matrix ** g, b.tail_endo.matrix
+                lattice = chain_lattice(power, bond)
+                chains = procat._chain_basis(a, b, power, 3)
+                assert [chain[0] for chain in chains] == lattice
+                for chain in chains:
+                    assert all(bond * chain[i + 1] == chain[i] * power for i in range(3))
+
+
 class TestSoundCertificates:
     """Every certificate's chains extend to every level."""
 
@@ -499,8 +548,8 @@ class TestSoundCertificates:
         assert find_interleaving(a, b, depth=2) is None
 
     def test_chain_lattice_dimensions(self):
-        # dim Lambda_g at g = 1, 2 for three pairs; the window chain spaces
-        # of those gaps have dimension 4, 1 and 4
+        # dim Lambda_g at g = 1, 2 for three pairs, inside Hom of dimension
+        # 4, 1 and 4
         Z2 = free_group(2)
         cases = (([[-1, 3], [0, 2]], [[2, -1], [-2, -3]], (0, 0)),
                  ([[2]], [[4]], (0, 1)),

@@ -194,7 +194,7 @@ class TestTowerSES:
         zero = pure_tower(free_group(0), IntMatrix.from_columns(0, []))
         inj = hom_make(Z, Z, [[1]])
         sur = hom_make(Z, zero.tail_group, IntMatrix.zero(0, 1))
-        ses = tower_ses(t, t, zero, [], [], inj, sur)
+        ses = tower_ses(t, t, zero, inj, sur)
         assert ses.verified_to >= 3
 
     def test_direct_sum_ses(self):
@@ -204,8 +204,10 @@ class TestTowerSES:
         quot = pure_tower(Z, [[3]])
         inj = hom_make(Z, ZxZ, [[1], [0]])
         sur = hom_make(ZxZ, Z, [[0, 1]])
-        ses = tower_ses(sub, total, quot, [], [], inj, sur)
+        ses = tower_ses(sub, total, quot, inj, sur)
         assert ses.inject_at(5).matrix.column(0)[0] == 1
+        # the templates commute with the tail maps, so they hold at every level
+        assert ses.inject_at(40) == inj and ses.surject_at(40) == sur
 
     def test_not_exact_squares(self):
         a = pure_tower(Z, [[1]])
@@ -214,7 +216,7 @@ class TestTowerSES:
         inj = hom_make(Z, Z, [[1]])
         sur = hom_make(Z, zero.tail_group, IntMatrix.zero(0, 1))
         with pytest.raises(NotExact):
-            tower_ses(a, b, zero, [], [], inj, sur)
+            tower_ses(a, b, zero, inj, sur)
 
     def test_canonical_completion_ses(self):
         ses = canonical_completion_ses(Z, mult(Z, 2))
@@ -223,6 +225,41 @@ class TestTowerSES:
         # inclusion at level i is multiplication by 2^i
         assert ses.inject_at(3).matrix.data == ((8,),)
 
+    def test_levels_past_the_stored_chain(self):
+        # the canonical sequence is A^i, id at every level, past the four
+        # levels it checks
+        ses = canonical_completion_ses(Z, mult(Z, 2))
+        for i in (4, 5, 6):
+            assert ses.inject_at(i).matrix.data == ((2 ** i,),)
+            sur = ses.surject_at(i)
+            assert sur.target == ses.quot.group_at(i)
+            assert sur.target.smith_invariants == (0, [2 ** i])
+        # a propagated chain that is not constant: the inclusion at level i
+        # is (-i, 1) and the projection (1, i); past the stored levels it
+        # raises instead of repeating the last map
+        ZxZ = free_group(2)
+        one = pure_tower(Z, [[1]])
+        total = pure_tower(ZxZ, [[1, 1], [0, 1]])
+        ses = tower_ses(one, total, one, hom_make(Z, ZxZ, [[0], [1]]),
+                        hom_make(ZxZ, Z, [[1, 0]]))
+        stored = len(ses.inject_chain)
+        assert stored >= 4
+        for i in range(stored):
+            assert ses.inject_at(i).matrix.data == ((-i,), (1,))
+            assert ses.surject_at(i).matrix.data == ((1, i),)
+        for i in range(stored, stored + 3):
+            with pytest.raises(TowerError, match="past the %d stored levels" % stored):
+                ses.inject_at(i)
+            with pytest.raises(TowerError, match="past the %d stored levels" % stored):
+                ses.surject_at(i)
+
+    def test_prefix_is_rejected(self):
+        Z2 = cyclic_group(2)
+        t = periodic_tower([Z2], [], Z, mult(Z, 1), splice=hom_make(Z, Z2, [[1]]))
+        one = identity_hom(Z)
+        with pytest.raises(TowerError, match="without a prefix"):
+            tower_ses(t, t, t, one, one)
+
     def test_rank_additivity(self):
         ZxZ = free_group(2)
         sub = pure_tower(Z, [[2]])
@@ -230,7 +267,7 @@ class TestTowerSES:
         quot = pure_tower(Z, [[3]])
         inj = hom_make(Z, ZxZ, [[1], [0]])
         sur = hom_make(ZxZ, Z, [[0, 1]])
-        ses = tower_ses(sub, total, quot, [], [], inj, sur)
+        ses = tower_ses(sub, total, quot, inj, sur)
         for i in range(4):
             assert (ses.total.group_at(i).rank
                     == ses.sub.group_at(i).rank + ses.quot.group_at(i).rank)
