@@ -233,11 +233,12 @@ def _transposed(rows, width):
     return tuple(zip(*rows)) if rows else ((),) * width
 
 
-def _row_hnf(a, n, transform=True):
+def _row_hnf(a, n, transform=True, reduce=True):
     """Row Hermite form R = W*A of the rows `a` (n-long lists, reused).
 
     Returns (R, W) as lists of row lists, with W unimodular; W is None
-    when transform is false.
+    when transform is false.  Without reduce the entries above each pivot
+    are left as they are, so R is only a row echelon form.
     """
     m = len(a)
     w = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
@@ -277,27 +278,30 @@ def _row_hnf(a, n, transform=True):
         a[pivot_row] = ap
         if transform:
             w[pivot_row] = wp
-        p = ap[col]
-        # reduce the entries above the pivot into [0, p)
-        for i in range(pivot_row):
-            q = a[i][col] // p
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], ap)]
-                if transform:
-                    w[i] = [x - q * y for x, y in zip(w[i], wp)]
+        if reduce:
+            # reduce the entries above the pivot into [0, p)
+            p = ap[col]
+            for i in range(pivot_row):
+                q = a[i][col] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], ap)]
+                    if transform:
+                        w[i] = [x - q * y for x, y in zip(w[i], wp)]
         pivot_row += 1
         if pivot_row == m:
             break
     return a, w
 
 
-def _column_hnf(mat, transform=True):
+def _column_hnf(mat, transform=True, reduce=True):
     """Column Hermite form of mat, read by columns: (H columns, U columns).
 
     The row algorithm runs on the columns of mat as rows, so no matrix
-    is transposed; U is None when transform is false.
+    is transposed; U is None when transform is false, and H is only an
+    echelon form when reduce is false.
     """
-    return _row_hnf([list(c) for c in _transposed(mat.data, mat.cols)], mat.rows, transform)
+    return _row_hnf([list(c) for c in _transposed(mat.data, mat.cols)], mat.rows,
+                    transform, reduce)
 
 
 def hnf(mat):
@@ -453,8 +457,16 @@ def kernel(mat):
     """Basis of the integer kernel of mat, as a matrix of columns.
 
     The basis spans a saturated sublattice (a direct summand of Z^cols).
+
+    It is read off an echelon form: the columns of U whose column of
+    H = mat * U is zero, where H is the column Hermite form without its
+    reduction above the pivots.  That reduction changes only finished
+    pivot columns, by multiples of the pivot column just found, and the
+    elimination never reads a finished pivot column again.  So the zero
+    columns of H and their columns of U are the same with or without it,
+    and the basis is the one the full Hermite form gives.
     """
-    hcols, ucols = _column_hnf(mat)
+    hcols, ucols = _column_hnf(mat, reduce=False)
     basis = [uc for hc, uc in zip(hcols, ucols) if not any(hc)]
     return IntMatrix._new(mat.cols, len(basis), _transposed(basis, mat.cols))
 

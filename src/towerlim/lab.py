@@ -434,14 +434,15 @@ def _suite_prohom(rng, config, report):
 
     Half the draws are free tails (A of rank n, B of rank m with
     det B != 0, ranks <= 3), whose box samples the window-(nm) lattice
-    (`_window_lattice`).  The others are reduced tails (`reduce_to_images`)
-    of Z/d or Z/d (+) Z on each side, whose box holds the small integer
-    matrices that `hom_make` accepts.  The gap is g <= 2."""
+    (`_window_lattice`).  The others are nontrivial reduced tails
+    (`reduce_to_images`) of Z/d or Z/d (+) Z on each side, whose box holds
+    the small integer matrices that `hom_make` accepts.  The gap is
+    g <= 2."""
     bound = min(config.entry_bound, 3)
     torsion = rng.below(2) == 0
     g = rng.rand_range(1, 2)
     if torsion:
-        a, b = (reduce_to_images(_gen_torsion_tail(rng, config, bound)) for _ in range(2))
+        a, b = (_gen_torsion_tail(rng, config, bound) for _ in range(2))
     else:
         n = rng.rand_range(1, min(3, config.max_rank))
         m = rng.rand_range(1, min(3, config.max_rank))
@@ -489,10 +490,17 @@ def _suite_prohom(rng, config, report):
 
 
 def _gen_torsion_tail(rng, config, bound):
-    """A random tail on Z/d or Z/d (+) Z."""
-    diag = (rng.rand_range(2, max(2, config.entry_bound + 2)),) + (0,) * rng.below(2)
-    group, _ = _diag_group_from(diag)
-    return PeriodicTower((), (), group, gen_endo(rng, group, diag, bound), None)
+    """The reduced tail of a random tail on Z/d or Z/d (+) Z, drawn again
+    while it is trivial: a map nilpotent on the group reduces to 0, and
+    maps into or out of 0 check nothing.  Like the free draws, this needs
+    a bound of at least 1."""
+    while True:
+        diag = (rng.rand_range(2, max(2, config.entry_bound + 2)),) + (0,) * rng.below(2)
+        group, _ = _diag_group_from(diag)
+        red = reduce_to_images(
+            PeriodicTower((), (), group, gen_endo(rng, group, diag, bound), None))
+        if not red.tail_group.is_trivial():
+            return red
 
 
 def _is_hom(source, target, matrix):

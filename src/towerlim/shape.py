@@ -22,11 +22,12 @@ from .limits import derived_limit, limit
 from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
+    barycentric_subdivision,
+    cylinder_cells,
     homology_data,
     identity_map,
     induced_cohom,
     induced_hom,
-    mapping_cylinder,
     subdivide_map,
 )
 from .structured import StructuredGroup
@@ -417,43 +418,46 @@ class Telescope:
 def telescope(st, m):
     """The finite mapping telescope of levels 0..m, as one complex.
 
-    Built from simplicial mapping cylinders; the bonding map entering
-    level i is subdivided i times so consecutive cylinders share a copy
-    of the same complex.  The telescope deformation retracts onto level 0,
-    which the homology tests witness.
+    Level i enters as sd^i of its complex, so the cylinder of the bond
+    sd^i(K_(i+1)) -> sd^i(K_i) has the current top copy as its bottom and
+    a fresh copy of sd^(i+1)(K_(i+1)) as its top.  The chain sd^0 ... sd^i
+    of the top level is kept from the round that built it, and the bond is
+    subdivided through it one level at a time; each round then emits its
+    cylinder cells straight in telescope vertex ids (the barycenters of
+    the new level, then the top copy), and T is closed once.  The
+    composite retraction onto level 0 is validated as a simplicial map of
+    T, which the homology tests then witness as a deformation retraction.
     """
     if m < 0:
         raise ShapeError("telescope needs m >= 0")
     P0 = st.complex_at(0)
-    simplices = set(P0.simplices)
-    total_vertices = P0.vertex_count
-    level_ids = [tuple(range(P0.vertex_count))]
+    chain = [(P0, None)]                       # sd^0 ... sd^i of the top level
+    top_embed = tuple(range(P0.vertex_count))  # ids of the current top copy
+    level_ids = [top_embed]
     level_complexes = [P0]
-    top_embed = list(range(P0.vertex_count))   # ids of the current top copy
-    top_complex = P0
-    to_base = list(range(P0.vertex_count))     # composite retraction, id-chased
+    to_base = list(top_embed)                  # composite retraction, id-chased
+    cells = list(P0.simplices)
     for i in range(m):
         bond = st.bond_at(i)
-        for _ in range(i):
-            # the vertex labels of sd(K) are the simplices of K in sorted order
-            bond = subdivide_map(bond, sorted(bond.source.simplices),
-                                 sorted(bond.target.simplices))
-        if bond.target.simplices != top_complex.simplices:
+        if bond.target.simplices != chain[0][0].simplices:
             raise ShapeError("telescope gluing mismatch at level %d" % i)
-        cyl = mapping_cylinder(bond)
-        nb = cyl.source_subdivision.vertex_count
-        fresh = list(range(total_vertices, total_vertices + nb))
-        total_vertices += nb
-        relabel = fresh + top_embed
-        for s in cyl.complex.simplices:
-            simplices.add(tuple(sorted(relabel[v] for v in s)))
-        for j in range(nb):
-            # the cylinder retraction sends barycenter j into the target copy
-            tgt_vertex = cyl.retraction.vertex_map[j]
-            to_base.append(to_base[top_embed[tgt_vertex]])
-        top_embed = fresh
-        top_complex = cyl.source_subdivision
-        level_ids.append(tuple(fresh))
-        level_complexes.append(top_complex)
-    T = SimplicialComplex(total_vertices, frozenset(simplices))
-    return Telescope(T, tuple(level_ids), tuple(level_complexes), tuple(to_base))
+        sources = [(bond.source, None)]
+        for k in range(1, i + 1):
+            sources.append(barycentric_subdivision(sources[k - 1][0]))
+            bond = subdivide_map(bond, sources[k], chain[k])
+        top, labels = barycentric_subdivision(bond.source)
+        sources.append((top, labels))
+        fresh = range(len(to_base), len(to_base) + len(labels))
+        cells += cylinder_cells(bond, dict(zip(labels, fresh)), top_embed)
+        vm = bond.vertex_map
+        # the cylinder retraction sends a barycenter to the image of its
+        # simplex's first vertex in the top copy
+        to_base += [to_base[top_embed[vm[s[0]]]] for s in labels]
+        chain = sources
+        top_embed = tuple(fresh)
+        level_ids.append(top_embed)
+        level_complexes.append(top)
+    T = SimplicialComplex.from_maximal(len(to_base), cells)
+    tel = Telescope(T, tuple(level_ids), tuple(level_complexes), tuple(to_base))
+    tel.retraction_to_base()           # validates the composite retraction once
+    return tel

@@ -17,7 +17,10 @@ from the maximal simplices: sd(K) is closed from the full flags
 vertex < ... < maximal simplex, and the cylinder of f from the
 codimension-1 descents below each maximal simplex, each capped by the
 image of its last simplex.  Every other simplex is a face of one of
-these, so the cost is linear in the size of the result.
+these, so the cost is linear in the size of the result.  The descents
+come from one generator, cylinder_cells, which takes the vertex ids to
+emit, so a mapping telescope writes each cylinder's cells in its own
+ids; subdivide_map maps between subdivisions its caller already holds.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class SimplicialComplex:
         """Close the given simplices under faces."""
         closed = set()
         for s in maximal:
-            s = tuple(sorted(set(s)))
+            s = tuple(sorted(s))
             if len(set(s)) != len(s) or (s and (s[0] < 0 or s[-1] >= vertex_count)):
                 raise SimplicialError("bad simplex %r" % (s,))
             for k in range(1, len(s) + 1):
@@ -413,16 +416,43 @@ def barycentric_subdivision(K):
     return sd, simplices
 
 
-def subdivide_map(f, src_labels, tgt_labels):
-    """sd(f): barycenters map to barycenters of image simplices."""
+def subdivide_map(f, source_sd, target_sd):
+    """sd(f): barycenters map to barycenters of image simplices.
+
+    source_sd and target_sd are the pairs (sd(K), labels) that
+    barycentric_subdivision gives for the source and the target of f, so
+    a chain of subdivisions is built once and mapped between level by
+    level.
+    """
+    (sd_src, src_labels), (sd_tgt, tgt_labels) = source_sd, target_sd
     tgt_index = {s: i for i, s in enumerate(tgt_labels)}
-    vm = []
-    for s in src_labels:
-        img = tuple(sorted(set(f.vertex_map[v] for v in s)))
-        vm.append(tgt_index[img])
-    sd_src, _ = barycentric_subdivision(f.source)
-    sd_tgt, _ = barycentric_subdivision(f.target)
-    return SimplicialMap(sd_src, sd_tgt, tuple(vm))
+    vm = f.vertex_map
+    return SimplicialMap(sd_src, sd_tgt, tuple(
+        tgt_index[tuple(sorted({vm[v] for v in s}))] for s in src_labels))
+
+
+def cylinder_cells(f, bary, target_ids):
+    """The cells of the mapping cylinder of f that lie over its source.
+
+    For each descending chain s_1 > ... > s_k of simplices of the source
+    K, the barycenters of the chain joined to any face of f(s_k) form a
+    simplex of the cylinder.  Each is a face of one where the chain
+    descends by codimension-1 steps from a maximal simplex of K and is
+    capped by all of f(s_k), so only those are returned: bary gives the
+    vertex id of the barycenter of each simplex of K, and target_ids the
+    id of each vertex of the target.  A vertex that f hits more than once
+    on one simplex is emitted once, so no cell repeats a vertex.
+    """
+    vm = f.vertex_map
+    cells = []
+    def descend(chain, last):
+        cells.append(chain + list({target_ids[vm[v]] for v in last}))
+        if len(last) > 1:
+            for face in _facets(last):
+                descend(chain + [bary[face]], face)
+    for top in _maximal_simplices(f.source):
+        descend([bary[top]], top)
+    return cells
 
 
 @dataclass(frozen=True)
@@ -442,35 +472,21 @@ class MappingCylinder:
 
 
 def mapping_cylinder(f):
-    """The cylinder of f as a MappingCylinder.
-
-    Its simplices are the copy of L and, for each descending chain
-    s_1 > ... > s_k of simplices of K, the barycenters of the chain joined
-    to any face of f(s_k).  Each such simplex is a face of one where the
-    chain descends by codimension-1 steps from a maximal simplex of K and
-    is capped by all of f(s_k), so only those are emitted.
-    """
+    """The cylinder of f as a MappingCylinder: the barycenters of sd(K)
+    come first, then the vertices of L, and the complex is closed from the
+    maximal simplices of L and the cells of cylinder_cells."""
     K, L = f.source, f.target
-    simplices = sorted(K.simplices)
-    bary = {s: i for i, s in enumerate(simplices)}          # barycenter vertices
-    offset = len(simplices)                                  # then L vertices
+    sdK, labels = barycentric_subdivision(K)
+    offset = len(labels)                                     # then L vertices
     n_vertices = offset + L.vertex_count
-    vm = f.vertex_map
-
     cells = [[v + offset for v in s] for s in _maximal_simplices(L)]
-    def descend(chain, last):
-        cells.append(chain + [vm[v] + offset for v in last])
-        if len(last) > 1:
-            for face in _facets(last):
-                descend(chain + [bary[face]], face)
-    for top in _maximal_simplices(K):
-        descend([bary[top]], top)
+    cells += cylinder_cells(f, {s: i for i, s in enumerate(labels)},
+                            range(offset, n_vertices))
     complex_ = SimplicialComplex.from_maximal(n_vertices, cells)
 
     tgt_inc = SimplicialMap(L, complex_, tuple(range(offset, n_vertices)))
-    sdK, labels = barycentric_subdivision(K)
-    src_inc = SimplicialMap(sdK, complex_, tuple(range(len(simplices))))
+    src_inc = SimplicialMap(sdK, complex_, tuple(range(offset)))
     retraction = SimplicialMap(
         complex_, L,
-        tuple(vm[s[0]] for s in simplices) + tuple(range(L.vertex_count)))
+        tuple(f.vertex_map[s[0]] for s in labels) + tuple(range(L.vertex_count)))
     return MappingCylinder(complex_, tgt_inc, src_inc, retraction, sdK, tuple(labels))

@@ -236,6 +236,9 @@ class TestExitCodes:
         ("[complex C]\nvertices = 2\nsimplices = [0 2]\n"
          "[smap c]\nsource = C\ntarget = C\nvertex_map = [0 1]\n"
          "[stower s]\ntail_complex = C\ntail_map = c\n", "bad simplex (0, 2)"),
+        ("[complex C]\nvertices = 2\nsimplices = [0 0 1]\n"
+         "[smap c]\nsource = C\ntarget = C\nvertex_map = [0 1]\n"
+         "[stower s]\ntail_complex = C\ntail_map = c\n", "bad simplex (0, 0, 1)"),
     ])
     def test_steenrod_rejects_an_ill_built_simplicial_section(self, tmp_path, capsys,
                                                               section, message):

@@ -30,6 +30,7 @@ from towerlim.exactlat import (
     solve_columns,
     unimodular_inverse,
 )
+from towerlim.exactlat import _column_hnf  # the reference for kernel's echelon form
 
 
 def minor_gcd_invariants(mat):
@@ -538,6 +539,31 @@ class TestKernelDifferential:
                     assert (got.rows, got.cols) == (want.rows, want.cols)
                     assert got.data == want.data
             assert solve_columns(M, solvable) is not None
+
+    def test_kernel_matches_the_fully_reduced_hermite_form(self):
+        # kernel skips the reduction above the pivots; its basis must be the
+        # one read off the reduced column Hermite form, on empty shapes,
+        # rank-deficient products and entries of 40 bits
+        rng = random.Random(12)
+        mats = [M for _, M in random_shapes(12, 300, max_dim=7)]
+        mats += [IntMatrix.zero(0, k) for k in range(4)] + [IntMatrix.zero(k, 0) for k in range(4)]
+        for _ in range(150):
+            r, c = rng.randint(1, 7), rng.randint(1, 7)
+            inner = rng.randint(0, min(r, c) - 1)
+            mats.append(shaped(rng, r, inner, 9) * shaped(rng, inner, c, 9))
+            mats.append(shaped(rng, r, c, 1 << 40))
+        reduction_acted = 0
+        for M in mats:
+            hcols, ucols = _column_hnf(M)
+            want = IntMatrix.from_columns(
+                M.cols, [uc for hc, uc in zip(hcols, ucols) if not any(hc)])
+            got = kernel(M)
+            assert_trusted_data(got)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert got.data == want.data
+            assert (M * got).is_zero()
+            reduction_acted += _column_hnf(M, reduce=False)[0] != hcols
+        assert reduction_acted > 100
 
     def test_constructors_keep_the_invariant(self):
         for M in (IntMatrix.identity(3), IntMatrix.identity(0), IntMatrix.zero(2, 3),

@@ -88,3 +88,28 @@ class TestSuites:
         b = run_suite(LabConfig(master_seed=7, trials=10), "ml_equiv")
         assert json.dumps(a.canonical_json(), sort_keys=True) == \
                json.dumps(b.canonical_json(), sort_keys=True)
+
+    def test_prohom_torsion_draws_reach_the_basis_nontrivial(self, monkeypatch):
+        # each trial is stopped where its two tails reach chain_basis; the
+        # first draw of a trial's stream picks the torsion kind
+        from towerlim import lab
+
+        class Drawn(Exception):
+            pass
+
+        def record(src, tgt, power, bond):
+            drawn.append((src, tgt))
+            raise Drawn
+
+        monkeypatch.setattr(lab, "chain_basis", record)
+        cfg = LabConfig(master_seed=42, trials=200)
+        torsion = 0
+        for index in range(cfg.trials):
+            drawn = []
+            with pytest.raises(Drawn):
+                lab._suite_prohom(trial_rng(42, "prohom", index), cfg,
+                                  lab.LabReport("prohom", cfg))
+            if trial_rng(42, "prohom", index).below(2) == 0:
+                torsion += 1
+                assert not any(g.is_trivial() for g in drawn[0])
+        assert torsion == 98

@@ -5,6 +5,7 @@ import pytest
 
 from towerlim import simplicial
 from towerlim.exactlat import IntMatrix, identity_hom
+from towerlim.shape import PeriodicSimplicialTower, Telescope, make_example, telescope
 from towerlim.simplicial import (
     MappingCylinder,
     SimplicialComplex,
@@ -47,6 +48,10 @@ class TestComplexes:
         K = SimplicialComplex.from_maximal(3, [(0, 1, 2)])
         assert (0,) in K.simplices and (1, 2) in K.simplices
         assert K.dimension == 2
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(SimplicialError, match=r"bad simplex \(0, 0, 1\)"):
+            SimplicialComplex.from_maximal(2, [(0, 1, 0)])
 
     def test_missing_face_rejected(self):
         with pytest.raises(SimplicialError):
@@ -206,9 +211,8 @@ class TestSubdivision:
 
     def test_subdivided_map_keeps_degree(self):
         f = winding_map(2)
-        _, src_labels = barycentric_subdivision(f.source)
-        _, tgt_labels = barycentric_subdivision(f.target)
-        sdf = subdivide_map(f, src_labels, tgt_labels)
+        sdf = subdivide_map(f, barycentric_subdivision(f.source),
+                            barycentric_subdivision(f.target))
         h = induced_hom(sdf, 1)
         assert abs(h.matrix.data[0][0]) == 2
 
@@ -313,7 +317,7 @@ def random_map(rng, K):
     image, with a few extra simplices; images may be degenerate."""
     n = rng.randint(1, 5)
     vm = tuple(rng.randrange(n) for _ in range(K.vertex_count))
-    images = [tuple(vm[v] for v in s) for s in K.simplices]
+    images = [tuple({vm[v] for v in s}) for s in K.simplices]
     extra = random_complex(rng, n, 2, 2).simplices if rng.random() < 0.5 else ()
     L = SimplicialComplex.from_maximal(
         n, images + [(v,) for v in range(n)] + list(extra))
@@ -328,6 +332,64 @@ def sample_maps():
         K = random_complex(rng, rng.randint(1, 6))
         maps.append(random_map(rng, K))
     return maps
+
+
+def random_self_map(rng):
+    """A small complex closed under the images of a random vertex map, and
+    that map as a simplicial self-map; images may be degenerate."""
+    n = rng.randint(1, 5)
+    vm = tuple(rng.randrange(n) for _ in range(n))
+    K = random_complex(rng, n, 2, 3)
+    while True:
+        closed = SimplicialComplex.from_maximal(
+            n, list(K.simplices) + [tuple({vm[v] for v in s}) for s in K.simplices])
+        if closed == K:
+            return K, SimplicialMap(K, K, vm)
+        K = closed
+
+
+def reference_telescope(st, m):
+    """The telescope built round by round: in round i the bond is
+    subdivided i times from scratch, its whole mapping cylinder is built,
+    relabelled into T and sorted again, and its retraction is chased down
+    to level 0; subdivisions and cylinders come from the chain
+    enumerations above."""
+    P0 = st.complex_at(0)
+    simplices = set(P0.simplices)
+    total_vertices = P0.vertex_count
+    level_ids = [tuple(range(P0.vertex_count))]
+    level_complexes = [P0]
+    top_embed = list(range(P0.vertex_count))
+    top_complex = P0
+    to_base = list(range(P0.vertex_count))
+    for i in range(m):
+        bond = st.bond_at(i)
+        for _ in range(i):
+            bond = subdivide_map(bond, naive_barycentric_subdivision(bond.source),
+                                 naive_barycentric_subdivision(bond.target))
+        assert bond.target.simplices == top_complex.simplices
+        cyl = naive_mapping_cylinder(bond)
+        nb = cyl.source_subdivision.vertex_count
+        fresh = list(range(total_vertices, total_vertices + nb))
+        total_vertices += nb
+        relabel = fresh + top_embed
+        for s in cyl.complex.simplices:
+            simplices.add(tuple(sorted(relabel[v] for v in s)))
+        for j in range(nb):
+            to_base.append(to_base[top_embed[cyl.retraction.vertex_map[j]]])
+        top_embed = fresh
+        top_complex = cyl.source_subdivision
+        level_ids.append(tuple(fresh))
+        level_complexes.append(top_complex)
+    T = SimplicialComplex(total_vertices, frozenset(simplices))
+    return Telescope(T, tuple(level_ids), tuple(level_complexes), tuple(to_base))
+
+
+def assert_same_telescope(tel, ref):
+    assert tel.complex == ref.complex
+    assert tel.level_vertex_ids == ref.level_vertex_ids
+    assert tel.level_complexes == ref.level_complexes
+    assert tel.base_vertex_map == ref.base_vertex_map
 
 
 def cylinder_parts(cyl):
@@ -358,28 +420,31 @@ class TestFacePosetBuilders:
 
     def test_subdivided_maps_match(self):
         for f in sample_maps()[:30]:
-            src, tgt = sorted(f.source.simplices), sorted(f.target.simplices)
-            sdf = subdivide_map(f, src, tgt)
-            assert sdf.source == naive_barycentric_subdivision(f.source)[0]
-            assert sdf.target == naive_barycentric_subdivision(f.target)[0]
+            sd_src = barycentric_subdivision(f.source)
+            sd_tgt = barycentric_subdivision(f.target)
+            sdf = subdivide_map(f, sd_src, sd_tgt)
+            assert sdf == subdivide_map(f, naive_barycentric_subdivision(f.source),
+                                        naive_barycentric_subdivision(f.target))
+            for s, v in zip(sd_src[1], sdf.vertex_map):
+                assert sd_tgt[1][v] == tuple(sorted({f.vertex_map[u] for u in s}))
 
     @pytest.mark.parametrize("name,params,m", [
-        ("solenoid", (2,), 3), ("solenoid", (3,), 2), ("solenoid", (5,), 2),
-        ("hawaiian", (), 3), ("cluster_solenoids", (2,), 3),
-        ("null_sequence", (), 4)])
-    def test_telescopes_match(self, monkeypatch, name, params, m):
-        import towerlim.shape as shape
-        import towerlim.simplicial as simplicial
-        st = shape.make_example(name, params)
-        tel = shape.telescope(st, m)
-        monkeypatch.setattr(simplicial, "barycentric_subdivision",
-                            naive_barycentric_subdivision)
-        monkeypatch.setattr(shape, "mapping_cylinder", naive_mapping_cylinder)
-        ref = shape.telescope(st, m)
-        assert tel.complex == ref.complex
-        assert tel.level_vertex_ids == ref.level_vertex_ids
-        assert tel.level_complexes == ref.level_complexes
-        assert tel.base_vertex_map == ref.base_vertex_map
+        ("solenoid", (2,), 4), ("solenoid", (3,), 3), ("solenoid", (5,), 2),
+        ("hawaiian", (), 5), ("cluster_solenoids", (2,), 4),
+        ("null_sequence", (), 7)])
+    def test_telescopes_match(self, name, params, m):
+        st = make_example(name, params)
+        assert_same_telescope(telescope(st, m), reference_telescope(st, m))
+
+    def test_telescopes_of_random_self_maps_match(self):
+        rng = random.Random(43)
+        towers = [PeriodicSimplicialTower((), *random_self_map(rng)) for _ in range(25)]
+        assert any(len(set(t.tail_map.vertex_map)) < t.tail_complex.vertex_count
+                   for t in towers)
+        assert any(t.tail_complex.dimension == 2 for t in towers)
+        for st in towers:
+            for m in range(4):
+                assert_same_telescope(telescope(st, m), reference_telescope(st, m))
 
 
 class TestUnitPivotElimination:
