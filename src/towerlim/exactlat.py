@@ -607,6 +607,18 @@ def diagonal_orders(group):
     return tuple(orders)
 
 
+def diagonal_group(orders):
+    """Z^k / (+) d_i Z: one relation column d e_i for each nonzero d, in
+    order; the inverse of diagonal_orders.
+
+    >>> diagonal_group((0, 4)).describe()
+    'Z (+) Z/4'
+    """
+    n = len(orders)
+    return present(n, IntMatrix.from_columns(
+        n, [[d if j == i else 0 for j in range(n)] for i, d in enumerate(orders) if d]))
+
+
 @dataclass(frozen=True)
 class Homomorphism:
     """Map of f.g. abelian groups given by a matrix on chosen generators."""

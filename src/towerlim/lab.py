@@ -17,6 +17,7 @@ from .errors import UnknownSuite
 from .exactlat import (
     IllDefined,
     IntMatrix,
+    diagonal_group,
     diagonal_orders,
     free_group,
     hom_make,
@@ -24,7 +25,6 @@ from .exactlat import (
     lattice_canon,
     lattice_contains,
     lattice_index,
-    present,
     unimodular_inverse,
 )
 from .limits import brute_lim, derived_limit, limit, ml_conditions, six_term
@@ -136,7 +136,7 @@ def gen_diag_group(rng, config, torsion_only=False, max_rank=None):
             diag.append(0)
         else:
             diag.append(rng.rand_range(2, max(2, config.entry_bound + 2)))
-    return _diag_group_from(tuple(diag))
+    return diagonal_group(diag), tuple(diag)
 
 
 def gen_matrix_between(rng, tgt_diag, src_diag, bound):
@@ -201,7 +201,7 @@ def gen_twisted_ses(rng, config):
     twist = gen_matrix_between(rng, sub_diag, quot_diag, config.entry_bound)
     ns, nq = sub.generators, quot.generators
     total_diag = sub_diag + quot_diag
-    total, _ = _diag_group_from(total_diag)
+    total = diagonal_group(total_diag)
     t_sub = PeriodicTower((), (), sub, hom_make(sub, sub, a_sub), None)
     t_total = PeriodicTower((), (), total, hom_make(
         total, total, _block_upper(a_sub, twist, a_quot)), None)
@@ -213,13 +213,6 @@ def gen_twisted_ses(rng, config):
                                           [[1 if j == ns + i else 0
                                             for j in range(ns + nq)] for i in range(nq)]))
     return tower_ses(t_sub, t_total, t_quot, inj, sur)
-
-
-def _diag_group_from(diag):
-    n = len(diag)
-    cols = [[d if j == i else 0 for j in range(n)]
-            for i, d in enumerate(diag) if d]
-    return present(n, IntMatrix.from_columns(n, cols)), diag
 
 
 def _block_upper(top, twist, bottom):
@@ -335,7 +328,7 @@ def _suite_ml_propagation(rng, config, report):
     sub_diag = diagonal_orders(a.tail_group)
     quot_diag = diagonal_orders(c.tail_group)
     twist = gen_matrix_between(rng, sub_diag, quot_diag, config.entry_bound)
-    total, _ = _diag_group_from(sub_diag + quot_diag)
+    total = diagonal_group(sub_diag + quot_diag)
     block = _block_upper(a.tail_endo.matrix, twist, c.tail_endo.matrix)
     b = PeriodicTower((), (), total, hom_make(total, total, block), None)
     d = gen_tower(rng, config, with_prefix=False)   # gamma = 0; any periodic D is dual-ML
@@ -496,7 +489,7 @@ def _gen_torsion_tail(rng, config, bound):
     a bound of at least 1."""
     while True:
         diag = (rng.rand_range(2, max(2, config.entry_bound + 2)),) + (0,) * rng.below(2)
-        group, _ = _diag_group_from(diag)
+        group = diagonal_group(diag)
         red = reduce_to_images(
             PeriodicTower((), (), group, gen_endo(rng, group, diag, bound), None))
         if not red.tail_group.is_trivial():

@@ -40,6 +40,7 @@ from .exactlat import (
     FgAbGroup,
     IntMatrix,
     charpoly,
+    diagonal_group,
     free_group,
     hom_make,
     hom_parts,
@@ -47,7 +48,6 @@ from .exactlat import (
     kernel as lattice_kernel,
     lattice_canon,
     lattice_index,
-    present,
     snf,
     solve_columns,
     subquotient,
@@ -491,16 +491,6 @@ def factor_monic(coeffs):
     return sorted(factors)
 
 
-def unit_part_polynomial(coeffs):
-    """The product of the irreducible factors with constant term +-1."""
-    u = [1]
-    for f, m in factor_monic(coeffs):
-        if abs(f[0]) == 1:
-            for _ in range(m):
-                u = poly_mul(u, f)
-    return u
-
-
 def poly_of_matrix(coeffs, mat):
     n = mat.rows
     acc = IntMatrix.zero(n, n)
@@ -510,6 +500,28 @@ def poly_of_matrix(coeffs, mat):
             acc = acc + power * c
         power = power * mat
     return acc
+
+
+def factor_kernel(mat, keep):
+    """Integer kernel of h(mat), h the product, with multiplicity, of the
+    irreducible monic factors f of the characteristic polynomial of the
+    square mat for which keep(f) holds.
+
+    >>> A = IntMatrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 1]])   # (x^2 - 2)(x - 1)
+    >>> factor_kernel(A, lambda f: f == [-2, 0, 1])                  # x - 1 dropped
+    IntMatrix(3, 2, [[0, 1], [1, 0], [0, 0]])
+    >>> factor_kernel(A, lambda f: f == [-1, 1])                     # x - 1 kept
+    IntMatrix(3, 1, [[0], [0], [1]])
+    """
+    h = [1]
+    if mat.rows:
+        for f, m in factor_monic(charpoly(mat)):
+            if keep(f):
+                for _ in range(m):
+                    h = poly_mul(h, f)
+    if len(h) == 1:
+        return IntMatrix.from_columns(mat.rows, [])
+    return lattice_kernel(poly_of_matrix(h, mat))
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +558,9 @@ def _embed_free_columns(reduction, cols_matrix):
 
 
 def _unit_lattice(A_free):
-    """Saturated sublattice on which A is bijective (all eigenvalues units)."""
-    if A_free.rows == 0:
-        return IntMatrix.from_columns(0, [])
-    u = unit_part_polynomial(charpoly(A_free))
-    if len(u) == 1:
-        return IntMatrix.from_columns(A_free.rows, [])
-    return lattice_kernel(poly_of_matrix(u, A_free))
+    """Saturated sublattice on which A is bijective (all eigenvalues units):
+    the kernel of the factors of chi_A with constant term +-1."""
+    return factor_kernel(A_free, lambda f: abs(f[0]) == 1)
 
 
 def _certify_unit_lattice(A_free, N, d):
@@ -601,11 +609,7 @@ def periodic_lim_data(t):
     for i in tor:
         gens.append([1 if j == i else 0 for j in range(m)])
     gens_m = IntMatrix.from_columns(m, gens).hstack(_embed_free_columns(red, N))
-    orders = tuple(red.diag[i] for i in tor)
-    k = len(tor) + N.cols
-    rel_cols = [[orders[i] if j == i else 0 for j in range(k)]
-                for i in range(len(tor))]
-    grp = present(k, IntMatrix.from_columns(k, rel_cols))
+    grp = diagonal_group(tuple(red.diag[i] for i in tor) + (0,) * N.cols)
     return PeriodicLimData(red, gens_m, grp)
 
 
@@ -885,7 +889,9 @@ def brute_lim(ft):
     gens = IntMatrix.from_columns(ft.groups[0].generators, sorted(values))
     rel = ft.groups[0].relations
     part = subquotient(ft.groups[0].generators, gens.hstack(rel), rel)
-    assert part.group.order() == len(values)
+    if part.group.order() != len(values):
+        raise InternalInconsistency("%d thread values span a group of order %s"
+                                    % (len(values), part.group.order()))
     return part.group
 
 
@@ -1019,8 +1025,7 @@ def six_term(ses):
     else:
         raise InconsistentSES("lim1 of the quotient cannot be nonzero under a zero lim1")
     delta = ("delta sends a limit thread (q_i) of the quotient tower to the "
-             "class of (g_i - bond(g_{i+1})) for any lifts g_i; evaluate with "
-             "six_term_delta_sample")
+             "class of (g_i - bond(g_{i+1})) for any lifts g_i")
     return SixTermReport(lim_s, lim_t, lim_q, l1s, l1t, l1q, tuple(joints), delta)
 
 
@@ -1069,30 +1074,3 @@ def _six_term_canonical(ses):
     delta = ("delta sends a compatible system (a_k mod A^k L) to the class of "
              "(a_k - a_{k+1}) in lim1 of the sub tower")
     return SixTermReport(lim_s, lim_t, lim_q, l1s, l1t, l1q, joints, delta)
-
-
-def six_term_delta_sample(ses, quotient_thread):
-    """Evaluate the connecting map on one user-supplied sample thread.
-
-    quotient_thread lists elements of the quotient levels 0..n (as
-    generator-coordinate vectors).  Returns the representative of the
-    image class in lim1: the list (g_i - bond(g_{i+1})) for chosen lifts.
-    """
-    n = len(quotient_thread) - 1
-    lifts = []
-    for i, q in enumerate(quotient_thread):
-        lifts.append(_lift_through(ses.surject_at(i), q))
-    out = []
-    for i in range(n):
-        bonded = ses.total.bond_at(i).matrix.apply(lifts[i + 1])
-        out.append([a - b for a, b in zip(lifts[i], bonded)])
-    return out
-
-
-def _lift_through(sur, target_vector):
-    M = sur.matrix
-    X = solve_columns(M.hstack(sur.target.relations),
-                      IntMatrix.from_columns(M.rows, [list(target_vector)]))
-    if X is None:
-        raise TowerError("sample element is not in the image of the projection")
-    return [X.data[i][0] for i in range(M.cols)]

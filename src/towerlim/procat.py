@@ -41,7 +41,7 @@ from .exactlat import (
     lattice_contains,
     solve_columns,
 )
-from .limits import derived_limit, factor_monic, limit, poly_mul, poly_of_matrix
+from .limits import derived_limit, factor_kernel, limit, poly_of_matrix
 from .structured import compare_structured, corank_difference, prime_factors
 from .towers import PeriodicTower, TowerError, reduce_to_images, shift, solve_next_map
 
@@ -111,8 +111,8 @@ def chain_lattice(power, bond):
     divides its y^j coefficient; ker h(T) = ker h'(T').  On W, h(T) = 0
     with h monic integral of degree dim W, so by Cayley-Hamilton T^i f is
     integral for every i once it is for i < dim W, and W meet Z^(mn) is
-    cut down to those f.  This is the charpoly, factor and unit-part
-    route of `limits._unit_lattice`.
+    cut down to those f.  W is the `limits.factor_kernel` of T' with
+    that divisibility test as its factor filter.
     """
     m, n = bond.rows, power.rows
     size = m * n
@@ -125,13 +125,8 @@ def chain_lattice(power, bond):
     Tp = IntMatrix._new(size, size, tuple(
         tuple(adj.data[r][k] * power.data[l][c] for k in range(m) for l in range(n))
         for r in range(m) for c in range(n)))
-    h = [1]
-    for factor, mult in factor_monic(charpoly(Tp)):
-        k = len(factor) - 1
-        if all(c % D ** (k - j) == 0 for j, c in enumerate(factor)):
-            for _ in range(mult):
-                h = poly_mul(h, factor)
-    K = lattice_kernel(poly_of_matrix(h, Tp))
+    K = factor_kernel(Tp, lambda f: all(c % D ** (len(f) - 1 - j) == 0
+                                        for j, c in enumerate(f)))
     dim = K.cols
     lattice = lattice_canon(K)
     TK = Tp * K

@@ -34,9 +34,9 @@ from .errors import SimplicialError
 from .exactlat import (
     FgAbGroup,
     IntMatrix,
+    diagonal_group,
     hom_make,
     kernel as lattice_kernel,
-    present,
     snf,
     solve_columns,
     subquotient,
@@ -299,9 +299,7 @@ def simplicial_homology(K, n, reduced=False):
     'Z'
     """
     r, t = homology_invariants(K, n, reduced)
-    k = r + len(t)
-    rel_cols = [[t[i] if j == i else 0 for j in range(k)] for i in range(len(t))]
-    return present(k, IntMatrix.from_columns(k, rel_cols))
+    return diagonal_group(tuple(t) + (0,) * r)
 
 
 @dataclass(frozen=True)
@@ -453,40 +451,3 @@ def cylinder_cells(f, bary, target_ids):
     for top in _maximal_simplices(f.source):
         descend([bary[top]], top)
     return cells
-
-
-@dataclass(frozen=True)
-class MappingCylinder:
-    """Simplicial mapping cylinder of f: K -> L.
-
-    complex contains a copy of L (bottom) and of sd(K) (top); the two
-    inclusions and the simplicial retraction onto L are provided.
-    """
-
-    complex: SimplicialComplex
-    target_inclusion: SimplicialMap       # L -> cylinder
-    source_inclusion: SimplicialMap       # sd(K) -> cylinder
-    retraction: SimplicialMap             # cylinder -> L
-    source_subdivision: SimplicialComplex
-    source_labels: tuple                  # simplex of K for each sd(K) vertex
-
-
-def mapping_cylinder(f):
-    """The cylinder of f as a MappingCylinder: the barycenters of sd(K)
-    come first, then the vertices of L, and the complex is closed from the
-    maximal simplices of L and the cells of cylinder_cells."""
-    K, L = f.source, f.target
-    sdK, labels = barycentric_subdivision(K)
-    offset = len(labels)                                     # then L vertices
-    n_vertices = offset + L.vertex_count
-    cells = [[v + offset for v in s] for s in _maximal_simplices(L)]
-    cells += cylinder_cells(f, {s: i for i, s in enumerate(labels)},
-                            range(offset, n_vertices))
-    complex_ = SimplicialComplex.from_maximal(n_vertices, cells)
-
-    tgt_inc = SimplicialMap(L, complex_, tuple(range(offset, n_vertices)))
-    src_inc = SimplicialMap(sdK, complex_, tuple(range(offset)))
-    retraction = SimplicialMap(
-        complex_, L,
-        tuple(f.vertex_map[s[0]] for s in labels) + tuple(range(L.vertex_count)))
-    return MappingCylinder(complex_, tgt_inc, src_inc, retraction, sdK, tuple(labels))

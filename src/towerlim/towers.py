@@ -22,6 +22,7 @@ from .exactlat import (
     Homomorphism,
     IllDefined,
     IntMatrix,
+    diagonal_group,
     free_group,
     hom_make,
     hom_parts,
@@ -374,11 +375,7 @@ def _minimize_with_transform(group, endo):
     m = len(keep)
     reduced = IntMatrix(m, m, [[conj.data[r][c] for c in keep] for r in keep])
     kept_diag = tuple(diag[i] for i in keep)
-    rel_cols = []
-    for idx in range(m):
-        if kept_diag[idx] != 0:
-            rel_cols.append([kept_diag[idx] if j == idx else 0 for j in range(m)])
-    grp = present(m, IntMatrix.from_columns(m, rel_cols))
+    grp = diagonal_group(kept_diag)
     h = hom_make(grp, grp, reduced)
     project = IntMatrix(m, n, [[U.data[i][j] for j in range(n)] for i in keep])
     section = IntMatrix(n, m, [[Uinv.data[i][j] for j in keep] for i in range(n)])

@@ -15,6 +15,8 @@ from towerlim.exactlat import (
     IndexUndefined,
     IntMatrix,
     cyclic_group,
+    diagonal_group,
+    diagonal_orders,
     direct_sum,
     free_group,
     hnf,
@@ -182,6 +184,17 @@ class TestPresent:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             present(3, IntMatrix.from_rows([[1, 2]]))
+
+    def test_diagonal_group_round_trip(self):
+        rng = random.Random(5)
+        cases = [(), (0,), (0, 0, 0), (4,), (2, 3, 12)]
+        cases += [tuple(rng.choice((0, 0, rng.randint(2, 30))) for _ in range(rng.randint(0, 6)))
+                  for _ in range(60)]
+        for d in cases:
+            G = diagonal_group(d)
+            assert diagonal_orders(G) == tuple(d)
+            assert G.relations.cols == sum(1 for x in d if x)
+            assert G.rank == d.count(0)
 
 
 class TestHomMake:

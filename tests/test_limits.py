@@ -12,31 +12,35 @@ import time
 
 import pytest
 
-from towerlim import procat
+from towerlim import limits, procat
 from towerlim.exactlat import (
     IntMatrix,
+    Subquotient,
     cyclic_group,
     free_group,
     hom_make,
     hom_parts,
+    kernel as lattice_kernel,
+    lattice_canon,
     present,
     snf,
 )
 from towerlim.limits import (
     InconsistentSES,
+    InternalInconsistency,
     TooLarge,
     brute_lim,
     charpoly,
     derived_limit,
+    factor_kernel,
     factor_monic,
     limit,
     ml_conditions,
     poly_mul,
+    poly_of_matrix,
     six_term,
-    six_term_delta_sample,
-    unit_part_polynomial,
 )
-from towerlim.limits import _modular_factors
+from towerlim.limits import _modular_factors, _unit_lattice
 from towerlim.structured import StructuredGroup, compare_structured
 from towerlim.towers import (
     FiniteTower,
@@ -129,19 +133,51 @@ class TestCharpoly:
         fs = factor_monic([6, -5, 1])
         assert sorted(f for f, _ in fs) == [[-3, 1], [-2, 1]]
 
-    def test_unit_part(self):
-        # (x-1)(x-2): unit part x-1
-        assert unit_part_polynomial([2, -3, 1]) == [-1, 1]
-        # x^2 - x - 1 is irreducible with constant -1: all of it
-        assert unit_part_polynomial([-1, -1, 1]) == [-1, -1, 1]
+
+def companion(f):
+    """The companion matrix of the monic f (ascending coefficients)."""
+    n = len(f) - 1
+    return IntMatrix.from_rows([[1 if i == j + 1 else 0 for j in range(n - 1)] + [-f[i]]
+                                for i in range(n)])
+
+
+def is_unit_factor(f):
+    return abs(f[0]) == 1
+
+
+class TestFactorKernel:
+    def test_unit_lattice(self):
+        # (x-1)(x-2): the unit part x-1 cuts out the first axis
+        N = _unit_lattice(IntMatrix.from_rows([[1, 0], [0, 2]]))
+        assert lattice_canon(N) == IntMatrix.from_columns(2, [[1, 0]])
+        # x^2 - x - 1 is irreducible with constant -1: all of Z^2
+        N = _unit_lattice(companion([-1, -1, 1]))
+        assert lattice_canon(N) == IntMatrix.identity(2)
         # x^2 - 2: none of it
-        assert unit_part_polynomial([-2, 0, 1]) == [1]
+        assert _unit_lattice(companion([-2, 0, 1])) == IntMatrix.from_columns(2, [])
+        assert _unit_lattice(IntMatrix.from_columns(0, [])) == IntMatrix.from_columns(0, [])
 
     def test_kronecker_degree4(self):
-        # (x^2 - x - 1)(x^2 - 2) has no rational roots; the unit part must
-        # recover the golden-ratio factor
-        f = [2, 2, -3, -1, 1]
-        assert unit_part_polynomial(f) == [-1, -1, 1]
+        # (x^2 - x - 1)(x^2 - 2) has no rational roots; the unit lattice must
+        # be the kernel of the golden-ratio factor alone
+        A = companion([2, 2, -3, -1, 1])
+        N = _unit_lattice(A)
+        assert N.cols == 2
+        assert (poly_of_matrix([-1, -1, 1], A) * N).is_zero()
+        assert N == factor_kernel(A, lambda f: f == [-1, -1, 1])
+
+    def test_unit_lattice_is_kernel_of_unit_part(self):
+        # against the product of the unit factors, multiplied out here and
+        # its kernel taken directly, on random matrices of rank 1 to 5
+        rng = random.Random(21)
+        ranks = set()
+        for _ in range(80):
+            A = IntMatrix.from_rows(random_matrix(rng, rng.randint(1, 5), 3))
+            u = expand((f, m) for f, m in factor_monic(charpoly(A)) if is_unit_factor(f))
+            expected = lattice_kernel(poly_of_matrix(u, A))
+            assert factor_kernel(A, is_unit_factor) == _unit_lattice(A) == expected
+            ranks.add((A.rows, expected.cols))
+        assert any(0 < k < n for n, k in ranks) and any(k == 0 for _, k in ranks)
 
 
 # Dense rank-6 tails on which the former budgeted divisor search gave up,
@@ -286,7 +322,7 @@ class TestFactoring:
             seen.append(f)
             return factor_monic(f)
 
-        monkeypatch.setattr(procat, "factor_monic", record)
+        monkeypatch.setattr(limits, "factor_monic", record)
         for a, b in (([[0, 2], [1, 0]], [[2, 0], [0, 2]]),
                      ([[0, -2], [1, -1]], [[0, 4], [1, -1]])):
             A, B = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
@@ -572,6 +608,13 @@ class TestBruteLim:
         bl = brute_lim(deep)
         assert lim_sg.tag == "fg" and lim_sg.group.is_isomorphic(bl)
 
+    def test_oracle_disagreement_is_caught(self, monkeypatch):
+        # a value group of the wrong order raises, also under python -O
+        monkeypatch.setattr(limits, "subquotient", lambda *args: Subquotient(
+            cyclic_group(3), IntMatrix.from_columns(1, [])))
+        with pytest.raises(InternalInconsistency, match="2 thread values"):
+            brute_lim(truncate(pure_tower(cyclic_group(2), [[1]]), 5))
+
     def test_too_large_guard(self):
         big = cyclic_group(1 << 20)
         with pytest.raises(TooLarge):
@@ -638,11 +681,18 @@ class TestSixTerm:
         assert verdicts["lim_total"] == "verified"
         assert verdicts["lim_quot"] == "verified"
 
-    def test_delta_sample(self):
-        ses = canonical_completion_ses(Z, hom_make(Z, Z, [[2]]))
-        # the compatible system (1 mod 2, 1 mod 4, 1 mod 8) lifts to 1 everywhere
-        reps = six_term_delta_sample(ses, [[0], [1], [1], [1]])
-        assert all(len(v) == 1 for v in reps)
+    def test_non_canonical_connecting_map(self):
+        # (Z, x2) >-> (Z^2, [[2, 1], [0, 3]]) ->> (Z, x3) is no completion
+        # sequence; its delta is described, and names no function
+        ses = tower_ses(pure_tower(Z, [[2]]), pure_tower(Z2, [[2, 1], [0, 3]]),
+                        pure_tower(Z, [[3]]), hom_make(Z, Z2, [[1], [0]]),
+                        hom_make(Z2, Z, [[0, 1]]))
+        assert not ses.canonical_completion
+        rep = six_term(ses)
+        assert rep.connecting == (
+            "delta sends a limit thread (q_i) of the quotient tower to the "
+            "class of (g_i - bond(g_{i+1})) for any lifts g_i")
+        assert "six_term" not in rep.connecting
 
 
 class TestReductionPreservesLimits:

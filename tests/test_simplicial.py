@@ -7,7 +7,6 @@ from towerlim import simplicial
 from towerlim.exactlat import IntMatrix, identity_hom
 from towerlim.shape import PeriodicSimplicialTower, Telescope, make_example, telescope
 from towerlim.simplicial import (
-    MappingCylinder,
     SimplicialComplex,
     SimplicialError,
     SimplicialMap,
@@ -18,7 +17,6 @@ from towerlim.simplicial import (
     identity_map,
     induced_cohom,
     induced_hom,
-    mapping_cylinder,
     simplicial_homology,
     sparse_invariants,
     subdivide_map,
@@ -217,35 +215,46 @@ class TestSubdivision:
         assert abs(h.matrix.data[0][0]) == 2
 
 
+def one_bond_tower(f):
+    """The tower L <- K with the single bond f: K -> L.  Its telescope at
+    m = 1 is the mapping cylinder of f: a copy of L (level 0), then the
+    barycenters of sd(K) (level 1), with the retraction onto L."""
+    K = f.source
+    return PeriodicSimplicialTower(((f.target, None),), K, identity_map(K), f)
+
+
 class TestMappingCylinder:
     def test_cylinder_of_identity(self):
         K = circle(3)
-        cyl = mapping_cylinder(identity_map(K))
+        cyl = telescope(one_bond_tower(identity_map(K)), 1)
         assert homology_invariants(cyl.complex, 0) == (1, [])
         assert homology_invariants(cyl.complex, 1) == (1, [])
 
     def test_cylinder_retracts_to_target(self):
         f = winding_map(2)
-        cyl = mapping_cylinder(f)
+        cyl = telescope(one_bond_tower(f), 1)
         for n in (0, 1, 2):
             assert homology_invariants(cyl.complex, n) == \
                    homology_invariants(f.target, n)
+        # the retraction is the identity on the bottom copy of L
+        assert cyl.level_to_base(0) == identity_map(f.target)
 
     def test_source_inclusion_realizes_the_map(self):
         # including sd(K) at the top and retracting to L equals sd-collapse
         # followed by f; on H_1 of the winding map that is multiplication by p
         f = winding_map(3)
-        cyl = mapping_cylinder(f)
-        inc = induced_hom(cyl.source_inclusion, 1)
-        retr = induced_hom(cyl.retraction, 1)
+        cyl = telescope(one_bond_tower(f), 1)
+        inc = induced_hom(cyl.level_inclusion(1), 1)
+        retr = induced_hom(cyl.retraction_to_base(), 1)
         comp = retr.compose(inc)
         assert abs(comp.matrix.data[0][0]) == 3
+        assert induced_hom(cyl.level_to_base(1), 1).matrix == comp.matrix
 
     def test_cylinder_of_collapse(self):
         K = circle(3)
         L = point()
         f = SimplicialMap(K, L, (0, 0, 0))
-        cyl = mapping_cylinder(f)
+        cyl = telescope(one_bond_tower(f), 1)
         assert homology_invariants(cyl.complex, 0) == (1, [])
         assert homology_invariants(cyl.complex, 1) == (0, [])
 
@@ -273,7 +282,9 @@ def naive_barycentric_subdivision(K):
 
 
 def naive_mapping_cylinder(f):
-    """Every descending chain of K, joined to every face of f(last)."""
+    """Every descending chain of K, joined to every face of f(last): the
+    cylinder complex (barycenters of sd(K) first, then L), sd(K) and the
+    retraction onto L."""
     K, L = f.source, f.target
     simplices = sorted(K.simplices)
     bary = {s: i for i, s in enumerate(simplices)}
@@ -294,14 +305,11 @@ def naive_mapping_cylinder(f):
     for s in simplices:
         descend([s])
     complex_ = SimplicialComplex(n_vertices, frozenset(cyl))
-    sdK, labels = naive_barycentric_subdivision(K)
+    sdK, _ = naive_barycentric_subdivision(K)
     retraction = SimplicialMap(
         complex_, L,
         tuple(f.vertex_map[s[0]] for s in simplices) + tuple(range(L.vertex_count)))
-    return MappingCylinder(
-        complex_, SimplicialMap(L, complex_, tuple(range(offset, n_vertices))),
-        SimplicialMap(sdK, complex_, tuple(range(len(simplices)))),
-        retraction, sdK, tuple(labels))
+    return complex_, sdK, retraction
 
 
 def random_complex(rng, n_vertices, max_dim=3, n_maximal=4):
@@ -368,17 +376,17 @@ def reference_telescope(st, m):
             bond = subdivide_map(bond, naive_barycentric_subdivision(bond.source),
                                  naive_barycentric_subdivision(bond.target))
         assert bond.target.simplices == top_complex.simplices
-        cyl = naive_mapping_cylinder(bond)
-        nb = cyl.source_subdivision.vertex_count
+        cyl, sd_source, retraction = naive_mapping_cylinder(bond)
+        nb = sd_source.vertex_count
         fresh = list(range(total_vertices, total_vertices + nb))
         total_vertices += nb
         relabel = fresh + top_embed
-        for s in cyl.complex.simplices:
+        for s in cyl.simplices:
             simplices.add(tuple(sorted(relabel[v] for v in s)))
         for j in range(nb):
-            to_base.append(to_base[top_embed[cyl.retraction.vertex_map[j]]])
+            to_base.append(to_base[top_embed[retraction.vertex_map[j]]])
         top_embed = fresh
-        top_complex = cyl.source_subdivision
+        top_complex = sd_source
         level_ids.append(tuple(fresh))
         level_complexes.append(top_complex)
     T = SimplicialComplex(total_vertices, frozenset(simplices))
@@ -390,12 +398,6 @@ def assert_same_telescope(tel, ref):
     assert tel.level_vertex_ids == ref.level_vertex_ids
     assert tel.level_complexes == ref.level_complexes
     assert tel.base_vertex_map == ref.base_vertex_map
-
-
-def cylinder_parts(cyl):
-    return (cyl.complex, cyl.source_subdivision, cyl.source_labels,
-            cyl.retraction.vertex_map, cyl.target_inclusion.vertex_map,
-            cyl.source_inclusion.vertex_map)
 
 
 class TestFacePosetBuilders:
@@ -415,8 +417,8 @@ class TestFacePosetBuilders:
         assert any(f.source.dimension == 3 for f in maps)
         assert any(len(set(f.vertex_map)) < f.source.vertex_count for f in maps)
         for f in maps:
-            assert cylinder_parts(mapping_cylinder(f)) == \
-                cylinder_parts(naive_mapping_cylinder(f))
+            st = one_bond_tower(f)
+            assert_same_telescope(telescope(st, 1), reference_telescope(st, 1))
 
     def test_subdivided_maps_match(self):
         for f in sample_maps()[:30]:
