@@ -3,8 +3,8 @@
 Commands: lim, lim1, ml, six-term, steenrod, cech, interleave, compare,
 telescope, lab.  Input is a tower description file (see towerfile);
 output is a human-readable line or, with --json, a machine-readable
-report.  Exit codes: 0 success, 2 parse error, 3 depth-limited or too
-large, 4 ill-defined input.
+report.  Exit codes: 0 success, 2 parse error, 3 depth-limited or past a
+resource bound, 4 ill-defined input.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import argparse
 import functools
 import sys
 
-from .errors import DegreeMismatch, ShapeError, SimplicialError, UnknownSuite
+from .errors import DegreeMismatch, ShapeError, SimplicialError, TooLarge, UnknownSuite
 from .exactlat import IllDefined
-from .limits import TooLarge, derived_limit, limit, ml_conditions, six_term
+from .limits import derived_limit, limit, ml_conditions, six_term
 from .report import build_report, input_digest, report_json
 from .towerfile import DimensionMismatch, ParseError, UnresolvedReference, parse
 from .towers import PeriodicTower, TowerError
@@ -270,7 +270,7 @@ def main(argv=None):
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except TooLarge as exc:
-        print("depth limited: %s" % exc, file=sys.stderr)
+        print("too large: %s" % exc, file=sys.stderr)
         return EXIT_DEPTH
     except (IllDefined, TowerError, SimplicialError, ShapeError,
             DegreeMismatch, UnknownSuite, ValueError) as exc:

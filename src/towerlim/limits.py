@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import TooLarge
 from .exactlat import (
     FgAbGroup,
     IntMatrix,
@@ -63,10 +64,6 @@ from .towers import (
     _minimize_with_transform,
     tail_reduction,
 )
-
-
-class TooLarge(Exception):
-    pass
 
 
 class InconsistentSES(Exception):

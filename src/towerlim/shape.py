@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeMismatch, ShapeError
+from .errors import DegreeMismatch, ShapeError, TooLarge
 from .exactlat import IntMatrix, free_group, hom_make, hom_parts, identity_hom
 from .limits import derived_limit, limit
 from .simplicial import (
@@ -36,6 +36,12 @@ from .towers import PeriodicTower, make_streamed, tail_reduction
 
 class UnknownExample(ShapeError):
     pass
+
+
+# The most vertices one level of a registered family may have; a larger
+# level is refused with TooLarge, from the closed form of its vertex
+# count, before it is built.
+MAX_LEVEL_VERTICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,22 @@ class StreamedSimplicialTower:
     params: tuple = ()
 
     def complex_at(self, i):
+        self._check_levels(i)
         return _EXAMPLES[self.family].complex(self.params, i)
 
     def bond_at(self, i):
+        self._check_levels(i, i + 1)
         return _EXAMPLES[self.family].bond(self.params, i)
+
+    def _check_levels(self, *levels):
+        for i in levels:
+            count = _EXAMPLES[self.family].vertices(self.params, i)
+            if count > MAX_LEVEL_VERTICES:
+                params = ", ".join(map(str, self.params))
+                raise TooLarge(
+                    "level %d of %s(%s) would have %d vertices, over the bound of "
+                    "%d vertices per level"
+                    % (i, self.family, params, count, MAX_LEVEL_VERTICES))
 
 
 def constant_tower(K):
@@ -85,14 +103,17 @@ def circle_complex(n):
     return SimplicialComplex.from_maximal(n, edges)
 
 
-def _solenoid_complex(params, i):
+def _solenoid_vertices(params, i):
     (p,) = params
-    return circle_complex(3 * p ** i)
+    return 3 * p ** i
+
+
+def _solenoid_complex(params, i):
+    return circle_complex(_solenoid_vertices(params, i))
 
 
 def _solenoid_bond(params, i):
-    (p,) = params
-    big, small = 3 * p ** (i + 1), 3 * p ** i
+    big, small = _solenoid_vertices(params, i + 1), _solenoid_vertices(params, i)
     return SimplicialMap(circle_complex(big), circle_complex(small),
                          tuple(k % small for k in range(big)))
 
@@ -117,8 +138,13 @@ def _wedge_vertex(sizes, j, k):
     return 1 + sum(s - 1 for s in sizes[:j]) + (k - 1)
 
 
+def _null_vertices(params, i):
+    return i + 1
+
+
 def _null_complex(params, i):
-    return SimplicialComplex.from_maximal(i + 1, [(v,) for v in range(i + 1)])
+    n = _null_vertices(params, i)
+    return SimplicialComplex.from_maximal(n, [(v,) for v in range(n)])
 
 
 def _null_bond(params, i):
@@ -131,6 +157,11 @@ def _null_bond(params, i):
 def _cluster_sizes(p, i):
     # circle j (0-based) at level i has been wound i-1-j times
     return [3 * p ** (i - 1 - j) for j in range(i)]
+
+
+def _cluster_vertices(params, i):
+    (p,) = params
+    return 1 + sum(s - 1 for s in _cluster_sizes(p, i))
 
 
 def _cluster_complex(params, i):
@@ -156,18 +187,23 @@ def _cluster_bond(params, i):
 
 
 class _Example:
-    def __init__(self, complex_fn, bond_fn):
+    """A registered family: its level complexes, its bonds, and the closed
+    form of the vertex count of a level."""
+
+    def __init__(self, complex_fn, bond_fn, vertices_fn):
         self.complex = complex_fn
         self.bond = bond_fn
+        self.vertices = vertices_fn
 
 
 _EXAMPLES = {
-    "solenoid": _Example(_solenoid_complex, _solenoid_bond),
+    "solenoid": _Example(_solenoid_complex, _solenoid_bond, _solenoid_vertices),
     # the Hawaiian earring is the cluster of circles wound once: p = 1
     "hawaiian": _Example(lambda params, i: _cluster_complex((1,), i),
-                         lambda params, i: _cluster_bond((1,), i)),
-    "cluster_solenoids": _Example(_cluster_complex, _cluster_bond),
-    "null_sequence": _Example(_null_complex, _null_bond),
+                         lambda params, i: _cluster_bond((1,), i),
+                         lambda params, i: _cluster_vertices((1,), i)),
+    "cluster_solenoids": _Example(_cluster_complex, _cluster_bond, _cluster_vertices),
+    "null_sequence": _Example(_null_complex, _null_bond, _null_vertices),
 }
 
 

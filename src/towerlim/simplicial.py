@@ -2,15 +2,23 @@
 
 Vertices are integers 0..n-1; simplices are sorted vertex tuples closed
 under faces.  Homology is computed over Z with exact integer kernels and
-Smith invariants.  Large complexes (mapping telescopes) go through a
-sparse unit-pivot elimination before the dense Smith normal form, which
-keeps the desk-scale cost low without giving up exactness: the next +-1
-pivot is the one of least Markowitz cost (len(row) - 1) * (len(col) - 1),
-taken from a heap whose stale keys are checked again when popped, so
-fill-in stays small (Markowitz 1957; Dumas, Heckenbach, Saunders and
-Welker 2003 use the same order on simplicial boundary matrices).  A
-complex indexes its simplices by dimension once, and keeps the
-invariants of each boundary map it has eliminated, on the object itself.
+Smith invariants.  Large complexes (mapping telescopes) never reach a
+dense matrix whole, and stay exact.  The boundary from edges to vertices
+is an oriented incidence matrix, totally unimodular, so its invariants
+are V - c ones, counted by a union-find (a spanning forest).  Every
+other boundary map goes through a sparse unit-pivot elimination before
+the dense Smith normal form of the residue: first the free faces and
+coreductions, +-1 entries alone in their row or column, which cause no
+fill-in and are removed from a worklist in linear time (Kaczynski,
+Mischaikow and Mrozek 2004; Mrozek and Batko 2009), then the +-1 pivot
+of least Markowitz cost (len(row) - 1) * (len(col) - 1), taken from a
+heap whose stale keys are checked again when popped, so fill-in stays
+small (Markowitz 1957; Dumas, Heckenbach, Saunders and Welker 2003 use
+the same order on simplicial boundary matrices).  A complex indexes its
+simplices by dimension once, and keeps the invariants of each boundary
+map it has eliminated, on the object itself.  The dense witnesses of
+induced maps refuse a boundary matrix of more than MAX_DENSE_ENTRIES
+entries with TooLarge, before allocating it.
 
 Subdivisions and mapping cylinders are built by walking the face poset
 from the maximal simplices: sd(K) is closed from the full flags
@@ -30,7 +38,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 
-from .errors import SimplicialError
+from .errors import SimplicialError, TooLarge
 from .exactlat import (
     FgAbGroup,
     IntMatrix,
@@ -41,6 +49,14 @@ from .exactlat import (
     solve_columns,
     subquotient,
 )
+
+
+# The most entries a dense boundary matrix of _witness may have, about a
+# 700 x 700 matrix; a larger one is refused with TooLarge before it is
+# allocated.  The slowest witness below the bound, the cohomology bond of
+# a 675-vertex circle in `cech`, takes seconds, and the time grows with
+# about the third power of the vertex count.
+MAX_DENSE_ENTRIES = 500_000
 
 
 @dataclass(frozen=True)
@@ -158,10 +174,14 @@ def sparse_invariants(mat):
     """Smith invariant factors (nonzero ones) of a sparse-ish matrix.
 
     Eliminates +-1 pivots with unimodular operations, then runs the dense
-    Smith form on the small residue.  The next pivot is the +-1 entry of
-    least Markowitz cost (len(row) - 1) * (len(col) - 1), the fill-in its
-    elimination can cause at most.  Any sequence of unit pivots is
-    unimodular, so the order changes the residue but not its Smith form.
+    Smith form on the small residue.  Pivots that cause no fill-in go
+    first: a +-1 entry alone in its row (a free face) or alone in its
+    column (a coreduction) is eliminated by deleting its row and column.
+    The remaining pivots are the +-1 entries of least Markowitz cost
+    (len(row) - 1) * (len(col) - 1), the fill-in their elimination can
+    cause at most.  Any sequence of unit pivots is unimodular, so the
+    order changes the residue but not its Smith form: the result is the
+    Smith diagonal of the whole matrix, units first.
 
     >>> sparse_invariants(IntMatrix.from_rows([[1, 1, 0], [0, 2, 2]]))
     [1, 2]
@@ -169,18 +189,56 @@ def sparse_invariants(mat):
     return _sparse_invariants_from_cols(_sparse_from_matrix(mat))
 
 
-def _sparse_invariants_from_cols(cols):
-    """Eliminate unit pivots of the column dict cols (consumed) in
-    Markowitz order; the heap keys may be stale, so each popped pivot is
-    checked again and pushed back when its cost has grown."""
+def _collapse(cols):
+    """Build the row view of the column dict cols and eliminate every +-1
+    entry alone in its row (a free face) or its column (a coreduction),
+    until none is left; returns the rows and the number of pivots.
+
+    A lone unit of a line a, at the crossing line b, clears the rest of b
+    by operations with a alone, so the pivot deletes a and b and nothing
+    fills in.  A line that loses its entry in b and is left with one
+    entry goes on the worklist, so the pass costs time linear in the
+    entries it removes.  A lone entry that is no unit stays.  The
+    worklist holds (lines, cross, a): the view of line a and the other
+    view, rows and columns in either order.
+    """
     rows = {}
     for j, col in cols.items():
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
+    work = [(rows, cols, i) for i, row in rows.items() if len(row) == 1]
+    work += [(cols, rows, j) for j, col in cols.items() if len(col) == 1]
+    units = 0
+    while work:
+        lines, cross, a = work.pop()
+        line = lines.get(a)
+        if line is None or len(line) != 1:
+            continue
+        ((b, v),) = line.items()
+        if v not in (1, -1):
+            continue
+        del lines[a]
+        other = cross.pop(b)
+        del other[a]
+        for c in other:
+            shrunk = lines[c]
+            del shrunk[b]
+            if len(shrunk) == 1:
+                work.append((lines, cross, c))
+        units += 1
+    return rows, units
+
+
+def _sparse_invariants_from_cols(cols):
+    """Eliminate unit pivots of the column dict cols (consumed): first the
+    free faces and coreductions of _collapse, in time linear in the
+    entries they remove, then the rest in Markowitz order from a heap
+    whose stale keys are checked again when popped; the dense Smith form
+    of what is left gives the other invariants."""
+    rows, units = _collapse(cols)
     heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j) for j, col in cols.items()
             for i, v in col.items() if v in (1, -1)]
     heapify(heap)
-    units = 0
     while heap:
         cost, pi, pj = heappop(heap)
         pcol = cols.get(pj)
@@ -226,12 +284,39 @@ def _sparse_invariants_from_cols(cols):
     return [1] * units + rest
 
 
+def _forest_size(K):
+    """The number of edges in a spanning forest of the 1-skeleton of K.
+
+    The boundary from edges to vertices is the incidence matrix of an
+    oriented graph, which is totally unimodular, so its nonzero Smith
+    invariants are all 1 and there are as many as its rank: V - c for V
+    vertices in c components, the size of any spanning forest.  Each
+    union of two components in a union-find over the edges adds one
+    forest edge.
+    """
+    parent = list(range(K.vertex_count))
+    size = 0
+    for a, b in K._by_dim.get(1, ()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            size += 1
+    return size
+
+
 def _boundary_invariants(K, k):
     """Nonzero Smith invariants of the boundary map from k-chains of K,
-    eliminated once per complex."""
+    computed once per complex: V - c ones for k = 1 (_forest_size), the
+    unit-pivot elimination for every other k."""
     memo = K._boundary_memo
     if k not in memo:
-        memo[k] = _sparse_invariants_from_cols(_sparse_boundary(K, k))
+        if k == 1:
+            memo[k] = [1] * _forest_size(K)
+        else:
+            memo[k] = _sparse_invariants_from_cols(_sparse_boundary(K, k))
     return memo[k]
 
 
@@ -269,6 +354,13 @@ def _witness(K, co, n, reduced=False):
     memo = K._witness_memo
     key = (co, n, reduced)
     if key not in memo:
+        for k in (n, n + 1):
+            entries = len(K._by_dim.get(k - 1, ())) * len(K._by_dim.get(k, ()))
+            if entries > MAX_DENSE_ENTRIES:
+                raise TooLarge(
+                    "the dense boundary matrix from %d-chains would have %d entries, "
+                    "over the bound of %d entries on a dense boundary matrix"
+                    % (k, entries, MAX_DENSE_ENTRIES))
         if co:
             outgoing = K.boundary_matrix(n + 1).transpose()
             incoming = K.boundary_matrix(n).transpose()

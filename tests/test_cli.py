@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,6 +141,26 @@ class TestDispatch:
                       "--a", "two", "--b", "three"]):
             _, report, _ = dispatch(argv)
             assert validate_report(report) == []
+
+
+class TestResourceBounds:
+    """Inputs past a resource bound exit 3 with a reason that names the
+    bound, before the work allocates."""
+
+    @pytest.mark.parametrize("p, degree, bound", [
+        (10 ** 13, 0, "over the bound of 100000 vertices per level"),
+        (100, 1, "over the bound of 500000 entries on a dense boundary matrix")])
+    def test_oversized_solenoid_exits_3(self, tmp_path, capsys, p, degree, bound):
+        path = tmp_path / "big.tower"
+        path.write_text("[stower s]\nfamily = solenoid\nparams = [%d]\n" % p)
+        start = time.perf_counter()
+        code = main(["steenrod", str(path), "--degree", str(degree)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == EXIT_DEPTH
+        assert err.startswith("too large: ") and bound in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0
 
 
 class TestExitCodes:
@@ -293,6 +314,10 @@ class TestCommandSurface:
         assert main(["steenrod", fixture("solenoid_2.tower"), "--degree", "0"]) == \
             EXIT_ILL_DEFINED
         assert capsys.readouterr().err == "ill-defined input: degrees differ\n"
+
+    def test_too_large_has_one_class_object(self):
+        from towerlim import cli, errors, limits
+        assert cli.TooLarge is errors.TooLarge is limits.TooLarge
 
     def test_cli_names_every_mapped_exception(self):
         # the benchmark worker maps exceptions to exit codes by these names

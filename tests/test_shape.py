@@ -1,5 +1,7 @@
 import pytest
 
+from towerlim import shape
+from towerlim.errors import TooLarge
 from towerlim.exactlat import free_group, hom_make
 from towerlim.limits import limit, derived_limit, ml_conditions
 from towerlim.shape import (
@@ -15,6 +17,7 @@ from towerlim.shape import (
     make_example,
     steenrod,
     telescope,
+    _EXAMPLES,
     _cluster_bond,
     _cluster_complex,
     _wedge_of_circles,
@@ -83,6 +86,30 @@ class TestBuilders:
     def test_unknown(self):
         with pytest.raises(UnknownExample):
             make_example("torus")
+
+    @pytest.mark.parametrize("name, params", [
+        ("solenoid", (2,)), ("solenoid", (5,)), ("hawaiian", ()),
+        ("cluster_solenoids", (3,)), ("null_sequence", ())])
+    def test_vertex_closed_forms(self, name, params):
+        st = make_example(name, params)
+        for i in range(4):
+            assert _EXAMPLES[name].vertices(params, i) == st.complex_at(i).vertex_count
+            assert st.bond_at(i).source.vertex_count == \
+                _EXAMPLES[name].vertices(params, i + 1)
+
+    def test_level_past_the_vertex_bound_is_refused_unbuilt(self, monkeypatch):
+        def unbuilt(n):
+            raise AssertionError("circle of %d vertices built" % n)
+
+        monkeypatch.setattr(shape, "circle_complex", unbuilt)
+        st = make_example("solenoid", (10 ** 13,))
+        with pytest.raises(TooLarge, match="level 1 of solenoid\\(10000000000000\\) would "
+                           "have 30000000000000 vertices, over the bound of 100000 "
+                           "vertices per level"):
+            st.bond_at(0)
+        # the cluster level 2 of p = 10^5 has 1 + (3 * 10^5 - 1) + 2 vertices
+        with pytest.raises(TooLarge, match="level 2 of cluster_solenoids"):
+            make_example("cluster_solenoids", (10 ** 5,)).complex_at(2)
 
 
 class TestHomologyTower:

@@ -488,3 +488,140 @@ class TestUnitPivotElimination:
         base = st.complex_at(0)
         for n in (0, 1, 2):
             assert homology_invariants(T, n) == homology_invariants(base, n)
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the sparse boundary invariants against the dense
+# Smith form of the boundary matrix
+
+
+def dense_invariants(M):
+    from towerlim.exactlat import snf
+    S, _, _ = snf(M)
+    return [d for d in S.diagonal() if d != 0]
+
+
+def disjoint_union(*complexes):
+    """The complexes side by side, vertex ids shifted past each other."""
+    simplices, offset = [], 0
+    for K in complexes:
+        simplices += [tuple(v + offset for v in s) for s in K.simplices]
+        offset += K.vertex_count
+    return SimplicialComplex(offset, frozenset(simplices))
+
+
+def projective_plane():
+    """The minimal 6-vertex triangulation of RP^2: H_1 = Z/2."""
+    return SimplicialComplex.from_maximal(6, [
+        (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5),
+        (1, 2, 4), (1, 2, 5), (1, 3, 5), (2, 3, 4), (3, 4, 5)])
+
+
+def klein_bottle():
+    """The 3 x 3 grid of squares, each cut in two triangles, with the
+    columns glued plainly and the rows glued with a flip: H_1 = Z + Z/2."""
+    def v(i, j):
+        if j == 3:
+            i, j = -i, 0
+        return (i % 3) * 3 + j
+    tris = []
+    for i in range(3):
+        for j in range(3):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)
+            tris += [(a, b, d), (a, c, d)]
+    return SimplicialComplex.from_maximal(9, tris)
+
+
+def grid_disk(n):
+    """The n x n grid of squares, each cut in two triangles: a disk whose
+    inner triangles have no free face until the outer ones are gone."""
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            tris += [(a, a + 1, b + 1), (a, b, b + 1)]
+    return SimplicialComplex.from_maximal((n + 1) ** 2, tris)
+
+
+def assert_matches_dense(K):
+    for k in range(K.dimension + 2):
+        assert simplicial._boundary_invariants(K, k) == \
+            dense_invariants(K.boundary_matrix(k)), k
+
+
+class TestBoundaryInvariantsDifferential:
+    def test_random_complexes(self):
+        rng = random.Random(47)
+        for _ in range(80):
+            assert_matches_dense(random_complex(rng, rng.randint(1, 9), 3, 8))
+
+    def test_disconnected_complexes_and_isolated_vertices(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            parts = [random_complex(rng, rng.randint(1, 6), 3, 5)
+                     for _ in range(rng.randint(2, 4))]
+            isolated = SimplicialComplex.from_maximal(
+                3, [(v,) for v in range(rng.randint(0, 3))])
+            K = disjoint_union(*parts, isolated)
+            assert_matches_dense(K)
+        # vertex ids that are no simplex at all are no components either
+        K = SimplicialComplex.from_maximal(7, [(0, 1), (1, 2), (5,)])
+        assert simplicial._boundary_invariants(K, 1) == [1, 1]
+        assert homology_invariants(K, 0) == (2, [])
+
+    def test_empty_complex(self):
+        K = SimplicialComplex(0, frozenset())
+        assert K.dimension == -1
+        assert_matches_dense(K)
+        assert simplicial._boundary_invariants(K, 1) == []
+        assert homology_invariants(K, 0) == (0, [])
+
+    def test_surfaces_with_torsion(self):
+        for K, h1 in ((projective_plane(), (0, [2])), (klein_bottle(), (1, [2]))):
+            for L in (K, barycentric_subdivision(K)[0]):
+                assert_matches_dense(L)
+                assert homology_invariants(L, 1) == h1
+                assert homology_invariants(L, 2) == (0, [])
+
+    def test_edge_boundary_counts_a_spanning_forest(self):
+        # a cycle of n vertices has a spanning tree of n - 1 edges; two
+        # cycles and a point have 2n - 2
+        assert simplicial._boundary_invariants(circle(6), 1) == [1] * 5
+        K = disjoint_union(circle(6), circle(6), point())
+        assert simplicial._boundary_invariants(K, 1) == [1] * 10
+
+    def test_lone_non_units_are_not_pivots(self):
+        rng = random.Random(59)
+        lone_values = (2, -2, 3, 4, -6)
+        for _ in range(80):
+            rows, cols = rng.randint(3, 12), rng.randint(3, 12)
+            density = rng.choice((0.15, 0.3))
+            data = [[rng.choice((1, -1, 1, -1, 2)) if rng.random() < density else 0
+                     for _ in range(cols)] for _ in range(rows)]
+            # a lone non-unit in a new row, one in a new column, and one
+            # alone in both a new row and a new column
+            data.append([0] * cols)
+            data[-1][rng.randrange(cols)] = rng.choice(lone_values)
+            for row in data:
+                row += [0, 0]
+            data[rng.randrange(rows)][cols] = rng.choice(lone_values)
+            data.append([0] * (cols + 2))
+            data[-1][cols + 1] = rng.choice(lone_values)
+            M = IntMatrix.from_rows(data)
+            assert sparse_invariants(M) == dense_invariants(M)
+
+    def test_collapse_keeps_a_lone_non_unit(self):
+        rows, units = simplicial._collapse({0: {0: 2}, 1: {0: 1, 1: 1}})
+        # row 1 holds a lone +1 and goes with column 1; then row 0 and
+        # column 0 hold only the 2, which stays
+        assert units == 1
+        assert rows == {0: {0: 2}}
+
+    def test_collapse_alone_clears_a_disk(self):
+        # every triangle of a disk goes by free faces and coreductions, the
+        # inner ones only after the outer ones have made them free
+        D = grid_disk(4)
+        cols = simplicial._sparse_boundary(D, 2)
+        rows, units = simplicial._collapse(cols)
+        assert units == len(D.simplices_of_dim(2)) == 32
+        assert not any(cols.values()) and not any(rows.values())
