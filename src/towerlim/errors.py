@@ -4,14 +4,14 @@ modules that raise them.
 `cli` imports them from here, so it can map an exception to its exit code
 without loading `simplicial`, `shape` or `lab`.  Each home module
 re-exports its own, so every name is one class object everywhere;
-`TooLarge` has three raisers and is re-exported by `limits`.
+`TooLarge` has four raisers and is re-exported by `limits`.
 """
 
 
 class TooLarge(Exception):
     """An input past a resource bound, refused before the work starts
-    (raised by `limits`, `shape` and `simplicial`; the reason names the
-    bound)."""
+    (raised by `limits`, `shape`, `simplicial` and `towerfile`; the reason
+    names the bound)."""
 
 
 class SimplicialError(Exception):

@@ -249,16 +249,19 @@ def _zero_tower():
     return PeriodicTower((), (), free_group(0), identity_hom(free_group(0)), None)
 
 
-def _constant_Z_tower():
+def _scalar_tower(d):
+    """Z at every level, each bond multiplication by d."""
     Z = free_group(1)
-    return PeriodicTower((), (), Z, hom_make(Z, Z, [[1]]), None)
+    return PeriodicTower((), (), Z, hom_make(Z, Z, [[d]]), None)
 
 
-def _verify_levels(st, n, model, levels=2, reduced=False):
-    """Spot check: induced maps must match the registered model levelwise
-    (kernel and cokernel invariants agree)."""
+def _verify_levels(st, n, model, levels=2, reduced=False, co=False):
+    """Spot check: the maps induced on homology (on cohomology when co is
+    true) must match the registered model levelwise (kernel, image and
+    cokernel invariants agree)."""
     for i in range(levels):
-        actual = induced_hom(st.bond_at(i), n, reduced)
+        bond = st.bond_at(i)
+        actual = induced_cohom(bond, n) if co else induced_hom(bond, n, reduced)
         expected = model.bond_at(i)
         pairs = zip(hom_parts(actual), hom_parts(expected))
         for got, want in pairs:
@@ -273,16 +276,15 @@ def _registered_homology_tower(st, n, reduced):
     if fam == "solenoid":
         (p,) = params
         if n == 0:
-            return _zero_tower() if reduced else _constant_Z_tower()
+            return _zero_tower() if reduced else _scalar_tower(1)
         if n == 1:
-            Z = free_group(1)
-            model = PeriodicTower((), (), Z, hom_make(Z, Z, [[p]]), None)
+            model = _scalar_tower(p)
             _verify_levels(st, 1, model)
             return model
         return _zero_tower()
     if fam == "hawaiian":
         if n == 0:
-            return _zero_tower() if reduced else _constant_Z_tower()
+            return _zero_tower() if reduced else _scalar_tower(1)
         if n == 1:
             model = make_streamed("hawaiian_h1")
             _verify_levels(st, 1, model)
@@ -299,7 +301,7 @@ def _registered_homology_tower(st, n, reduced):
     if fam == "cluster_solenoids":
         (p,) = params
         if n == 0:
-            return _zero_tower() if reduced else _constant_Z_tower()
+            return _zero_tower() if reduced else _scalar_tower(1)
         if n == 1:
             model = make_streamed("cluster_h1", (p,))
             _verify_levels(st, 1, model)
@@ -389,8 +391,10 @@ def cech_cohomology(st, n):
     Periodic towers give a finitely generated answer when the induced map
     is bijective and a localization otherwise; a bond with a kernel is
     first reduced by its stable kernel chain, which the colimit kills.
-    The solenoid family has its registered localization; other streamed
-    families are reported depth-limited.
+    The solenoid family has its registered localization, and the wedges of
+    circles (hawaiian, cluster_solenoids) have H^0 = Z, each after a spot
+    check of the first bonds; the growing-rank cases (H^1 of the wedges,
+    H^0 of null_sequence) are reported depth-limited.
     """
     if isinstance(st, PeriodicSimplicialTower):
         B = induced_cohom(st.tail_map, n)
@@ -409,17 +413,19 @@ def cech_cohomology(st, n):
             if n == 0:
                 return StructuredGroup.fg(free_group(1))
             if n == 1:
-                for i in range(2):
-                    h = induced_cohom(st.bond_at(i), 1)
-                    if abs(h.matrix.data[0][0]) != p:
-                        raise ShapeError("solenoid cohomology bond is not degree p")
+                _verify_levels(st, 1, _scalar_tower(p), co=True)
                 return StructuredGroup.localization(free_group(1),
                                                     IntMatrix.from_rows([[p]]))
             return StructuredGroup.zero()
         if st.family == "null_sequence" and n >= 1:
             return StructuredGroup.zero()
-        if st.family in ("hawaiian", "cluster_solenoids") and n >= 2:
-            return StructuredGroup.zero()
+        if st.family in ("hawaiian", "cluster_solenoids"):
+            if n == 0:
+                # every level is connected: each bond is an isomorphism of Z
+                _verify_levels(st, 0, _scalar_tower(1), co=True)
+                return StructuredGroup.fg(free_group(1))
+            if n >= 2:
+                return StructuredGroup.zero()
         return StructuredGroup.depth_limited(
             "colimit of a growing-rank cohomology sequence (a countable direct sum)")
     raise ShapeError("cech_cohomology needs a simplicial tower")

@@ -2,23 +2,38 @@
 
 Vertices are integers 0..n-1; simplices are sorted vertex tuples closed
 under faces.  Homology is computed over Z with exact integer kernels and
-Smith invariants.  Large complexes (mapping telescopes) never reach a
-dense matrix whole, and stay exact.  The boundary from edges to vertices
-is an oriented incidence matrix, totally unimodular, so its invariants
-are V - c ones, counted by a union-find (a spanning forest).  Every
-other boundary map goes through a sparse unit-pivot elimination before
-the dense Smith normal form of the residue: first the free faces and
-coreductions, +-1 entries alone in their row or column, which cause no
-fill-in and are removed from a worklist in linear time (Kaczynski,
-Mischaikow and Mrozek 2004; Mrozek and Batko 2009), then the +-1 pivot
-of least Markowitz cost (len(row) - 1) * (len(col) - 1), taken from a
-heap whose stale keys are checked again when popped, so fill-in stays
-small (Markowitz 1957; Dumas, Heckenbach, Saunders and Welker 2003 use
-the same order on simplicial boundary matrices).  A complex indexes its
-simplices by dimension once, and keeps the invariants of each boundary
-map it has eliminated, on the object itself.  The dense witnesses of
-induced maps refuse a boundary matrix of more than MAX_DENSE_ENTRIES
-entries with TooLarge, before allocating it.
+Smith invariants, and no boundary or chain map is ever formed as a
+dense matrix whole.  The boundary from edges to vertices is an oriented
+incidence matrix, totally unimodular, so its invariants are V - c ones,
+counted by a union-find (a spanning forest).  Every other boundary map
+goes through a sparse unit-pivot elimination before the dense Smith
+normal form of the residue: first the free faces and coreductions, +-1
+entries alone in their row or column, which cause no fill-in and are
+removed from a worklist in linear time (Kaczynski, Mischaikow and
+Mrozek 2004; Mrozek and Batko 2009), then the +-1 pivot of least
+Markowitz cost (len(row) - 1) * (len(col) - 1), taken from a heap whose
+stale keys are checked again when popped, so fill-in stays small
+(Markowitz 1957; Dumas, Heckenbach, Saunders and Welker 2003 use the
+same order on simplicial boundary matrices).
+
+Witnesses of (co)homology and induced maps come from the same pivots,
+kept.  The boundary from k-chains is eliminated once per complex, for
+k = 1, 2, ... in turn, without the rows of the (k-1)-cells already
+paired with a face.  Each unit pivot pairs a k-cell with a (k-1)-cell,
+and the pairs span an acyclic subcomplex, so the quotient K' on the
+unpaired (critical) cells, with the residues as its boundary maps, is
+chain equivalent to K: the projection pi clears a chain's cells paired
+with a coface by boundaries of their partners and keeps its critical
+coefficients, and the lift iota adds to a critical cell the paired
+cells that clear its boundary on their partners.  Groups and their
+witnesses are the exact kernels and subquotients of the small dense
+boundary maps of K'; the map induced by f on degree-n (co)homology is
+read from pi_L f_# iota_K on the critical n-cells (its transpose for
+cohomology), with f_# applied to the few lifted chains directly.  A
+complex indexes its simplices by dimension, its maximal simplices, the
+invariants of each boundary map and its reduction once, on the object
+itself.  A dense residue of more than MAX_DENSE_ENTRIES entries is
+refused with TooLarge before it is allocated.
 
 Subdivisions and mapping cylinders are built by walking the face poset
 from the maximal simplices: sd(K) is closed from the full flags
@@ -29,6 +44,8 @@ these, so the cost is linear in the size of the result.  The descents
 come from one generator, cylinder_cells, which takes the vertex ids to
 emit, so a mapping telescope writes each cylinder's cells in its own
 ids; subdivide_map maps between subdivisions its caller already holds.
+A simplicial map is validated on the maximal simplices of its source:
+every simplex is a face of one, and the target is closed under faces.
 """
 
 from __future__ import annotations
@@ -36,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import combinations, permutations
+from itertools import combinations, filterfalse, permutations
 
 from .errors import SimplicialError, TooLarge
 from .exactlat import (
@@ -51,11 +68,11 @@ from .exactlat import (
 )
 
 
-# The most entries a dense boundary matrix of _witness may have, about a
-# 700 x 700 matrix; a larger one is refused with TooLarge before it is
-# allocated.  The slowest witness below the bound, the cohomology bond of
-# a 675-vertex circle in `cech`, takes seconds, and the time grows with
-# about the third power of the vertex count.
+# The most entries a dense residue may have, about a 700 x 700 matrix:
+# what the unit pivots leave of a boundary map, whether for its Smith
+# invariants or as a boundary map of the reduced complex K'.  A larger
+# one is refused with TooLarge before it is allocated; the dense Smith
+# form and kernel of such a matrix would run for minutes.
 MAX_DENSE_ENTRIES = 500_000
 
 
@@ -109,6 +126,27 @@ class SimplicialComplex:
         """(Co)homology with witnesses, by (cohomology?, degree, reduced)."""
         return {}
 
+    @cached_property
+    def _reduction(self):
+        """The unit-pivot reduction of the chain complex, degree by degree
+        as the witnesses ask for it."""
+        return _Reduction(self)
+
+    @cached_property
+    def _maximal_simplices(self):
+        """The simplices that are no proper face of another, sorted: those
+        of each dimension that are no facet of one a dimension higher."""
+        by_dim = self._by_dim
+        maximal = []
+        for k, simplices in by_dim.items():
+            # the facets of the (k+1)-simplices, a vertex column left out at a time
+            columns = list(zip(*by_dim.get(k + 1, ())))
+            facets = set()
+            for i in range(len(columns)):
+                facets.update(zip(*columns[:i], *columns[i + 1:]))
+            maximal += filterfalse(facets.__contains__, simplices)
+        return sorted(maximal)
+
     @property
     def dimension(self):
         return max(self._by_dim, default=-1)
@@ -121,23 +159,6 @@ class SimplicialComplex:
         for s in self.simplices:
             chi += (-1) ** (len(s) - 1)
         return chi
-
-    def boundary_matrix(self, k):
-        """The boundary map from k-chains to (k-1)-chains."""
-        rows = self.simplices_of_dim(k - 1)
-        cols = self.simplices_of_dim(k)
-        idx = {s: i for i, s in enumerate(rows)}
-        data = [[0] * len(cols) for _ in range(len(rows))]
-        for j, s in enumerate(cols):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                if face:
-                    data[idx[face]][j] = (-1) ** i
-        return IntMatrix(len(rows), len(cols), data)
-
-    def augmentation_matrix(self):
-        verts = self.simplices_of_dim(0)
-        return IntMatrix(1, len(verts), [[1] * len(verts)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +210,7 @@ def sparse_invariants(mat):
     return _sparse_invariants_from_cols(_sparse_from_matrix(mat))
 
 
-def _collapse(cols):
+def _collapse(cols, steps=None):
     """Build the row view of the column dict cols and eliminate every +-1
     entry alone in its row (a free face) or its column (a coreduction),
     until none is left; returns the rows and the number of pivots.
@@ -200,7 +221,8 @@ def _collapse(cols):
     entry goes on the worklist, so the pass costs time linear in the
     entries it removes.  A lone entry that is no unit stays.  The
     worklist holds (lines, cross, a): the view of line a and the other
-    view, rows and columns in either order.
+    view, rows and columns in either order.  Each pivot is appended to
+    steps, when given, as _markowitz does.
     """
     rows = {}
     for j, col in cols.items():
@@ -225,20 +247,29 @@ def _collapse(cols):
             del shrunk[b]
             if len(shrunk) == 1:
                 work.append((lines, cross, c))
+        if steps is not None:
+            # a free face takes no column operation; a coreduction clears
+            # its row from the columns in `other`
+            steps.append((a, b, v, other, {}) if lines is rows else (b, a, v, {}, other))
         units += 1
     return rows, units
 
 
-def _sparse_invariants_from_cols(cols):
-    """Eliminate unit pivots of the column dict cols (consumed): first the
-    free faces and coreductions of _collapse, in time linear in the
-    entries they remove, then the rest in Markowitz order from a heap
-    whose stale keys are checked again when popped; the dense Smith form
-    of what is left gives the other invariants."""
-    rows, units = _collapse(cols)
+def _markowitz(cols, rows, steps=None):
+    """Eliminate the +-1 pivots of the column dict cols (with its row view
+    rows) in Markowitz order, from a heap whose stale keys are checked
+    again when popped; returns the number of pivots.
+
+    Column operations clear the pivot row; the entries of the pivot
+    column then leave with it, so no row operation is needed.  When steps
+    is given, each pivot is appended to it as (row, column, unit, the
+    rest of the column, the rest of the row), taken when it was pivoted:
+    the record _Reduction lifts and projects chains with.
+    """
     heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j) for j, col in cols.items()
             for i, v in col.items() if v in (1, -1)]
     heapify(heap)
+    units = 0
     while heap:
         cost, pi, pj = heappop(heap)
         pcol = cols.get(pj)
@@ -254,8 +285,6 @@ def _sparse_invariants_from_cols(cols):
         del cols[pj], rows[pi]
         for i in pcol:
             del rows[i][pj]
-        # column operations clear row pi; the entries of column pj then
-        # leave with it, so no row operation is needed
         for j, a in prow.items():
             col = cols[j]
             del col[pi]
@@ -269,17 +298,40 @@ def _sparse_invariants_from_cols(cols):
                         heappush(heap, ((len(row) - 1) * (len(col) - 1), i, j))
                 else:
                     del col[i], row[j]
+        if steps is not None:
+            steps.append((pi, pj, pv, pcol, prow))
         units += 1
+    return units
+
+
+def _dense_residue(row_pos, columns):
+    """The columns (dicts keyed by row) as a dense matrix, with row i at
+    row_pos[i]; refused past MAX_DENSE_ENTRIES before it is allocated."""
+    entries = len(row_pos) * len(columns)
+    if entries > MAX_DENSE_ENTRIES:
+        raise TooLarge(
+            "the dense residue of a boundary map would have %d x %d = %d entries, "
+            "over the bound of %d entries on a dense residue"
+            % (len(row_pos), len(columns), entries, MAX_DENSE_ENTRIES))
+    dense = [[0] * len(columns) for _ in range(len(row_pos))]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            dense[row_pos[i]][j] = v
+    return IntMatrix(len(row_pos), len(columns), dense)
+
+
+def _sparse_invariants_from_cols(cols):
+    """Eliminate unit pivots of the column dict cols (consumed): first the
+    free faces and coreductions of _collapse, in time linear in the
+    entries they remove, then the rest by _markowitz; the dense Smith form
+    of what is left gives the other invariants."""
+    rows, units = _collapse(cols)
+    units += _markowitz(cols, rows)
     live_rows = sorted({i for col in cols.values() for i in col})
-    live_cols = sorted(j for j, col in cols.items() if col)
+    live_cols = [col for _, col in sorted(cols.items()) if col]
     if not live_cols:
         return [1] * units
-    ri = {v: k for k, v in enumerate(live_rows)}
-    dense = [[0] * len(live_cols) for _ in range(len(live_rows))]
-    for cj, j in enumerate(live_cols):
-        for i, v in cols[j].items():
-            dense[ri[i]][cj] = v
-    S, _, _ = snf(IntMatrix(len(live_rows), len(live_cols), dense))
+    S, _, _ = snf(_dense_residue({v: k for k, v in enumerate(live_rows)}, live_cols))
     rest = [d for d in S.diagonal() if d != 0]
     return [1] * units + rest
 
@@ -338,36 +390,175 @@ def homology_invariants(K, n, reduced=False):
 
 
 # ---------------------------------------------------------------------------
-# homology with witnesses (dense; used for induced maps)
+# the reduced complex K' and homology with witnesses
+
+
+class _Pivots:
+    """The unit pivots of one boundary map, in the order they were taken,
+    and the columns that no pivot took, with what is left of them."""
+
+    def __init__(self, steps, residue):
+        self.steps = steps          # (row, column, unit, rest of column, rest of row)
+        self.residue = residue
+        self.row_step = {step[0]: t for t, step in enumerate(steps)}
+        self.paired = {step[1] for step in steps}
+
+    @cached_property
+    def absorbed(self):
+        """For each column, the (step, factor) of every pivot column that a
+        column operation subtracted from it, factor times, in step order."""
+        out = {}
+        for t, (_, _, unit, _, rest_of_row) in enumerate(self.steps):
+            for j, a in rest_of_row.items():
+                out.setdefault(j, []).append((t, a * unit))
+        return out
+
+
+_NO_PIVOTS = _Pivots([], {})
+
+
+class _Reduction:
+    """The reduction of the chain complex of K by unit pivots, kept.
+
+    The boundary from k-chains is eliminated by _collapse and _markowitz,
+    for k = 1, 2, ... in turn, without the rows of the (k-1)-cells that
+    the boundary from (k-1)-chains paired with a face: in the basis its
+    column operations leave, those rows are zero and the others are as
+    they were.  So every pivot pairs two cells of a chain complex
+    equivalent to K, and the unpaired (critical) cells span the reduced
+    complex K', whose boundary maps are the residues of the eliminations.
+    """
+
+    def __init__(self, K):
+        self.K = K
+        self._levels = [_NO_PIVOTS]     # _levels[k]: the boundary from k-chains
+        self._critical = {}
+
+    def _level(self, k):
+        while len(self._levels) <= k:
+            self._levels.append(self._eliminate(len(self._levels)))
+        return self._levels[k]
+
+    def _eliminate(self, k):
+        if k not in self.K._by_dim:
+            return _NO_PIVOTS
+        cols = _sparse_boundary(self.K, k)
+        # the (k-1)-cells paired with a face leave their rows behind
+        paired = self._levels[k - 1].paired
+        if paired:
+            for col in cols.values():
+                for i in [i for i in col if i in paired]:
+                    del col[i]
+        steps = []
+        rows, _ = _collapse(cols, steps)
+        _markowitz(cols, rows, steps)
+        return _Pivots(steps, cols)
+
+    def critical(self, k):
+        """The positions of the critical k-cells in K._by_dim[k], and the
+        position of each among them."""
+        if k not in self._critical:
+            cells = []
+            if k >= 0:
+                down, up = self._level(k).paired, self._level(k + 1).row_step
+                cells = [c for c in range(len(self.K._by_dim.get(k, ())))
+                         if c not in down and c not in up]
+            self._critical[k] = (cells, {c: i for i, c in enumerate(cells)})
+        return self._critical[k]
+
+    def boundary(self, k):
+        """The boundary map of K' from k-chains, as a dense matrix."""
+        cells, _ = self.critical(k)
+        _, row_pos = self.critical(k - 1)
+        residue = self._level(k).residue if k > 0 else {}
+        return _dense_residue(row_pos, [residue.get(c, {}) for c in cells])
+
+    def augmentation(self):
+        """The augmentation of K' onto Z: every critical vertex is a
+        vertex of K, which iota leaves as it is."""
+        count = len(self.critical(0)[0])
+        return IntMatrix(1, count, [[1] * count])
+
+    def lift(self, n, cell):
+        """iota of the critical n-cell at position cell, as an n-chain of K.
+
+        The elimination of the boundary from n-chains subtracted pivot
+        columns from the cell's column, and each pivot column had itself
+        absorbed earlier ones; the lift is the cell minus those multiples
+        of the pivot cells, expanded from the last pivot down, so that its
+        boundary vanishes on every face paired with a pivot cell."""
+        chain = {cell: 1}
+        level = self._level(n) if n > 0 else _NO_PIVOTS
+        absorbed, steps = level.absorbed, level.steps
+        coef = {t: -f for t, f in absorbed.get(cell, ())}
+        heap = [-t for t in coef]
+        heapify(heap)
+        while heap:
+            t = -heappop(heap)
+            c = coef.pop(t)
+            if not c:
+                continue
+            b = steps[t][1]
+            chain[b] = c
+            for s, f in absorbed.get(b, ()):
+                if s not in coef:
+                    coef[s] = 0
+                    heappush(heap, -s)
+                coef[s] -= c * f
+        return chain
+
+    def project(self, n, chain):
+        """pi of the n-chain {position: coefficient}, as a vector over the
+        critical n-cells: the cells paired with a face are dropped, and the
+        ones paired with a coface are cleared, in pivot order, by the pivot
+        columns of the boundary from (n+1)-chains."""
+        down = self._level(n).paired if n > 0 else ()
+        up = self._level(n + 1)
+        row_step, steps = up.row_step, up.steps
+        w = {i: c for i, c in chain.items() if c and i not in down}
+        heap = [row_step[i] for i in w if i in row_step]
+        heapify(heap)
+        while heap:
+            row, _, unit, rest_of_col, _ = steps[heappop(heap)]
+            g = w.pop(row, 0) * unit
+            if not g:
+                continue
+            for i, v in rest_of_col.items():
+                new = w.get(i, 0) - g * v
+                if not new:
+                    del w[i]
+                    continue
+                if i not in w and i in row_step:
+                    heappush(heap, row_step[i])
+                w[i] = new
+        _, pos = self.critical(n)
+        vector = [0] * len(pos)
+        for i, c in w.items():
+            vector[pos[i]] = c
+        return vector
 
 
 @dataclass(frozen=True)
 class HomologyData:
     group: FgAbGroup
-    cycle_basis: IntMatrix     # columns: (co)cycles generating the group, in chain coords
-    incoming: IntMatrix        # the map into degree-n (co)chains whose image is divided out
+    cycle_basis: IntMatrix     # columns: (co)cycles generating the group, over the critical cells
+    incoming: IntMatrix        # the map into degree-n (co)chains of K' whose image is divided out
 
 
 def _witness(K, co, n, reduced=False):
-    """ker(outgoing) / im(incoming) on the degree-n chains of K (the
-    cochains when co is true), computed once per complex."""
+    """ker(outgoing) / im(incoming) on the degree-n chains of the reduced
+    complex K' (the cochains when co is true), computed once per complex."""
     memo = K._witness_memo
     key = (co, n, reduced)
     if key not in memo:
-        for k in (n, n + 1):
-            entries = len(K._by_dim.get(k - 1, ())) * len(K._by_dim.get(k, ()))
-            if entries > MAX_DENSE_ENTRIES:
-                raise TooLarge(
-                    "the dense boundary matrix from %d-chains would have %d entries, "
-                    "over the bound of %d entries on a dense boundary matrix"
-                    % (k, entries, MAX_DENSE_ENTRIES))
+        R = K._reduction
         if co:
-            outgoing = K.boundary_matrix(n + 1).transpose()
-            incoming = K.boundary_matrix(n).transpose()
+            outgoing = R.boundary(n + 1).transpose()
+            incoming = R.boundary(n).transpose()
         else:
             # in degree 0 the reduced outgoing map is the augmentation onto Z
-            outgoing = K.augmentation_matrix() if reduced and n == 0 else K.boundary_matrix(n)
-            incoming = K.boundary_matrix(n + 1)
+            outgoing = R.augmentation() if reduced and n == 0 else R.boundary(n)
+            incoming = R.boundary(n + 1)
         part = subquotient(incoming.rows, lattice_kernel(outgoing), incoming)
         memo[key] = HomologyData(part.group, part.witness, incoming)
     return memo[key]
@@ -401,11 +592,14 @@ class SimplicialMap:
     vertex_map: tuple
 
     def __post_init__(self):
+        # the maximal simplices suffice: every simplex is a face of one,
+        # and the image of a face is a face of the image, which the
+        # face-closed target then holds
         if len(self.vertex_map) != self.source.vertex_count:
             raise SimplicialError("vertex map has the wrong length")
-        for s in self.source.simplices:
-            img = tuple(sorted(set(self.vertex_map[v] for v in s)))
-            if img not in self.target.simplices:
+        vm, simplices = self.vertex_map, self.target.simplices
+        for s in self.source._maximal_simplices:
+            if tuple(sorted({vm[v] for v in s})) not in simplices:
                 raise SimplicialError("image of %r is not a simplex" % (s,))
 
     def compose(self, inner):
@@ -413,20 +607,6 @@ class SimplicialMap:
             raise SimplicialError("composition mismatch")
         vm = tuple(self.vertex_map[v] for v in inner.vertex_map)
         return SimplicialMap(inner.source, self.target, vm)
-
-    def chain_matrix(self, k):
-        """Induced map on k-chains; degenerate images contribute zero."""
-        src = self.source.simplices_of_dim(k)
-        tgt = self.target.simplices_of_dim(k)
-        idx = {s: i for i, s in enumerate(tgt)}
-        data = [[0] * len(src) for _ in range(len(tgt))]
-        for j, s in enumerate(src):
-            img = [self.vertex_map[v] for v in s]
-            if len(set(img)) != len(img):
-                continue
-            sign = _sort_sign(img)
-            data[idx[tuple(sorted(img))]][j] = sign
-        return IntMatrix(len(tgt), len(src), data)
 
 
 def _sort_sign(seq):
@@ -444,16 +624,38 @@ def identity_map(K):
     return SimplicialMap(K, K, tuple(range(K.vertex_count)))
 
 
+def _reduced_chain_map(f, n):
+    """pi_L f_# iota_K: the map f induces from the critical n-cells of its
+    source K to those of its target L, as a matrix.  f_# sends each
+    simplex of a lifted chain to its image with the sign of the sorting
+    permutation, and degenerate images to zero."""
+    K, L = f.source, f.target
+    simplices, vm = K._by_dim.get(n, ()), f.vertex_map
+    index = {s: i for i, s in enumerate(L._by_dim.get(n, ()))}
+    columns = []
+    for cell in K._reduction.critical(n)[0]:
+        image = {}
+        for j, c in K._reduction.lift(n, cell).items():
+            img = [vm[v] for v in simplices[j]]
+            if len(set(img)) == len(img):
+                i = index[tuple(sorted(img))]
+                image[i] = image.get(i, 0) + _sort_sign(img) * c
+        columns.append(L._reduction.project(n, image))
+    return IntMatrix.from_columns(len(L._reduction.critical(n)[0]), columns)
+
+
 def _induced(f, co, n, reduced=False):
     """The map induced by f on degree-n homology, or contravariantly on
-    cohomology: one solve against the target basis stacked with its
-    incoming map."""
+    cohomology: one solve in the reduced target against its basis stacked
+    with its incoming map."""
     src, tgt = (f.target, f.source) if co else (f.source, f.target)
     src, tgt = _witness(src, co, n, reduced), _witness(tgt, co, n, reduced)
     if src.group.generators == 0 or tgt.group.generators == 0:
         return hom_make(src.group, tgt.group,
                         IntMatrix.zero(tgt.group.generators, src.group.generators))
-    C = f.chain_matrix(n).transpose() if co else f.chain_matrix(n)
+    C = _reduced_chain_map(f, n)
+    if co:
+        C = C.transpose()
     X = solve_columns(tgt.cycle_basis.hstack(tgt.incoming), C * src.cycle_basis)
     if X is None:
         raise SimplicialError("{0}chain image is not a {0}cycle modulo {0}boundaries"
@@ -481,12 +683,6 @@ def _facets(s):
     return [s[:i] + s[i + 1:] for i in range(len(s))]
 
 
-def _maximal_simplices(K):
-    """The simplices of K that are no proper face of another, in sorted order."""
-    faces = {f for s in K.simplices if len(s) > 1 for f in _facets(s)}
-    return sorted(s for s in K.simplices if s not in faces)
-
-
 def barycentric_subdivision(K):
     """sd(K) together with the vertex labeling (new vertex -> simplex).
 
@@ -498,7 +694,7 @@ def barycentric_subdivision(K):
     simplices = sorted(K.simplices)
     label = {s: i for i, s in enumerate(simplices)}
     flags = []
-    for top in _maximal_simplices(K):
+    for top in K._maximal_simplices:
         for order in permutations(top):
             flags.append([label[tuple(sorted(order[:k]))]
                           for k in range(1, len(top) + 1)])
@@ -540,6 +736,6 @@ def cylinder_cells(f, bary, target_ids):
         if len(last) > 1:
             for face in _facets(last):
                 descend(chain + [bary[face]], face)
-    for top in _maximal_simplices(f.source):
+    for top in f.source._maximal_simplices:
         descend([bary[top]], top)
     return cells

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .errors import TooLarge
 from .exactlat import IntMatrix, hom_make, present
 from .towers import (
     StreamedTower,
@@ -23,6 +24,12 @@ from .towers import (
     periodic_tower,
     tower_ses,
 )
+
+
+# The most generators a [group] may declare; a larger count is refused
+# with TooLarge before its relation matrix is allocated.  The largest
+# count in the shipped files and the benchmark is 12.
+MAX_GENERATORS = 10_000
 
 
 class ParseError(Exception):
@@ -163,6 +170,9 @@ def _resolve(sections):
         if kind == "group":
             text, line = _need(entries, "generators", kind, name, header)
             gens = _parse_int(text, line)
+            if gens > MAX_GENERATORS:
+                raise TooLarge("[group %s] declares %d generators, over the bound of %d "
+                               "generators per group" % (name, gens, MAX_GENERATORS))
             rel_rows = []
             if "relations" in entries:
                 rel_rows = _parse_matrix(*entries["relations"])

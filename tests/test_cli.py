@@ -147,19 +147,59 @@ class TestResourceBounds:
     """Inputs past a resource bound exit 3 with a reason that names the
     bound, before the work allocates."""
 
+    @staticmethod
+    def run_timed(argv, capsys):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return code, out, err, elapsed
+
     @pytest.mark.parametrize("p, degree, bound", [
         (10 ** 13, 0, "over the bound of 100000 vertices per level"),
-        (100, 1, "over the bound of 500000 entries on a dense boundary matrix")])
+        # level 2 of solenoid(183) has 3 * 183^2 = 100467 vertices
+        (183, 1, "level 2 of solenoid(183) would have 100467 vertices, "
+                 "over the bound of 100000 vertices per level")])
     def test_oversized_solenoid_exits_3(self, tmp_path, capsys, p, degree, bound):
         path = tmp_path / "big.tower"
         path.write_text("[stower s]\nfamily = solenoid\nparams = [%d]\n" % p)
-        start = time.perf_counter()
-        code = main(["steenrod", str(path), "--degree", str(degree)])
-        elapsed = time.perf_counter() - start
-        err = capsys.readouterr().err
+        code, _, err, elapsed = self.run_timed(
+            ["steenrod", str(path), "--degree", str(degree)], capsys)
         assert code == EXIT_DEPTH
         assert err.startswith("too large: ") and bound in err
-        assert "Traceback" not in err
+        assert elapsed < 1.0
+
+    def test_solenoid_100_answers(self, tmp_path, capsys):
+        # level 2 is a 30,000-vertex circle; the spot check of the bond
+        # from it runs through the reduced complexes
+        path = tmp_path / "s100.tower"
+        path.write_text("[stower s]\nfamily = solenoid\nparams = [100]\n")
+        code, out, _, elapsed = self.run_timed(
+            ["steenrod", str(path), "--degree", "1"], capsys)
+        assert code == EXIT_OK and out == "H_1: lim1 part 0, lim part 0, splits yes -> 0\n"
+        assert elapsed < 2.0
+
+    def test_dense_residue_bound(self, capsys, monkeypatch):
+        # level 2 of the earring reduces to one vertex and two loops, so
+        # its boundary from edges is 1 x 2, past a bound of 1 entry
+        from towerlim import simplicial
+        monkeypatch.setattr(simplicial, "MAX_DENSE_ENTRIES", 1)
+        code, _, err, _ = self.run_timed(
+            ["cech", fixture("hawaiian.tower"), "--degree", "0"], capsys)
+        assert code == EXIT_DEPTH
+        assert err == ("too large: the dense residue of a boundary map would have "
+                       "1 x 2 = 2 entries, over the bound of 1 entries on a dense residue\n")
+
+    def test_generator_count_bound(self, tmp_path, capsys):
+        path = tmp_path / "gens.tower"
+        path.write_text("[group G]\ngenerators = 10000000000000\n"
+                        "[map m]\nsource = G\ntarget = G\nmatrix = [1]\n"
+                        "[tower t]\ntail_group = G\ntail_endo = m\n")
+        code, _, err, elapsed = self.run_timed(["lim", str(path)], capsys)
+        assert code == EXIT_DEPTH
+        assert err == ("too large: [group G] declares 10000000000000 generators, "
+                       "over the bound of 10000 generators per group\n")
         assert elapsed < 1.0
 
 
@@ -210,6 +250,15 @@ class TestExitCodes:
 
     def test_depth_limited_is_3(self):
         assert main(["cech", fixture("hawaiian.tower"), "--degree", "1"]) == 3
+
+    @pytest.mark.parametrize("name", ["hawaiian.tower", "cluster_2.tower"])
+    def test_cech_degree_0_of_a_wedge_is_z(self, name):
+        # every level is connected, and the spot-checked bonds are
+        # isomorphisms of H^0 = Z
+        code, report, text = dispatch(["cech", fixture(name), "--degree", "0"])
+        assert code == EXIT_OK and text == "H^0 = Z"
+        assert report["result"]["invariants"] == {"rank": 1, "torsion": []}
+        assert validate_report(report) == []
 
     def test_cech_of_a_constant_self_map_is_zero(self, tmp_path):
         f = tmp_path / "const.tower"

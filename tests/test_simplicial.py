@@ -1,10 +1,19 @@
+import functools
 import random
 from itertools import combinations
 
 import pytest
 
 from towerlim import simplicial
-from towerlim.exactlat import IntMatrix, identity_hom
+from towerlim.exactlat import (
+    IntMatrix,
+    hom_make,
+    hom_parts,
+    identity_hom,
+    kernel,
+    solve_columns,
+    subquotient,
+)
 from towerlim.shape import PeriodicSimplicialTower, Telescope, make_example, telescope
 from towerlim.simplicial import (
     SimplicialComplex,
@@ -41,6 +50,72 @@ def point():
     return SimplicialComplex.from_maximal(1, [(0,)])
 
 
+# ---------------------------------------------------------------------------
+# the dense reference: boundary and chain matrices of the whole complex,
+# and the witnesses and induced maps read off them
+
+
+def dense_boundary(K, k):
+    """The boundary map from k-chains to (k-1)-chains."""
+    rows = K.simplices_of_dim(k - 1)
+    cols = K.simplices_of_dim(k)
+    idx = {s: i for i, s in enumerate(rows)}
+    data = [[0] * len(cols) for _ in range(len(rows))]
+    for j, s in enumerate(cols):
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1:]
+            if face:
+                data[idx[face]][j] = (-1) ** i
+    return IntMatrix(len(rows), len(cols), data)
+
+
+def dense_chain_matrix(f, k):
+    """Induced map on k-chains; degenerate images contribute zero."""
+    src = f.source.simplices_of_dim(k)
+    tgt = f.target.simplices_of_dim(k)
+    idx = {s: i for i, s in enumerate(tgt)}
+    data = [[0] * len(src) for _ in range(len(tgt))]
+    for j, s in enumerate(src):
+        img = [f.vertex_map[v] for v in s]
+        if len(set(img)) == len(img):
+            data[idx[tuple(sorted(img))]][j] = simplicial._sort_sign(img)
+    return IntMatrix(len(tgt), len(src), data)
+
+
+@functools.lru_cache(maxsize=None)
+def dense_witness(K, co, n, reduced=False):
+    """(group, cycle basis, incoming) of ker(outgoing) / im(incoming) on
+    the degree-n chains of K, or its cochains when co is true."""
+    if co:
+        outgoing = dense_boundary(K, n + 1).transpose()
+        incoming = dense_boundary(K, n).transpose()
+    elif reduced and n == 0:
+        verts = K.simplices_of_dim(0)
+        outgoing = IntMatrix(1, len(verts), [[1] * len(verts)])
+        incoming = dense_boundary(K, 1)
+    else:
+        outgoing = dense_boundary(K, n)
+        incoming = dense_boundary(K, n + 1)
+    part = subquotient(incoming.rows, kernel(outgoing), incoming)
+    return part.group, part.witness, incoming
+
+
+def dense_induced(f, co, n, reduced=False):
+    """The map f induces on degree-n (co)homology, through the dense
+    chain matrix of f and the dense witnesses of its source and target."""
+    src, tgt = (f.target, f.source) if co else (f.source, f.target)
+    (sg, sb, _), (tg, tb, tinc) = (dense_witness(src, co, n, reduced),
+                                   dense_witness(tgt, co, n, reduced))
+    if sg.generators == 0 or tg.generators == 0:
+        return hom_make(sg, tg, IntMatrix.zero(tg.generators, sg.generators))
+    C = dense_chain_matrix(f, n)
+    if co:
+        C = C.transpose()
+    X = solve_columns(tb.hstack(tinc), C * sb)
+    assert X is not None
+    return hom_make(sg, tg, X.submatrix(range(tb.cols), range(X.cols)))
+
+
 class TestComplexes:
     def test_face_closure(self):
         K = SimplicialComplex.from_maximal(3, [(0, 1, 2)])
@@ -57,7 +132,7 @@ class TestComplexes:
 
     def test_boundary_squares_to_zero(self):
         K = SimplicialComplex.from_maximal(4, [(0, 1, 2), (1, 2, 3)])
-        d1, d2 = K.boundary_matrix(1), K.boundary_matrix(2)
+        d1, d2 = dense_boundary(K, 1), dense_boundary(K, 2)
         assert (d1 * d2).is_zero()
 
     def test_euler_characteristic(self):
@@ -546,7 +621,7 @@ def grid_disk(n):
 def assert_matches_dense(K):
     for k in range(K.dimension + 2):
         assert simplicial._boundary_invariants(K, k) == \
-            dense_invariants(K.boundary_matrix(k)), k
+            dense_invariants(dense_boundary(K, k)), k
 
 
 class TestBoundaryInvariantsDifferential:
@@ -625,3 +700,198 @@ class TestBoundaryInvariantsDifferential:
         rows, units = simplicial._collapse(cols)
         assert units == len(D.simplices_of_dim(2)) == 32
         assert not any(cols.values()) and not any(rows.values())
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the reduced complex K' against the dense reference
+
+
+@functools.lru_cache(maxsize=None)
+def as_dense(K, co, n, reduced=False):
+    """The isomorphism from the (co)homology of K' onto the dense
+    witness group of K: a cycle of K' goes to its lift iota, a cocycle of
+    K' to its pullback along pi, each solved in the dense basis."""
+    R = K._reduction
+    sparse = simplicial._witness(K, co, n, reduced)
+    group, basis, incoming = dense_witness(K, co, n, reduced)
+    cells = K.simplices_of_dim(n)
+    if co:
+        # the value of the pulled-back cocycle on each cell is its value on pi(cell)
+        projected = [R.project(n, {j: 1}) for j in range(len(cells))]
+        columns = [[sum(a * b for a, b in zip(g, p)) for p in projected]
+                   for g in zip(*sparse.cycle_basis.data)]
+    else:
+        columns = []
+        for g in zip(*sparse.cycle_basis.data):
+            chain = [0] * len(cells)
+            for x, c in zip(R.critical(n)[0], g):
+                for j, v in R.lift(n, x).items():
+                    chain[j] += c * v
+            columns.append(chain)
+    target = IntMatrix.from_columns(len(cells), columns)
+    if not columns:
+        return hom_make(sparse.group, group, IntMatrix.zero(group.generators, 0))
+    X = solve_columns(basis.hstack(incoming), target)
+    assert X is not None
+    phi = hom_make(sparse.group, group, X.submatrix(range(basis.cols), range(X.cols)))
+    k, _, ck = hom_parts(phi)
+    assert k.group.is_trivial() and ck.group.is_trivial()
+    return phi
+
+
+def part_invariants(h):
+    return [p.group.smith_invariants for p in hom_parts(h)]
+
+
+def assert_agrees_with_dense(f, co, n, reduced=False):
+    """The induced map of the reduced path is the dense one, conjugated
+    by the isomorphisms of as_dense; groups and the invariants of kernel,
+    image and cokernel agree, and so does a matrix that is 1 x 1 on both
+    paths."""
+    got, want = simplicial._induced(f, co, n, reduced), dense_induced(f, co, n, reduced)
+    assert got.source.smith_invariants == want.source.smith_invariants
+    assert got.target.smith_invariants == want.target.smith_invariants
+    assert part_invariants(got) == part_invariants(want)
+    src, tgt = (f.target, f.source) if co else (f.source, f.target)
+    phi_src, phi_tgt = as_dense(src, co, n, reduced), as_dense(tgt, co, n, reduced)
+    assert want.compose(phi_src).equals(phi_tgt.compose(got))
+    if got.matrix.rows == got.matrix.cols == 1 == want.matrix.rows == want.matrix.cols:
+        assert got.matrix == want.matrix
+    return got
+
+
+def every_degree(f, check):
+    for n in range(max(f.source.dimension, f.target.dimension) + 2):
+        for co, reduced in ((False, False), (True, False), (False, True)):
+            if not (reduced and n):
+                check(f, co, n, reduced)
+
+
+def sample_complexes(rng, count):
+    """The two torsion surfaces, the subdivided projective plane, and
+    random complexes up to dimension 3."""
+    complexes = [projective_plane(), klein_bottle(),
+                 barycentric_subdivision(projective_plane())[0]]
+    complexes += [random_complex(rng, rng.randint(1, 8), 3, 6) for _ in range(count)]
+    return complexes
+
+
+class TestReducedComplexDifferential:
+    def test_groups_match_the_dense_witnesses(self):
+        complexes = sample_complexes(random.Random(61), 60)
+        assert any(K.dimension == 3 for K in complexes)
+        for K in complexes:
+            for n in range(K.dimension + 2):
+                for co, reduced in ((False, False), (True, False), (False, True)):
+                    if reduced and n:
+                        continue
+                    got = simplicial._witness(K, co, n, reduced).group
+                    assert got.smith_invariants == \
+                        dense_witness(K, co, n, reduced)[0].smith_invariants
+                    if not co:
+                        assert got.smith_invariants == \
+                            simplicial_homology(K, n, reduced).smith_invariants
+                    as_dense(K, co, n, reduced)
+
+    def test_torsion_surfaces(self):
+        for K, h1 in ((projective_plane(), (0, [2])), (klein_bottle(), (1, [2]))):
+            for L in (K, barycentric_subdivision(K)[0]):
+                assert homology_data(L, 1).group.smith_invariants == h1
+                # H^2 = Ext(H_1, Z) + Hom(H_2, Z) = Z/2 on both surfaces
+                assert cohomology_data(L, 2).group.smith_invariants == (0, [2])
+                assert cohomology_data(L, 1).group.smith_invariants == (h1[0], [])
+        for K in sample_complexes(random.Random(0), 0):
+            every_degree(identity_map(K), assert_agrees_with_dense)
+        # sd(RP^2) -> RP^2, each barycenter to the first vertex of its simplex
+        sd, labels = barycentric_subdivision(projective_plane())
+        f = SimplicialMap(sd, projective_plane(), tuple(s[0] for s in labels))
+        every_degree(f, assert_agrees_with_dense)
+        assert part_invariants(induced_hom(f, 1)) == [(0, []), (0, [2]), (0, [])]
+
+    def test_random_maps(self):
+        for f in sample_maps():
+            every_degree(f, assert_agrees_with_dense)
+
+    def test_random_self_maps(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            K, f = random_self_map(rng)
+            every_degree(f, assert_agrees_with_dense)
+
+    @pytest.mark.parametrize("name,params,bonds", [
+        ("solenoid", (2,), 2), ("solenoid", (3,), 2), ("solenoid", (5,), 1),
+        ("hawaiian", (), 2), ("cluster_solenoids", (2,), 2), ("null_sequence", (), 2)])
+    def test_bonds_of_the_shape_spaces(self, name, params, bonds):
+        # the bonds that the spot checks of `shape` reach; the dense
+        # reference takes seconds on the 75-vertex level 2 of solenoid(5)
+        st = make_example(name, params)
+        for i in range(bonds):
+            every_degree(st.bond_at(i), assert_agrees_with_dense)
+
+    def test_functoriality(self):
+        rng = random.Random(71)
+        checked = 0
+        for _ in range(40):
+            K = random_complex(rng, rng.randint(1, 6), 3, 4)
+            f = random_map(rng, K)
+            g = random_map(rng, f.target)
+            gf = SimplicialMap(K, g.target, tuple(g.vertex_map[v] for v in f.vertex_map))
+            for n in range(K.dimension + 1):
+                for co in (False, True):
+                    h_f, h_g, h_gf = (simplicial._induced(m, co, n) for m in (f, g, gf))
+                    both = h_g.compose(h_f) if not co else h_f.compose(h_g)
+                    assert h_gf.equals(both)
+                    checked += 1
+                for co in (False, True):
+                    ident = simplicial._induced(identity_map(K), co, n)
+                    assert ident.equals(identity_hom(ident.source))
+        assert checked > 100
+
+    def test_images_are_cycles(self):
+        # iota of a critical cell has the reduced boundary as its boundary
+        # on the critical faces, and none on the faces paired with a coface
+        for K in sample_complexes(random.Random(73), 30):
+            R = K._reduction
+            for n in range(1, K.dimension + 1):
+                d = dense_boundary(K, n)
+                reduced = R.boundary(n)
+                for col, x in enumerate(R.critical(n)[0]):
+                    chain = [0] * d.cols
+                    for j, v in R.lift(n, x).items():
+                        chain[j] = v
+                    image = {i: v for i, v in enumerate(d.apply(chain)) if v}
+                    assert R.project(n - 1, image) == reduced.column(col)
+                    cells, _ = R.critical(n - 1)
+                    assert all(i in cells or i in R._level(n - 1).paired for i in image)
+
+
+class TestMapValidation:
+    def test_maximal_simplices_decide_like_the_full_scan(self):
+        rng = random.Random(79)
+        verdicts = []
+        for _ in range(300):
+            K = random_complex(rng, rng.randint(1, 7), 3, 5)
+            if rng.random() < 0.5:
+                # a valid map, with one vertex image moved at random half the time
+                f = random_map(rng, K)
+                L, vm = f.target, list(f.vertex_map)
+                if rng.random() < 0.5:
+                    vm[rng.randrange(len(vm))] = rng.randrange(L.vertex_count)
+            else:
+                L = random_complex(rng, rng.randint(1, 6), 3, 5)
+                vm = [rng.randrange(L.vertex_count) for _ in range(K.vertex_count)]
+            full_scan = all(tuple(sorted({vm[v] for v in s})) in L.simplices
+                            for s in K.simplices)
+            try:
+                SimplicialMap(K, L, tuple(vm))
+                accepted = True
+            except SimplicialError:
+                accepted = False
+            assert accepted == full_scan
+            verdicts.append(accepted)
+        assert 50 < sum(verdicts) < 250
+
+    def test_maximal_simplices_are_cached(self):
+        K = SimplicialComplex.from_maximal(5, [(0, 1, 2), (2, 3), (4,)])
+        assert K._maximal_simplices == [(0, 1, 2), (2, 3), (4,)]
+        assert K._maximal_simplices is K._maximal_simplices
