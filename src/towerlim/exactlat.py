@@ -15,6 +15,12 @@ only.  Hermite forms run the row algorithm on plain lists; the column
 form runs it on the columns of a matrix as rows, so nothing is
 transposed back and forth.
 
+hnf, snf, solve_columns, kernel and unimodular_inverse build the
+transforms their callers read.  Membership, lattice_index and Smith
+invariants are transform-free: they reduce against echelon pivots or
+alternate Hermite forms to a diagonal.  An FgAbGroup caches the echelon
+of its relations on its first membership test, like its invariants.
+
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> S, U, V = snf(M)
 >>> S.diagonal()
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from operator import add, mul
 
 
@@ -393,6 +400,30 @@ def snf(mat):
             IntMatrix._new(n, n, tuple(map(tuple, v))))
 
 
+def _invariant_factors(mat):
+    """The nonzero invariant factors d1 | d2 | ... of mat, without U or V.
+
+    Row Hermite forms of the rows and of the columns alternate, as in
+    snf, until the matrix is diagonal; the exchanges d_i, d_j -> gcd,
+    lcm for i < j then sort every prime's exponents along the diagonal.
+
+    >>> _invariant_factors(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]]))
+    [1, 6]
+    """
+    a, n = [list(r) for r in mat.data], mat.cols
+    while True:
+        a, _ = _row_hnf(a, n, transform=False)
+        if _is_diagonal(a):
+            break
+        a, n = [list(c) for c in _transposed(a, n)], len(a)
+    d = [row[i] for i, row in enumerate(a[:n]) if row[i]]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
+
+
 def unimodular_inverse(mat):
     """Inverse of a unimodular matrix, exact."""
     n = mat.rows
@@ -413,8 +444,29 @@ def lattice_canon(gens):
     return IntMatrix._new(gens.rows, len(cols), _transposed(cols, gens.rows))
 
 
-def lattice_rank(gens):
-    return lattice_canon(gens).cols
+def _echelon(gens):
+    """(pivot row, column) of each nonzero column of a column echelon
+    form of gens, built without a transform: the pivot rows strictly
+    increase and the pivots are positive.  They depend only on the
+    Q-span of gens."""
+    hcols, _ = _column_hnf(gens, transform=False, reduce=False)
+    return [(next(i for i, x in enumerate(hc) if x), hc) for hc in hcols if any(hc)]
+
+
+def _in_span(echelon, vector):
+    """Is the vector in the lattice with this _echelon?"""
+    r = vector
+    start = 0
+    for prow, hc in echelon:
+        if any(r[start:prow]):
+            return False
+        q, rem = divmod(r[prow], hc[prow])
+        if rem:
+            return False
+        if q:
+            r = [e - q * h for e, h in zip(r, hc)]
+        start = prow + 1
+    return not any(r[start:])
 
 
 def solve_columns(gens, target):
@@ -449,8 +501,9 @@ def solve_columns(gens, target):
 
 def lattice_contains(gens, vector):
     """Is the vector in the column span of gens (over Z)?"""
-    target = IntMatrix.from_columns(gens.rows, [vector])
-    return solve_columns(gens, target) is not None
+    if len(vector) != gens.rows:
+        raise ValueError("column length mismatch")
+    return _in_span(_echelon(gens), vector)
 
 
 def kernel(mat):
@@ -474,32 +527,30 @@ def kernel(mat):
 def lattice_index(sub, sup):
     """Index of span(sub) inside span(sup); None stands for infinite index.
 
-    Raises IndexUndefined when sub is not contained in sup.
+    Raises IndexUndefined when sub is not contained in sup.  A contained
+    sub of full rank spans the same Q-space, so the two echelon forms
+    share their pivot rows; on those rows sub = sup * X with both sides
+    triangular, and |det X| is the ratio of the pivot products.
+
+    >>> lattice_index(IntMatrix.from_rows([[2, 0], [1, 3]]), IntMatrix.identity(2))
+    6
     """
-    X = solve_columns(sup, sub)
-    if X is None:
+    if sub.rows != sup.rows:
+        raise ValueError("row mismatch in lattice_index")
+    sup_ech = _echelon(sup)
+    if not all(_in_span(sup_ech, b) for b in _transposed(sub.data, sub.cols)):
         raise IndexUndefined("first lattice is not contained in the second")
-    supc = lattice_canon(sup)
-    if lattice_rank(sub) < supc.cols:
+    sub_ech = _echelon(sub)
+    if len(sub_ech) < len(sup_ech):
         return None
-    Xc = solve_columns(supc, lattice_canon(sub))
-    d = abs(Xc.det()) if Xc.rows == Xc.cols else 0
-    if d == 0:
-        return None
+    d = 1
+    for (prow, hc), (_, hs) in zip(sub_ech, sup_ech):
+        d = d * hc[prow] // hs[prow]
     return d
 
 
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
-
-
-def _smith_invariants(generators, relations):
-    S, _, _ = snf(relations)
-    diag = [S.data[i][i] for i in range(min(S.rows, S.cols))]
-    nonzero = [d for d in diag if d != 0]
-    rank = generators - len(nonzero)
-    torsion = [d for d in nonzero if d >= 2]
-    return rank, tuple(torsion)
 
 
 @dataclass(frozen=True)
@@ -516,7 +567,13 @@ class FgAbGroup:
     @cached_property
     def _smith(self):
         # (rank, torsion tuple), computed once per group
-        return _smith_invariants(self.generators, self.relations)
+        nonzero = _invariant_factors(self.relations)
+        return self.generators - len(nonzero), tuple(d for d in nonzero if d >= 2)
+
+    @cached_property
+    def _relation_echelon(self):
+        # the _echelon of the relations, built on the first membership test
+        return _echelon(self.relations)
 
     @property
     def smith_invariants(self):
@@ -642,10 +699,8 @@ class Homomorphism:
                 or self.target.generators != other.target.generators):
             return False
         diff = self.matrix - other.matrix
-        rel = self.target.relations
-        for j in range(diff.cols):
-            col = diff.column(j)
-            if any(col) and not lattice_contains(rel, col):
+        for col in _transposed(diff.data, diff.cols):
+            if any(col) and not _in_span(self.target._relation_echelon, col):
                 return False
         return True
 
@@ -675,9 +730,9 @@ def hom_make(source, target, matrix):
     if matrix.cols != source.generators or matrix.rows != target.generators:
         raise ValueError("matrix shape does not match generator counts")
     rel = source.relations
-    for j in range(rel.cols):
-        image = matrix.apply(rel.column(j))
-        if any(image) and not lattice_contains(target.relations, image):
+    for col in _transposed(rel.data, rel.cols):
+        image = matrix.apply(col)
+        if any(image) and not _in_span(target._relation_echelon, image):
             raise IllDefined("relator image lies outside the target relations")
     return Homomorphism(source, target, matrix)
 

@@ -114,6 +114,9 @@ def poly_divmod(a, b):
 
 # Good primes tried before the one with the fewest modular factors is kept.
 _GOOD_PRIMES = 5
+# Primes tried for a squarefree test before the gcd over Z: a polynomial
+# with a repeated factor passes it modulo no prime.
+_SQUAREFREE_PRIMES = 3
 
 
 def _trim(a):
@@ -412,17 +415,24 @@ def _eval_mod(a, x, m):
     return v
 
 
-def _root_candidates(s):
+def _squarefree_prime(f, tries=None):
+    """The first odd prime p with the monic f squarefree modulo p, among
+    the first `tries` odd primes (all when None); None when there is none."""
+    df = _derivative(f)
+    for p in itertools.islice(_odd_primes(), tries):
+        if len(_gcd_mod(_mod(f, p), _mod(df, p), p)) == 1:
+            return p
+    return None
+
+
+def _root_candidates(s, p):
     """Integers among which lie all integer roots of the monic squarefree
-    s of degree >= 1: the roots of s modulo a prime p with s mod p
+    s of degree >= 1: the roots of s modulo p, a prime with s mod p
     squarefree, each Newton-lifted modulo p^(2^k) beyond twice a root
     bound and read in the symmetric system."""
     n = len(s) - 1
     ds = _derivative(s)
-    for p in _odd_primes():
-        sp = _mod(s, p)
-        if len(_gcd_mod(sp, _mod(ds, p), p)) == 1:
-            break
+    sp = _mod(s, p)
     roots = [x for x in range(p) if _eval_mod(sp, x, p) == 0]
     if not roots:
         return []
@@ -447,12 +457,13 @@ def factor_monic(coeffs):
     The pipeline has four steps:
 
     1. Powers of x are split off; a residual h of degree 1 is irreducible.
-    2. The integer roots of h are those of its squarefree part s = h /
-       gcd(h, h') over Z.  The roots of s modulo a prime p with s mod p
-       squarefree are Newton-lifted modulo p^(2^k) beyond twice Fujiwara's
-       root bound; a lift, read in the symmetric system, is accepted only
-       when x - r divides h exactly over Z, and repeated exact division
-       counts its multiplicity.
+    2. The integer roots of h are those of its squarefree part s: h
+       itself when h mod p is squarefree for one of a few small odd
+       primes p, else h / gcd(h, h') over Z.  The roots of s modulo a
+       prime p with s mod p squarefree are Newton-lifted modulo p^(2^k)
+       beyond twice Fujiwara's root bound; a lift, read in the symmetric
+       system, is accepted only when x - r divides h exactly over Z, and
+       repeated exact division counts its multiplicity.
     3. The residual now has no integer root, so if its squarefree part
        has degree <= 3 that part is irreducible.
     4. A larger squarefree part is factored by Zassenhaus's method: modulo
@@ -474,9 +485,13 @@ def factor_monic(coeffs):
     if len(work) == 2:
         factors.append((work, 1))
     elif len(work) > 2:
-        g = _gcd_primitive(work, _derivative(work))
-        s = work if len(g) == 1 else poly_divmod(work, g)[0]
-        for r in _root_candidates(s):
+        s = work
+        p = _squarefree_prime(s, _SQUAREFREE_PRIMES)
+        if p is None:
+            g = _gcd_primitive(work, _derivative(work))
+            s = work if len(g) == 1 else poly_divmod(work, g)[0]
+            p = _squarefree_prime(s)
+        for r in _root_candidates(s, p):
             if r == 0 or s[0] % r:
                 continue
             work, mult = _divide_out(work, [-r, 1])

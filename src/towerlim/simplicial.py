@@ -59,10 +59,10 @@ from .errors import SimplicialError, TooLarge
 from .exactlat import (
     FgAbGroup,
     IntMatrix,
+    _invariant_factors,
     diagonal_group,
     hom_make,
     kernel as lattice_kernel,
-    snf,
     solve_columns,
     subquotient,
 )
@@ -323,17 +323,16 @@ def _dense_residue(row_pos, columns):
 def _sparse_invariants_from_cols(cols):
     """Eliminate unit pivots of the column dict cols (consumed): first the
     free faces and coreductions of _collapse, in time linear in the
-    entries they remove, then the rest by _markowitz; the dense Smith form
-    of what is left gives the other invariants."""
+    entries they remove, then the rest by _markowitz; the invariant
+    factors of the dense residue are the other invariants."""
     rows, units = _collapse(cols)
     units += _markowitz(cols, rows)
     live_rows = sorted({i for col in cols.values() for i in col})
     live_cols = [col for _, col in sorted(cols.items()) if col]
     if not live_cols:
         return [1] * units
-    S, _, _ = snf(_dense_residue({v: k for k, v in enumerate(live_rows)}, live_cols))
-    rest = [d for d in S.diagonal() if d != 0]
-    return [1] * units + rest
+    residue = _dense_residue({v: k for k, v in enumerate(live_rows)}, live_cols)
+    return [1] * units + _invariant_factors(residue)
 
 
 def _forest_size(K):

@@ -330,17 +330,15 @@ def kernel_chain(group, endo):
 
     Each K_k is the canonical generator matrix of a sublattice of the
     ambient Z^n that contains the relation lattice (K_0 is the relation
-    lattice), and K_l is the union of all of them.  The chain is
-    Noetherian so it stabilizes; the iteration cap is a proven bound,
-    not a guess.
+    lattice), and K_l is the union of all of them.  K_(k+1) is taken as
+    {x : A x in K_k}, which is {x : A^(k+1) x in K_0}, so no power of A
+    is formed.  The chain is Noetherian so it stabilizes; the iteration
+    cap is a proven bound, not a guess.
     """
     n = group.generators
-    rel = group.relations
-    chain = [lattice_canon(rel)]
-    power = IntMatrix.identity(n)
+    chain = [lattice_canon(group.relations)]
     for _ in range(_kernel_chain_bound(group) + 1):
-        power = power * endo.matrix
-        nxt = lattice_canon(_preimage_lattice(power, rel, n))
+        nxt = lattice_canon(_preimage_lattice(endo.matrix, chain[-1], n))
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)

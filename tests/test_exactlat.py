@@ -11,6 +11,7 @@ import pytest
 
 from towerlim.exactlat import (
     FgAbGroup,
+    Homomorphism,
     IllDefined,
     IndexUndefined,
     IntMatrix,
@@ -33,6 +34,7 @@ from towerlim.exactlat import (
     unimodular_inverse,
 )
 from towerlim.exactlat import _column_hnf  # the reference for kernel's echelon form
+from towerlim.exactlat import _invariant_factors
 
 
 def minor_gcd_invariants(mat):
@@ -624,5 +626,164 @@ class TestSmithCache:
         a = present(1, IntMatrix.from_rows([[6]]))
         b = present(1, IntMatrix.from_rows([[6]]))
         a.smith_invariants
+        assert hom_make(a, a, [[5]]).equals(identity_hom(a)) is False
+        assert "_relation_echelon" in vars(a) and "_relation_echelon" not in vars(b)
         assert a == b and hash(a) == hash(b)
         assert a.is_isomorphic(b)
+
+
+# ---------------------------------------------------------------------------
+# transform-free primitives against the transform-based forms they replace
+
+
+def five_form_lattice_index(sub, sup):
+    """lattice_index from two solve_columns and three lattice_canon, as
+    it was computed before the pivot ratio."""
+    if solve_columns(sup, sub) is None:
+        raise IndexUndefined("first lattice is not contained in the second")
+    supc = lattice_canon(sup)
+    if lattice_canon(sub).cols < supc.cols:
+        return None
+    Xc = solve_columns(supc, lattice_canon(sub))
+    d = abs(Xc.det()) if Xc.rows == Xc.cols else 0
+    return d or None
+
+
+def index_or_error(sub, sup, fn):
+    try:
+        return fn(sub, sup)
+    except IndexUndefined:
+        return "undefined"
+
+
+def snf_invariants(mat):
+    S, _, _ = snf(mat)
+    return [d for d in S.diagonal() if d]
+
+
+def solvable(gens, vector):
+    return solve_columns(gens, IntMatrix.from_columns(gens.rows, [vector])) is not None
+
+
+def reference_hom_make(source, target, matrix):
+    """hom_make with one solve_columns per relator image."""
+    rel = source.relations
+    for j in range(rel.cols):
+        image = matrix.apply(rel.column(j))
+        if any(image) and not solvable(target.relations, image):
+            raise IllDefined("relator image lies outside the target relations")
+    return Homomorphism(source, target, matrix)
+
+
+def reference_equals(f, g):
+    diff = f.matrix - g.matrix
+    return all(not any(diff.column(j)) or solvable(f.target.relations, diff.column(j))
+               for j in range(diff.cols))
+
+
+def index_pairs(seed, count):
+    """(sub, sup) pairs: sub = sup X for square, wide, narrow and rank-
+    deficient X, and unrelated subs, on every shape random_shapes makes."""
+    for rng, sup in random_shapes(seed, count):
+        k = rng.randint(0, sup.cols + 1)
+        yield sup * shaped(rng, sup.cols, sup.cols, 4), sup
+        yield sup * shaped(rng, sup.cols, k, 3), sup
+        inner = rng.randint(0, max(sup.cols - 1, 0))
+        yield sup * shaped(rng, sup.cols, inner, 3) * shaped(rng, inner, k, 3), sup
+        yield shaped(rng, sup.rows, k, 6), sup
+        yield sup, shaped(rng, sup.rows, k, 2)
+
+
+class TestTransformFreeDifferential:
+    def test_lattice_index_matches_the_five_forms(self):
+        outcomes = set()
+        for sub, sup in index_pairs(21, 250):
+            want = index_or_error(sub, sup, five_form_lattice_index)
+            assert index_or_error(sub, sup, lattice_index) == want
+            outcomes.add(want if want in (None, "undefined", 1) else "finite")
+        assert outcomes == {None, "undefined", 1, "finite"}
+
+    def test_lattice_index_on_empty_shapes_and_large_entries(self):
+        rng = random.Random(22)
+        pairs = [(IntMatrix.zero(r, c), IntMatrix.zero(r, d))
+                 for r in (0, 2) for c in (0, 2) for d in (0, 3)]
+        pairs += [(IntMatrix.zero(2, 0), IntMatrix.identity(2)),
+                  (IntMatrix.identity(2), IntMatrix.zero(2, 0)),
+                  (IntMatrix.zero(0, 3), IntMatrix.zero(0, 0))]
+        for _ in range(40):
+            sup = shaped(rng, 3, 3, 1 << 40)
+            pairs.append((sup * shaped(rng, 3, 4, 1 << 20), sup))
+        for sub, sup in pairs:
+            assert (index_or_error(sub, sup, lattice_index)
+                    == index_or_error(sub, sup, five_form_lattice_index))
+        with pytest.raises(ValueError):
+            lattice_index(IntMatrix.identity(2), IntMatrix.identity(3))
+
+    def test_invariant_factors_match_the_snf_diagonal(self):
+        rng = random.Random(23)
+        mats = [M for _, M in random_shapes(23, 300, max_dim=6)]
+        diagonals = []
+        for _ in range(100):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            inner = rng.randint(0, min(r, c))
+            mats.append(shaped(rng, r, inner, 5) * shaped(rng, inner, c, 5))
+            d = [rng.choice([0, 1, 2, 3, 4, 6, 8, 9, 12]) for _ in range(min(r, c))]
+            diag = IntMatrix(r, c, [[d[i] if i == j else 0 for j in range(c)]
+                                    for i in range(r)])
+            mats.append(shaped(rng, r, r, 2) * diag * shaped(rng, c, c, 2))
+            diagonals.append(diag)
+        for M in mats + diagonals:
+            want = snf_invariants(M)
+            assert _invariant_factors(M) == want
+            G = FgAbGroup(M.rows, M)
+            torsion = [x for x in want if x >= 2]
+            assert G.smith_invariants == (M.rows - len(want), torsion)
+        # diagonals out of divisibility order, which need the gcd/lcm exchanges
+        assert sum(sorted(x for x in D.diagonal() if x) != snf_invariants(D)
+                   for D in diagonals) > 10
+
+    def test_membership_matches_solve_columns(self):
+        found = set()
+        for rng, M in random_shapes(24, 300):
+            inside = M.apply([rng.randint(-4, 4) for _ in range(M.cols)])
+            for v in (inside, [rng.randint(-6, 6) for _ in range(M.rows)],
+                      [2 * x for x in inside], [0] * M.rows):
+                want = solvable(M, v)
+                assert lattice_contains(M, v) == want
+                found.add(want)
+        assert found == {True, False}
+        with pytest.raises(ValueError):
+            lattice_contains(IntMatrix.identity(2), [1, 0, 0])
+
+    def test_hom_make_and_equals_match_solve_columns(self):
+        rng = random.Random(25)
+        verdicts = set()
+        for _ in range(300):
+            m, n = rng.randint(0, 4), rng.randint(0, 4)
+            S = shaped(rng, m, rng.randint(0, 3), 4)
+            F = shaped(rng, n, m, 3)
+            # the target relations hold F S up to a factor 1 or 2 and a
+            # random column, so both verdicts occur
+            R = (F * S * rng.choice([1, 2])).hstack(shaped(rng, n, rng.randint(0, 2), 5))
+            source, target = FgAbGroup(m, S), FgAbGroup(n, R)
+            try:
+                want = reference_hom_make(source, target, F)
+            except IllDefined:
+                with pytest.raises(IllDefined):
+                    hom_make(source, target, F)
+                verdicts.add("ill")
+                continue
+            assert hom_make(source, target, F) == want
+            verdicts.add("ok")
+            shifted = F + R * shaped(rng, R.cols, m, 3)
+            for G in (shifted, F + shaped(rng, n, m, 1), F, F * 2):
+                other = Homomorphism(source, target, G)
+                assert want.equals(other) == reference_equals(want, other)
+                verdicts.add(want.equals(other))
+        assert verdicts == {"ill", "ok", True, False}
+
+    def test_zero_images_build_no_echelon(self):
+        G = present(2, IntMatrix.from_rows([[4, 2], [0, 6]]))
+        h = hom_make(G, G, [[0, 0], [0, 0]])
+        assert h.equals(Homomorphism(G, G, IntMatrix.zero(2, 2)))
+        assert "_relation_echelon" not in vars(G)

@@ -255,6 +255,39 @@ class TestFactoring:
             f = charpoly(IntMatrix.from_rows(random_matrix(rng, rank, 9)))
             assert factor_monic(f) == sympy_factors(f)
 
+    def test_repeated_factors_against_sympy(self, monkeypatch):
+        # a polynomial with a repeated factor is squarefree modulo no prime,
+        # so the gcd over Z must run; one that is squarefree modulo 3 skips it
+        pytest.importorskip("sympy")
+        calls = []
+
+        def record(a, b):
+            calls.append(a)
+            return gcd_primitive(a, b)
+
+        def bounded_primes():
+            # a prime search on a polynomial with a repeated factor never ends
+            for p, _ in zip(odd_primes(), range(100)):
+                yield p
+            raise AssertionError("no good prime among the first 100 odd primes")
+
+        gcd_primitive, odd_primes = limits._gcd_primitive, limits._odd_primes
+        monkeypatch.setattr(limits, "_gcd_primitive", record)
+        monkeypatch.setattr(limits, "_odd_primes", bounded_primes)
+        rng = random.Random(21)
+        for _ in range(150):
+            g = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1]
+            h = [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))] + [1]
+            f = poly_mul(poly_mul(g, g), poly_mul(h, [rng.randint(-4, 4), 1]))
+            if f[0] == 0:
+                continue
+            calls.clear()
+            assert factor_monic(f) == sympy_factors(f)
+            assert calls == [f]
+        calls.clear()
+        assert factor_monic([2, 1, 0, 1]) == sympy_factors([2, 1, 0, 1])
+        assert calls == []
+
     # dense tails (irreducible charpolys with 45-55 bit constant terms) and
     # block-triangular ones with a repeated integer root, so that linear
     # factors with multiplicity come out of the Zassenhaus path

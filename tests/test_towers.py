@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from towerlim.exactlat import (
@@ -7,8 +9,11 @@ from towerlim.exactlat import (
     free_group,
     hom_make,
     identity_hom,
+    kernel,
+    lattice_canon,
     present,
 )
+from towerlim.lab import LabConfig, gen_tower, trial_rng
 from towerlim.towers import (
     FiniteTower,
     NotExact,
@@ -18,6 +23,7 @@ from towerlim.towers import (
     UnknownFamily,
     _cluster_bond,
     _cluster_group,
+    _kernel_chain_bound,
     adic_quotient_tower,
     canonical_completion_ses,
     kernel_chain,
@@ -186,6 +192,55 @@ class TestReduceToImages:
     def test_stable_kernel_of_unit(self):
         K = kernel_chain(Z, mult(Z, 1))[-1]
         assert K.cols == 0
+
+
+def power_kernel_chain(group, endo):
+    """The kernel chain read from the powers: K_k = {x : A^k x in R}."""
+    n, rel = group.generators, group.relations
+    chain = [lattice_canon(rel)]
+    power = IntMatrix.identity(n)
+    for _ in range(_kernel_chain_bound(group) + 1):
+        power = power * endo.matrix
+        K = kernel(power.hstack(rel))
+        nxt = lattice_canon(IntMatrix.from_columns(
+            n, [K.column(j)[:n] for j in range(K.cols)]))
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+    raise AssertionError("the power chain did not stabilize")
+
+
+class TestKernelChainDifferential:
+    def test_lab_towers_match_the_power_chain(self):
+        config = LabConfig(master_seed=31, trials=1)
+        long_chains = 0
+        for i in range(400):
+            t = gen_tower(trial_rng(31, "kernel_chain", i), config,
+                          torsion_only=i % 3 == 0, with_prefix=False)
+            T, A = t.tail_group, t.tail_endo
+            chain = kernel_chain(T, A)
+            assert chain == power_kernel_chain(T, A)
+            long_chains += len(chain) >= 3
+        assert long_chains >= 15
+
+    def test_presented_groups_match_the_power_chain(self):
+        # A = k I + R Z maps the relations R into themselves for any Z, so
+        # it is an endomorphism of a group whose relations are not diagonal
+        rng = random.Random(32)
+        long_chains = 0
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            R = IntMatrix(n, n, [[rng.randint(-4, 4) for _ in range(n)]
+                                 for _ in range(n)])
+            Zm = IntMatrix(n, n, [[rng.randint(-2, 2) for _ in range(n)]
+                                  for _ in range(n)])
+            A = IntMatrix.identity(n) * rng.choice([0, 2, 3, 4, 6]) + R * Zm
+            G = present(n, R)
+            h = hom_make(G, G, A)
+            chain = kernel_chain(G, h)
+            assert chain == power_kernel_chain(G, h)
+            long_chains += len(chain) >= 3
+        assert long_chains >= 10
 
 
 class TestTowerSES:
