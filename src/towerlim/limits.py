@@ -883,12 +883,16 @@ def brute_lim(ft):
     ranges = [d for d in diag]
     values = set()
     comp = ft.composite(ft.depth, 0)
+    # the pivot row and column of each column of the relations' Hermite form
+    H = lattice_canon(ft.groups[0].relations)
+    echelon = [(next(i for i, x in enumerate(col) if x), col)
+               for col in map(H.column, range(H.cols))]
     counters = [0] * len(ranges)
     while True:
         coords = list(counters)
         x = section.apply(coords)
         y = comp.matrix.apply(x)
-        values.add(tuple(_reduce_mod(ft.groups[0], y)))
+        values.add(tuple(_reduce_mod(echelon, y)))
         k = len(ranges) - 1
         while k >= 0:
             counters[k] += 1
@@ -907,22 +911,14 @@ def brute_lim(ft):
     return part.group
 
 
-def _reduce_mod(group, vector):
-    """Canonical representative of a vector modulo the relation lattice."""
-    H = lattice_canon(group.relations)
+def _reduce_mod(echelon, vector):
+    """Canonical representative of a vector modulo the relation lattice,
+    given as the (pivot row, column) of each column of its Hermite form."""
     v = list(vector)
-    pivots = []
-    for j in range(H.cols):
-        col = H.column(j)
-        nz = [i for i, x in enumerate(col) if x]
-        pivots.append((nz[0], j))
-    for prow, pcol in pivots:
-        p = H.data[prow][pcol]
-        q = v[prow] // p
+    for prow, col in echelon:
+        q = v[prow] // col[prow]
         if q:
-            col = H.column(pcol)
-            for i in range(len(v)):
-                v[i] -= q * col[i]
+            v = [a - q * b for a, b in zip(v, col)]
     return v
 
 

@@ -466,9 +466,12 @@ def telescope(st, m):
     of the top level is kept from the round that built it, and the bond is
     subdivided through it one level at a time; each round then emits its
     cylinder cells straight in telescope vertex ids (the barycenters of
-    the new level, then the top copy), and T is closed once.  The
-    composite retraction onto level 0 is validated as a simplicial map of
-    T, which the homology tests then witness as a deformation retraction.
+    the new level, then the top copy), and T is closed once, from the top
+    dimension down, by SimplicialComplex.from_maximal, which indexes T by
+    dimension from that closure and does not check its faces again (the
+    public constructor still does).  The composite retraction onto
+    level 0 is validated as a simplicial map of T, which the homology
+    tests then witness as a deformation retraction.
     """
     if m < 0:
         raise ShapeError("telescope needs m >= 0")

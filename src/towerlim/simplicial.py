@@ -35,15 +35,24 @@ invariants of each boundary map and its reduction once, on the object
 itself.  A dense residue of more than MAX_DENSE_ENTRIES entries is
 refused with TooLarge before it is allocated.
 
+SimplicialComplex.from_maximal closes its input once, from the top
+dimension down: each dimension holds the facets of the one above, taken
+a vertex column left out at a time, and its own given simplices.  The
+index by dimension and the maximal simplices are read from that one
+closure, and the closure is trusted: the codimension-1 face check runs
+only in the public constructor SimplicialComplex(n, simplices), which
+takes a simplex set from outside.
+
 Subdivisions and mapping cylinders are built by walking the face poset
 from the maximal simplices: sd(K) is closed from the full flags
 vertex < ... < maximal simplex, and the cylinder of f from the
 codimension-1 descents below each maximal simplex, each capped by the
 image of its last simplex.  Every other simplex is a face of one of
-these, so the cost is linear in the size of the result.  The descents
-come from one generator, cylinder_cells, which takes the vertex ids to
-emit, so a mapping telescope writes each cylinder's cells in its own
-ids; subdivide_map maps between subdivisions its caller already holds.
+these, so the cost is linear in the size of the result.  The flags and
+the descents both go down through facets; the descents come from one
+generator, cylinder_cells, which takes the vertex ids to emit, so a
+mapping telescope writes each cylinder's cells in its own ids;
+subdivide_map maps between subdivisions its caller already holds.
 A simplicial map is validated on the maximal simplices of its source:
 every simplex is a face of one, and the target is closed under faces.
 """
@@ -53,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import combinations, filterfalse, permutations
+from itertools import filterfalse
 
 from .errors import SimplicialError, TooLarge
 from .exactlat import (
@@ -83,15 +92,44 @@ class SimplicialComplex:
 
     @staticmethod
     def from_maximal(vertex_count, maximal):
-        """Close the given simplices under faces."""
-        closed = set()
+        """Close the given simplices under faces, from the top dimension
+        down: each dimension holds the facets of the dimension above, a
+        vertex column left out at a time, and the given simplices, of
+        which those that are no such facet are maximal.  The closure is
+        face-closed by construction, so the complex is built through
+        _new, with its index by dimension and its maximal simplices, and
+        its faces are not checked again."""
+        given = {}
         for s in maximal:
             s = tuple(sorted(s))
             if len(set(s)) != len(s) or (s and (s[0] < 0 or s[-1] >= vertex_count)):
                 raise SimplicialError("bad simplex %r" % (s,))
-            for k in range(1, len(s) + 1):
-                closed.update(combinations(s, k))
-        return SimplicialComplex(vertex_count, frozenset(closed))
+            if s:
+                given.setdefault(len(s) - 1, set()).add(s)
+        by_dim, closures, tops, above = {}, [], [], ()
+        for k in range(max(given, default=-1), -1, -1):
+            closed = set()
+            columns = list(zip(*above))
+            for i in range(len(columns)):
+                closed.update(zip(*columns[:i], *columns[i + 1:]))
+            own = given.pop(k, set())
+            tops += own - closed
+            closed |= own
+            closures.append(closed)
+            above = by_dim[k] = sorted(closed)
+        # a union of sets sizes its table for them, which one of lists does not
+        return SimplicialComplex._new(vertex_count, frozenset().union(*closures),
+                                      by_dim, sorted(tops))
+
+    @classmethod
+    def _new(cls, vertex_count, simplices, by_dim, maximal):
+        """Trusted constructor: simplices is face-closed, by_dim holds its
+        sorted simplices of each dimension and maximal its sorted maximal
+        simplices; none of it is checked again."""
+        self = object.__new__(cls)
+        self.__dict__.update(vertex_count=vertex_count, simplices=simplices,
+                             _by_dim=by_dim, _maximal_simplices=maximal)
+        return self
 
     def __post_init__(self):
         # the codimension-1 faces suffice: by induction on the dimension
@@ -687,16 +725,20 @@ def barycentric_subdivision(K):
 
     The simplices of sd(K) are the chains of the face poset of K.  Each
     chain refines to a full flag vertex < edge < ... < maximal simplex,
-    so the full flags (one per ordering of the vertices of a maximal
-    simplex) are closed under faces.
+    so the full flags are closed under faces; they are taken by
+    descending from each maximal simplex through its facets, as
+    cylinder_cells does.
     """
     simplices = sorted(K.simplices)
     label = {s: i for i, s in enumerate(simplices)}
     flags = []
-    for top in K._maximal_simplices:
-        for order in permutations(top):
-            flags.append([label[tuple(sorted(order[:k]))]
-                          for k in range(1, len(top) + 1)])
+    stack = [([label[top]], top) for top in K._maximal_simplices]
+    while stack:
+        flag, last = stack.pop()
+        if len(last) == 1:
+            flags.append(flag)
+        else:
+            stack += [(flag + [label[face]], face) for face in _facets(last)]
     sd = SimplicialComplex.from_maximal(len(simplices), flags)
     return sd, simplices
 
@@ -730,11 +772,10 @@ def cylinder_cells(f, bary, target_ids):
     """
     vm = f.vertex_map
     cells = []
-    def descend(chain, last):
+    stack = [([bary[top]], top) for top in f.source._maximal_simplices]
+    while stack:
+        chain, last = stack.pop()
         cells.append(chain + list({target_ids[vm[v]] for v in last}))
         if len(last) > 1:
-            for face in _facets(last):
-                descend(chain + [bary[face]], face)
-    for top in f.source._maximal_simplices:
-        descend([bary[top]], top)
+            stack += [(chain + [bary[face]], face) for face in _facets(last)]
     return cells

@@ -130,6 +130,10 @@ class TestComplexes:
         with pytest.raises(SimplicialError):
             SimplicialComplex(2, frozenset({(0, 1)}))
 
+    def test_unsorted_simplex_rejected(self):
+        with pytest.raises(SimplicialError, match=r"simplex \(1, 0\) is not sorted"):
+            SimplicialComplex(2, frozenset({(0,), (1,), (1, 0)}))
+
     def test_boundary_squares_to_zero(self):
         K = SimplicialComplex.from_maximal(4, [(0, 1, 2), (1, 2, 3)])
         d1, d2 = dense_boundary(K, 1), dense_boundary(K, 2)
@@ -332,6 +336,91 @@ class TestMappingCylinder:
         cyl = telescope(one_bond_tower(f), 1)
         assert homology_invariants(cyl.complex, 0) == (1, [])
         assert homology_invariants(cyl.complex, 1) == (0, [])
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the top-down closure of from_maximal against every
+# face of every given simplex, checked again by the public constructor
+
+
+def reference_from_maximal(vertex_count, maximal):
+    """The closure by combinations, through the checking constructor."""
+    closed = set()
+    for s in maximal:
+        s = tuple(sorted(s))
+        if len(set(s)) != len(s) or (s and (s[0] < 0 or s[-1] >= vertex_count)):
+            raise SimplicialError("bad simplex %r" % (s,))
+        for k in range(1, len(s) + 1):
+            closed.update(combinations(s, k))
+    return SimplicialComplex(vertex_count, frozenset(closed))
+
+
+def random_simplices(rng, n):
+    """Up to eight simplices of dimension 0-3 on n vertices, in random
+    vertex order, with some faces of earlier ones, some repeats and now
+    and then the empty simplex."""
+    out = []
+    for _ in range(rng.randint(0, 8) if n else 0):
+        r = rng.random()
+        if out and r < 0.2:
+            s = list(rng.choice(out))
+            out.append(tuple(rng.sample(s, len(s))))          # a repeat
+        elif out and r < 0.4:
+            s = rng.choice(out)
+            out.append(tuple(rng.sample(s, rng.randint(1, len(s)))))  # a face
+        else:
+            out.append(tuple(rng.sample(range(n), rng.randint(1, min(4, n)))))
+    if rng.random() < 0.05:
+        out.append(())
+    return out
+
+
+def by_dim_of(simplices):
+    """The sorted simplices of each dimension."""
+    by_dim = {}
+    for s in sorted(simplices):
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return by_dim
+
+
+class TestFromMaximalDifferential:
+    def test_matches_the_checked_closure(self):
+        rng = random.Random(59)
+        inputs = [(0, []), (3, []), (1, [(0,)]), (2, [(1, 0), (0, 1), (1,)])]
+        inputs += [(n, random_simplices(rng, n))
+                   for n in (rng.randint(0, 7) for _ in range(300))]
+        assert any(len(s) == 4 for _, ss in inputs for s in ss)
+        for n, given in inputs:
+            K = SimplicialComplex.from_maximal(n, iter(given))
+            ref = reference_from_maximal(n, given)
+            assert K.simplices == ref.simplices
+            assert K._by_dim == by_dim_of(ref.simplices)
+            assert K._maximal_simplices == ref._maximal_simplices
+            assert K == ref and hash(K) == hash(ref)
+            assert K.dimension == ref.dimension
+
+    def test_bad_simplices_rejected_alike(self):
+        # a repeated, negative or out-of-range vertex, alone or among good
+        # simplices; the first bad simplex given is the one named
+        rng = random.Random(61)
+        inputs = [(3, [(0, 1), (2, 1, 2)]), (3, [(0, 0)]), (3, [(1, -1)]),
+                  (3, [(0, 1, 3)]), (0, [(0,)]), (4, [(0, 1), (3, 4), (1, 1)])]
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            given = random_simplices(rng, n)
+            bad = rng.sample(range(n), rng.randint(1, min(3, n)))
+            bad[rng.randrange(len(bad))] = rng.choice((bad[0], -1, n, n + 2))
+            if len(set(bad)) == len(bad) and 0 <= min(bad) and max(bad) < n:
+                bad.append(bad[0])          # the draw kept a good simplex
+            given.insert(rng.randint(0, len(given)), tuple(bad))
+            inputs.append((n, given))
+        for n, given in inputs:
+            with pytest.raises(SimplicialError) as ref:
+                reference_from_maximal(n, given)
+            with pytest.raises(SimplicialError) as got:
+                SimplicialComplex.from_maximal(n, given)
+            assert str(got.value) == str(ref.value)
+            assert str(got.value).startswith("bad simplex")
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +652,21 @@ class TestUnitPivotElimination:
         base = st.complex_at(0)
         for n in (0, 1, 2):
             assert homology_invariants(T, n) == homology_invariants(base, n)
+
+    def test_sphere_rotation_telescope_retracts(self):
+        # the boundary of a tetrahedron turned by a 3-cycle of its vertices:
+        # its cylinders are 3-dimensional
+        S2 = SimplicialComplex.from_maximal(
+            4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        st = PeriodicSimplicialTower((), S2, SimplicialMap(S2, S2, (1, 2, 0, 3)))
+        for m in (1, 2, 3):
+            tel = telescope(st, m)
+            assert tel.complex.dimension == 3
+            assert [homology_invariants(tel.complex, n) for n in range(4)] == \
+                [(1, []), (0, []), (1, []), (0, [])]
+            assert tel.level_to_base(0) == identity_map(S2)
+            assert abs(induced_hom(tel.retraction_to_base(), 2).matrix.data[0][0]) == 1
+        assert len(tel.complex.simplices) == 8798
 
 
 # ---------------------------------------------------------------------------
