@@ -30,8 +30,8 @@ __all__ = [*_HOMES, "__version__"]
 
 
 # submodules, reachable as attributes after a bare `import towerlim`
-_SUBMODULES = {"cli", "errors", "exactlat", "lab", "limits", "procat", "report",
-               "shape", "simplicial", "structured", "towerfile", "towers"}
+_SUBMODULES = {"cli", "errors", "exactlat", "lab", "limits", "poly", "procat",
+               "report", "shape", "simplicial", "structured", "towerfile", "towers"}
 
 
 def __getattr__(name):

@@ -41,8 +41,9 @@ from .exactlat import (
     lattice_contains,
     solve_columns,
 )
-from .limits import derived_limit, factor_kernel, limit, poly_of_matrix
-from .structured import compare_structured, corank_difference, prime_factors
+from .limits import derived_limit, limit
+from .poly import factor_kernel, poly_of_matrix, prime_factors
+from .structured import compare_structured, corank_difference
 from .towers import PeriodicTower, TowerError, reduce_to_images, shift, solve_next_map
 
 
@@ -111,7 +112,7 @@ def chain_lattice(power, bond):
     divides its y^j coefficient; ker h(T) = ker h'(T').  On W, h(T) = 0
     with h monic integral of degree dim W, so by Cayley-Hamilton T^i f is
     integral for every i once it is for i < dim W, and W meet Z^(mn) is
-    cut down to those f.  W is the `limits.factor_kernel` of T' with
+    cut down to those f.  W is the `poly.factor_kernel` of T' with
     that divisibility test as its factor filter.
     """
     m, n = bond.rows, power.rows

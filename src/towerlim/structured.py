@@ -13,30 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlat import FgAbGroup, IntMatrix, charpoly, free_group
-
-
-def prime_factors(n):
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _valuation(n, p):
-    v = 0
-    n = abs(n)
-    while n != 0 and n % p == 0:
-        n //= p
-        v += 1
-    return v
+from .poly import prime_factors
 
 
 def _corank_profile(matrix, primes):
@@ -107,21 +84,13 @@ class StructuredGroup:
         """
         if rank == 0 or abs(matrix.det()) == 1:
             return StructuredGroup.zero()
-        primes = tuple(prime_factors(matrix.det()))
-        return StructuredGroup(
-            tag="completion_quotient", rank=rank, matrix=matrix,
-            is_uncountable=True, missing_primes=primes,
-            corank_profile=_corank_profile(matrix, primes))
+        return _completion_group("completion_quotient", rank, matrix)
 
     @staticmethod
     def completion(rank, matrix):
         if rank == 0 or abs(matrix.det()) == 1:
             return StructuredGroup.fg(free_group(rank))
-        primes = tuple(prime_factors(matrix.det()))
-        return StructuredGroup(
-            tag="completion", rank=rank, matrix=matrix,
-            is_uncountable=True, missing_primes=primes,
-            corank_profile=_corank_profile(matrix, primes))
+        return _completion_group("completion", rank, matrix)
 
     @staticmethod
     def localization(group, matrix):
@@ -218,11 +187,9 @@ class StructuredGroup:
         return "depth-limited: %s" % self.descriptor
 
     def _completion_name(self):
-        det = abs(self.matrix.det())
-        if len(self.missing_primes) == 1:
-            p = self.missing_primes[0]
-            if self.rank == 1 and det == p ** _valuation(det, p):
-                return "Z_%d" % p
+        # one missing prime p means |det| is a power of p
+        if self.rank == 1 and len(self.missing_primes) == 1:
+            return "Z_%d" % self.missing_primes[0]
         return "Lambda_A(%s)" % _free_name(self.rank)
 
     def to_json(self):
@@ -253,6 +220,14 @@ class StructuredGroup:
 
 def _free_name(rank):
     return "Z" if rank == 1 else "Z^%d" % rank
+
+
+def _completion_group(tag, rank, matrix):
+    """The completion or its quotient along a matrix with |det| > 1."""
+    primes = tuple(prime_factors(matrix.det()))
+    return StructuredGroup(tag=tag, rank=rank, matrix=matrix, is_uncountable=True,
+                           missing_primes=primes,
+                           corank_profile=_corank_profile(matrix, primes))
 
 
 def corank_difference(a, b):

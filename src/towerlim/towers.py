@@ -370,13 +370,12 @@ def _minimize_with_transform(group, endo):
     keep = [i for i in range(n) if diag[i] != 1]
     Uinv = unimodular_inverse(U)
     conj = U * endo.matrix * Uinv
-    m = len(keep)
-    reduced = IntMatrix(m, m, [[conj.data[r][c] for c in keep] for r in keep])
+    reduced = conj.submatrix(keep, keep)
     kept_diag = tuple(diag[i] for i in keep)
     grp = diagonal_group(kept_diag)
     h = hom_make(grp, grp, reduced)
-    project = IntMatrix(m, n, [[U.data[i][j] for j in range(n)] for i in keep])
-    section = IntMatrix(n, m, [[Uinv.data[i][j] for j in keep] for i in range(n)])
+    project = U.submatrix(keep, range(n))
+    section = Uinv.submatrix(range(n), keep)
     return grp, h, project, section, kept_diag
 
 

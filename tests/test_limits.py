@@ -12,10 +12,11 @@ import time
 
 import pytest
 
-from towerlim import limits, procat
+from towerlim import limits, poly, procat
 from towerlim.exactlat import (
     IntMatrix,
     Subquotient,
+    charpoly,
     cyclic_group,
     free_group,
     hom_make,
@@ -30,17 +31,19 @@ from towerlim.limits import (
     InternalInconsistency,
     TooLarge,
     brute_lim,
-    charpoly,
     derived_limit,
-    factor_kernel,
-    factor_monic,
     limit,
     ml_conditions,
-    poly_mul,
-    poly_of_matrix,
     six_term,
 )
-from towerlim.limits import _modular_factors, _unit_lattice
+from towerlim.limits import _unit_lattice
+from towerlim.poly import (
+    _modular_factors,
+    factor_kernel,
+    factor_monic,
+    poly_mul,
+    poly_of_matrix,
+)
 from towerlim.structured import StructuredGroup, compare_structured
 from towerlim.towers import (
     FiniteTower,
@@ -271,9 +274,9 @@ class TestFactoring:
                 yield p
             raise AssertionError("no good prime among the first 100 odd primes")
 
-        gcd_primitive, odd_primes = limits._gcd_primitive, limits._odd_primes
-        monkeypatch.setattr(limits, "_gcd_primitive", record)
-        monkeypatch.setattr(limits, "_odd_primes", bounded_primes)
+        gcd_primitive, odd_primes = poly._gcd_primitive, poly._odd_primes
+        monkeypatch.setattr(poly, "_gcd_primitive", record)
+        monkeypatch.setattr(poly, "_odd_primes", bounded_primes)
         rng = random.Random(21)
         for _ in range(150):
             g = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1]
@@ -355,7 +358,7 @@ class TestFactoring:
             seen.append(f)
             return factor_monic(f)
 
-        monkeypatch.setattr(limits, "factor_monic", record)
+        monkeypatch.setattr(poly, "factor_monic", record)
         for a, b in (([[0, 2], [1, 0]], [[2, 0], [0, 2]]),
                      ([[0, -2], [1, -1]], [[0, 4], [1, -1]])):
             A, B = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
