@@ -3,45 +3,41 @@
 Vertices are integers 0..n-1; simplices are sorted vertex tuples closed
 under faces.  Homology is computed over Z with exact integer kernels and
 Smith invariants, and no boundary or chain map is ever formed as a
-dense matrix whole.  The boundary from edges to vertices is an oriented
-incidence matrix, totally unimodular, so its invariants are V - c ones,
-counted by a union-find (a spanning forest).  Every other boundary map
-goes through a sparse unit-pivot elimination before the dense Smith
-normal form of the residue: first the free faces and coreductions, +-1
-entries alone in their row or column, which cause no fill-in and are
-removed from a worklist in linear time (Kaczynski, Mischaikow and
-Mrozek 2004; Mrozek and Batko 2009), then the +-1 pivot of least
-Markowitz cost (len(row) - 1) * (len(col) - 1), taken from a heap whose
-stale keys are checked again when popped, so fill-in stays small
-(Markowitz 1957; Dumas, Heckenbach, Saunders and Welker 2003 use the
-same order on simplicial boundary matrices).
+dense matrix whole.  Each complex is reduced once by unit pivots, and
+both its homology invariants and its witnesses are read from that
+reduction.  The boundary from k-chains is eliminated for k = 1, 2, ...
+in turn, without the rows of the (k-1)-cells already paired with a
+face.  The edges are paired along a spanning forest, each tree edge
+with its endpoint away from the root: V - c unit pivots for V vertices
+in c components.  Every other boundary map loses its free faces and
+coreductions first, +-1 entries alone in their row or column, which
+cause no fill-in, from a worklist in linear time (Kaczynski, Mischaikow
+and Mrozek 2004; Mrozek and Batko 2009), then the +-1 pivot of least
+Markowitz cost (len(row) - 1) * (len(col) - 1), from a heap whose stale
+keys are checked again when popped (Markowitz 1957; Dumas, Heckenbach,
+Saunders and Welker 2003).  The Smith invariants of a boundary map are
+a 1 for each pivot and those of the dense residue.
 
-Witnesses of (co)homology and induced maps come from the same pivots,
-kept.  The boundary from k-chains is eliminated once per complex, for
-k = 1, 2, ... in turn, without the rows of the (k-1)-cells already
-paired with a face.  Each unit pivot pairs a k-cell with a (k-1)-cell,
-and the pairs span an acyclic subcomplex, so the quotient K' on the
-unpaired (critical) cells, with the residues as its boundary maps, is
-chain equivalent to K: the projection pi clears a chain's cells paired
-with a coface by boundaries of their partners and keeps its critical
-coefficients, and the lift iota adds to a critical cell the paired
-cells that clear its boundary on their partners.  Groups and their
-witnesses are the exact kernels and subquotients of the small dense
-boundary maps of K'; the map induced by f on degree-n (co)homology is
-read from pi_L f_# iota_K on the critical n-cells (its transpose for
-cohomology), with f_# applied to the few lifted chains directly.  A
-complex indexes its simplices by dimension, its maximal simplices, the
-invariants of each boundary map and its reduction once, on the object
-itself.  A dense residue of more than MAX_DENSE_ENTRIES entries is
-refused with TooLarge before it is allocated.
+Each unit pivot pairs a k-cell with a (k-1)-cell, and the pairs span an
+acyclic subcomplex, so the quotient K' on the unpaired (critical)
+cells, with the residues as its boundary maps, is chain equivalent to
+K: the projection pi clears a chain's cells paired with a coface by
+boundaries of their partners and keeps its critical coefficients, and
+the lift iota adds to a critical cell the paired cells that clear its
+boundary on their partners.  Groups and their witnesses are the exact
+kernels and subquotients of the small dense boundary maps of K'; the
+map induced by f on degree-n (co)homology is read from pi_L f_# iota_K
+on the critical n-cells (its transpose for cohomology), with f_#
+applied to the few lifted chains directly.  A complex indexes its
+simplices by dimension, its maximal simplices, its reduction and its
+witnesses once, on the object itself.  A dense residue of more than
+MAX_DENSE_ENTRIES entries is refused with TooLarge before it is
+allocated.
 
 SimplicialComplex.from_maximal closes its input once, from the top
-dimension down: each dimension holds the facets of the one above, taken
-a vertex column left out at a time, and its own given simplices.  The
-index by dimension and the maximal simplices are read from that one
-closure, and the closure is trusted: the codimension-1 face check runs
-only in the public constructor SimplicialComplex(n, simplices), which
-takes a simplex set from outside.
+dimension down, and reads the index by dimension and the maximal
+simplices from that trusted closure; only the public constructor
+SimplicialComplex(n, simplices) checks the codimension-1 faces.
 
 Subdivisions and mapping cylinders are built by walking the face poset
 from the maximal simplices: sd(K) is closed from the full flags
@@ -155,11 +151,6 @@ class SimplicialComplex:
         return by_dim
 
     @cached_property
-    def _boundary_memo(self):
-        """Nonzero Smith invariants of each boundary map eliminated so far."""
-        return {}
-
-    @cached_property
     def _witness_memo(self):
         """(Co)homology with witnesses, by (cohomology?, degree, reduced)."""
         return {}
@@ -167,8 +158,8 @@ class SimplicialComplex:
     @cached_property
     def _reduction(self):
         """The unit-pivot reduction of the chain complex, degree by degree
-        as the witnesses ask for it."""
-        return _Reduction(self)
+        as the homology invariants and the witnesses ask for it."""
+        return _Reduction(self._by_dim, self.vertex_count)
 
     @cached_property
     def _maximal_simplices(self):
@@ -200,7 +191,7 @@ class SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
-# sparse invariant-factor computation for big boundary matrices
+# unit-pivot elimination of sparse boundary matrices
 
 
 def _sparse_from_matrix(mat):
@@ -215,43 +206,33 @@ def _sparse_from_matrix(mat):
     return cols
 
 
-def _sparse_boundary(K, k):
-    """Sparse column dict of the boundary map from k-chains."""
-    idx = {s: i for i, s in enumerate(K.simplices_of_dim(k - 1))}
-    cols = {}
-    for j, s in enumerate(K.simplices_of_dim(k)):
-        col = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            if face:
-                col[idx[face]] = (-1) ** i
-        cols[j] = col
-    return cols
+def _sparse_boundary(by_dim, k):
+    """Sparse column dict of the boundary from k-chains, over the index
+    by_dim: the i-th facets of all k-simplices, with the sign (-1)^i, are
+    taken a vertex column left out at a time, as in from_maximal."""
+    index = {s: i for i, s in enumerate(by_dim[k - 1])}.__getitem__
+    columns = list(zip(*by_dim[k]))
+    facets = [map(index, zip(*columns[:i], *columns[i + 1:])) for i in range(k + 1)]
+    signs = [(-1) ** i for i in range(k + 1)]
+    return {j: dict(zip(faces, signs)) for j, faces in enumerate(zip(*facets))}
 
 
 def sparse_invariants(mat):
-    """Smith invariant factors (nonzero ones) of a sparse-ish matrix.
-
-    Eliminates +-1 pivots with unimodular operations, then runs the dense
-    Smith form on the small residue.  Pivots that cause no fill-in go
-    first: a +-1 entry alone in its row (a free face) or alone in its
-    column (a coreduction) is eliminated by deleting its row and column.
-    The remaining pivots are the +-1 entries of least Markowitz cost
-    (len(row) - 1) * (len(col) - 1), the fill-in their elimination can
-    cause at most.  Any sequence of unit pivots is unimodular, so the
-    order changes the residue but not its Smith form: the result is the
-    Smith diagonal of the whole matrix, units first.
+    """Smith invariant factors (nonzero ones) of a sparse-ish matrix: a 1
+    for each unit pivot that _unit_pivots takes, then the invariant
+    factors of the dense residue.  Any sequence of unit pivots is
+    unimodular, so the order changes the residue but not its Smith form.
 
     >>> sparse_invariants(IntMatrix.from_rows([[1, 1, 0], [0, 2, 2]]))
     [1, 2]
     """
-    return _sparse_invariants_from_cols(_sparse_from_matrix(mat))
+    return _unit_pivots(_sparse_from_matrix(mat)).invariants
 
 
-def _collapse(cols, steps=None):
+def _collapse(cols, steps):
     """Build the row view of the column dict cols and eliminate every +-1
     entry alone in its row (a free face) or its column (a coreduction),
-    until none is left; returns the rows and the number of pivots.
+    until none is left; returns the rows.
 
     A lone unit of a line a, at the crossing line b, clears the rest of b
     by operations with a alone, so the pivot deletes a and b and nothing
@@ -260,7 +241,7 @@ def _collapse(cols, steps=None):
     entries it removes.  A lone entry that is no unit stays.  The
     worklist holds (lines, cross, a): the view of line a and the other
     view, rows and columns in either order.  Each pivot is appended to
-    steps, when given, as _markowitz does.
+    steps as _markowitz does.
     """
     rows = {}
     for j, col in cols.items():
@@ -268,7 +249,6 @@ def _collapse(cols, steps=None):
             rows.setdefault(i, {})[j] = v
     work = [(rows, cols, i) for i, row in rows.items() if len(row) == 1]
     work += [(cols, rows, j) for j, col in cols.items() if len(col) == 1]
-    units = 0
     while work:
         lines, cross, a = work.pop()
         line = lines.get(a)
@@ -285,29 +265,26 @@ def _collapse(cols, steps=None):
             del shrunk[b]
             if len(shrunk) == 1:
                 work.append((lines, cross, c))
-        if steps is not None:
-            # a free face takes no column operation; a coreduction clears
-            # its row from the columns in `other`
-            steps.append((a, b, v, other, {}) if lines is rows else (b, a, v, {}, other))
-        units += 1
-    return rows, units
+        # a free face takes no column operation; a coreduction clears its
+        # row from the columns in `other`
+        steps.append((a, b, v, other, {}) if lines is rows else (b, a, v, {}, other))
+    return rows
 
 
-def _markowitz(cols, rows, steps=None):
+def _markowitz(cols, rows, steps):
     """Eliminate the +-1 pivots of the column dict cols (with its row view
     rows) in Markowitz order, from a heap whose stale keys are checked
-    again when popped; returns the number of pivots.
+    again when popped.
 
     Column operations clear the pivot row; the entries of the pivot
-    column then leave with it, so no row operation is needed.  When steps
-    is given, each pivot is appended to it as (row, column, unit, the
-    rest of the column, the rest of the row), taken when it was pivoted:
-    the record _Reduction lifts and projects chains with.
+    column then leave with it, so no row operation is needed.  Each
+    pivot is appended to steps as (row, column, unit, the rest of the
+    column, the rest of the row), taken when it was pivoted: the record
+    _Reduction lifts and projects chains with.
     """
     heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j) for j, col in cols.items()
             for i, v in col.items() if v in (1, -1)]
     heapify(heap)
-    units = 0
     while heap:
         cost, pi, pj = heappop(heap)
         pcol = cols.get(pj)
@@ -336,10 +313,7 @@ def _markowitz(cols, rows, steps=None):
                         heappush(heap, ((len(row) - 1) * (len(col) - 1), i, j))
                 else:
                     del col[i], row[j]
-        if steps is not None:
-            steps.append((pi, pj, pv, pcol, prow))
-        units += 1
-    return units
+        steps.append((pi, pj, pv, pcol, prow))
 
 
 def _dense_residue(row_pos, columns):
@@ -358,76 +332,17 @@ def _dense_residue(row_pos, columns):
     return IntMatrix(len(row_pos), len(columns), dense)
 
 
-def _sparse_invariants_from_cols(cols):
-    """Eliminate unit pivots of the column dict cols (consumed): first the
-    free faces and coreductions of _collapse, in time linear in the
-    entries they remove, then the rest by _markowitz; the invariant
-    factors of the dense residue are the other invariants."""
-    rows, units = _collapse(cols)
-    units += _markowitz(cols, rows)
-    live_rows = sorted({i for col in cols.values() for i in col})
-    live_cols = [col for _, col in sorted(cols.items()) if col]
-    if not live_cols:
-        return [1] * units
-    residue = _dense_residue({v: k for k, v in enumerate(live_rows)}, live_cols)
-    return [1] * units + _invariant_factors(residue)
-
-
-def _forest_size(K):
-    """The number of edges in a spanning forest of the 1-skeleton of K.
-
-    The boundary from edges to vertices is the incidence matrix of an
-    oriented graph, which is totally unimodular, so its nonzero Smith
-    invariants are all 1 and there are as many as its rank: V - c for V
-    vertices in c components, the size of any spanning forest.  Each
-    union of two components in a union-find over the edges adds one
-    forest edge.
-    """
-    parent = list(range(K.vertex_count))
-    size = 0
-    for a, b in K._by_dim.get(1, ()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            size += 1
-    return size
-
-
-def _boundary_invariants(K, k):
-    """Nonzero Smith invariants of the boundary map from k-chains of K,
-    computed once per complex: V - c ones for k = 1 (_forest_size), the
-    unit-pivot elimination for every other k."""
-    memo = K._boundary_memo
-    if k not in memo:
-        if k == 1:
-            memo[k] = [1] * _forest_size(K)
-        else:
-            memo[k] = _sparse_invariants_from_cols(_sparse_boundary(K, k))
-    return memo[k]
-
-
-def homology_invariants(K, n, reduced=False):
-    """(rank, torsion) of H_n over Z, without witnesses."""
-    if n < 0:
-        raise SimplicialError("negative degree")
-    c_n = len(K.simplices_of_dim(n))
-    if c_n == 0:
-        return (0, [])
-    if n == 0:
-        rank_lower = 1 if reduced else 0      # the augmentation is onto Z
-    else:
-        rank_lower = len(_boundary_invariants(K, n))
-    upper_inv = _boundary_invariants(K, n + 1)
-    free = c_n - rank_lower - len(upper_inv)
-    torsion = sorted(d for d in upper_inv if d >= 2)
-    return (free, torsion)
+def _unit_pivots(cols):
+    """Eliminate the unit pivots of the column dict cols (consumed): first
+    the free faces and coreductions of _collapse, in time linear in the
+    entries they remove, then the rest by _markowitz."""
+    steps = []
+    _markowitz(cols, _collapse(cols, steps), steps)
+    return _Pivots(steps, cols)
 
 
 # ---------------------------------------------------------------------------
-# the reduced complex K' and homology with witnesses
+# the reduced complex K' and homology
 
 
 class _Pivots:
@@ -437,8 +352,11 @@ class _Pivots:
     def __init__(self, steps, residue):
         self.steps = steps          # (row, column, unit, rest of column, rest of row)
         self.residue = residue
-        self.row_step = {step[0]: t for t, step in enumerate(steps)}
         self.paired = {step[1] for step in steps}
+
+    @cached_property
+    def row_step(self):
+        return {step[0]: t for t, step in enumerate(self.steps)}
 
     @cached_property
     def absorbed(self):
@@ -450,24 +368,89 @@ class _Pivots:
                 out.setdefault(j, []).append((t, a * unit))
         return out
 
+    @cached_property
+    def invariants(self):
+        """The nonzero Smith invariants of the boundary map: a 1 for each
+        pivot, then those of the residue's nonzero rows and columns.  The
+        rows the level below paired are zero in the basis it leaves, and
+        unit pivots are unimodular, so these are those of the whole map."""
+        columns = [col for _, col in sorted(self.residue.items()) if col]
+        rows = sorted({i for col in columns for i in col})
+        residue = _dense_residue({i: r for r, i in enumerate(rows)}, columns)
+        return [1] * len(self.paired) + _invariant_factors(residue)
+
 
 _NO_PIVOTS = _Pivots([], {})
 
 
-class _Reduction:
-    """The reduction of the chain complex of K by unit pivots, kept.
+class _Forest(_Pivots):
+    """The boundary from edges to vertices, paired along a spanning forest.
 
-    The boundary from k-chains is eliminated by _collapse and _markowitz,
-    for k = 1, 2, ... in turn, without the rows of the (k-1)-cells that
-    the boundary from (k-1)-chains paired with a face: in the basis its
-    column operations leave, those rows are zero and the others are as
-    they were.  So every pivot pairs two cells of a chain complex
-    equivalent to K, and the unpaired (critical) cells span the reduced
-    complex K', whose boundary maps are the residues of the eliminations.
+    A union-find over the edges takes each edge that joins two of its
+    components as a tree edge.  Pivoting root outwards, each tree edge
+    pairs with its endpoint away from the root (towards which the pairing
+    leads, so it is acyclic), the earlier pivots having moved the rest of
+    its column onto the root: {root: -unit}.  Every other edge closes a
+    cycle and ends as a zero column.  The steps are built when asked for.
     """
 
-    def __init__(self, K):
-        self.K = K
+    def __init__(self, by_dim, vertex_count):
+        self.by_dim = by_dim
+        self.residue = {}
+        self.paired = paired = set()
+        parent = list(range(vertex_count))
+        for j, (a, b) in enumerate(by_dim[1]):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                paired.add(j)
+
+    @cached_property
+    def steps(self):
+        position = {v: i for i, (v,) in enumerate(self.by_dim[0])}
+        incidences, ends = [{} for _ in position], []
+        for j, (a, b) in enumerate(self.by_dim[1]):
+            a, b = position[a], position[b]
+            incidences[a][j], incidences[b][j] = -1, 1
+            ends.append(a + b)      # so the end of edge j away from v is ends[j] - v
+        steps, seen = [], [False] * len(position)
+        for root in range(len(position)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for j in incidences[v]:
+                    w = ends[j] - v
+                    if j in self.paired and not seen[w]:
+                        seen[w] = True
+                        rest_of_row = dict(incidences[w])
+                        unit = rest_of_row.pop(j)
+                        steps.append((w, j, unit, {root: -unit}, rest_of_row))
+                        stack.append(w)
+        return steps
+
+
+class _Reduction:
+    """The reduction by unit pivots, kept, of the chain complex of the
+    complex whose index by dimension is by_dim (no reference back to it).
+
+    The boundary from edges is paired along a spanning forest (_Forest),
+    and the boundary from k-chains for k = 2, 3, ... is eliminated by
+    _unit_pivots in turn, without the rows of the (k-1)-cells that the
+    level below paired with a face: in the basis its column operations
+    leave, those rows are zero and the others are as they were.  So each
+    pivot pairs two cells of a chain complex equivalent to K, and the
+    critical (unpaired) cells span K', with the residues as boundaries.
+    """
+
+    def __init__(self, by_dim, vertex_count):
+        self.by_dim = by_dim
+        self.vertex_count = vertex_count
         self._levels = [_NO_PIVOTS]     # _levels[k]: the boundary from k-chains
         self._critical = {}
 
@@ -477,28 +460,26 @@ class _Reduction:
         return self._levels[k]
 
     def _eliminate(self, k):
-        if k not in self.K._by_dim:
+        if k not in self.by_dim:
             return _NO_PIVOTS
-        cols = _sparse_boundary(self.K, k)
+        if k == 1:
+            return _Forest(self.by_dim, self.vertex_count)
+        cols = _sparse_boundary(self.by_dim, k)
         # the (k-1)-cells paired with a face leave their rows behind
         paired = self._levels[k - 1].paired
-        if paired:
-            for col in cols.values():
-                for i in [i for i in col if i in paired]:
-                    del col[i]
-        steps = []
-        rows, _ = _collapse(cols, steps)
-        _markowitz(cols, rows, steps)
-        return _Pivots(steps, cols)
+        for col in cols.values():
+            for i in col.keys() & paired:
+                del col[i]
+        return _unit_pivots(cols)
 
     def critical(self, k):
-        """The positions of the critical k-cells in K._by_dim[k], and the
+        """The positions of the critical k-cells in by_dim[k], and the
         position of each among them."""
         if k not in self._critical:
             cells = []
             if k >= 0:
                 down, up = self._level(k).paired, self._level(k + 1).row_step
-                cells = [c for c in range(len(self.K._by_dim.get(k, ())))
+                cells = [c for c in range(len(self.by_dim.get(k, ())))
                          if c not in down and c not in up]
             self._critical[k] = (cells, {c: i for i, c in enumerate(cells)})
         return self._critical[k]
@@ -507,7 +488,7 @@ class _Reduction:
         """The boundary map of K' from k-chains, as a dense matrix."""
         cells, _ = self.critical(k)
         _, row_pos = self.critical(k - 1)
-        residue = self._level(k).residue if k > 0 else {}
+        residue = self._level(k).residue
         return _dense_residue(row_pos, [residue.get(c, {}) for c in cells])
 
     def augmentation(self):
@@ -525,7 +506,7 @@ class _Reduction:
         of the pivot cells, expanded from the last pivot down, so that its
         boundary vanishes on every face paired with a pivot cell."""
         chain = {cell: 1}
-        level = self._level(n) if n > 0 else _NO_PIVOTS
+        level = self._level(n)
         absorbed, steps = level.absorbed, level.steps
         coef = {t: -f for t, f in absorbed.get(cell, ())}
         heap = [-t for t in coef]
@@ -549,7 +530,7 @@ class _Reduction:
         critical n-cells: the cells paired with a face are dropped, and the
         ones paired with a coface are cleared, in pivot order, by the pivot
         columns of the boundary from (n+1)-chains."""
-        down = self._level(n).paired if n > 0 else ()
+        down = self._level(n).paired
         up = self._level(n + 1)
         row_step, steps = up.row_step, up.steps
         w = {i: c for i, c in chain.items() if c and i not in down}
@@ -573,6 +554,23 @@ class _Reduction:
         for i, c in w.items():
             vector[pos[i]] = c
         return vector
+
+
+def homology_invariants(K, n, reduced=False):
+    """(rank, torsion) of H_n over Z, without witnesses, from the Smith
+    invariants of two levels of the complex's reduction."""
+    if n < 0:
+        raise SimplicialError("negative degree")
+    c_n = len(K._by_dim.get(n, ()))
+    if c_n == 0:
+        return (0, [])
+    R = K._reduction
+    # in degree 0 the reduced lower map is the augmentation, onto Z
+    rank_lower = 1 if reduced and n == 0 else len(R._level(n).invariants)
+    upper_inv = R._level(n + 1).invariants
+    free = c_n - rank_lower - len(upper_inv)
+    torsion = sorted(d for d in upper_inv if d >= 2)
+    return (free, torsion)
 
 
 @dataclass(frozen=True)

@@ -668,6 +668,26 @@ class TestUnitPivotElimination:
             assert abs(induced_hom(tel.retraction_to_base(), 2).matrix.data[0][0]) == 1
         assert len(tel.complex.simplices) == 8798
 
+    def test_sphere_telescope_homology_takes_no_markowitz_pivot(self, monkeypatch):
+        # once the spanning forest has taken its edges' rows, the boundary
+        # from triangles collapses by coreductions alone (a heap reduction
+        # took all 2,153 of its pivots when the edges were reduced apart)
+        S2 = SimplicialComplex.from_maximal(
+            4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        st = PeriodicSimplicialTower((), S2, SimplicialMap(S2, S2, (1, 2, 0, 3)))
+        T = telescope(st, 3).complex
+        pivots, markowitz = [], simplicial._markowitz
+
+        def counted(cols, rows, steps):
+            before = len(steps)
+            markowitz(cols, rows, steps)
+            pivots.append(len(steps) - before)
+
+        monkeypatch.setattr(simplicial, "_markowitz", counted)
+        assert [homology_invariants(T, n) for n in range(4)] == \
+            [(1, []), (0, []), (1, []), (0, [])]
+        assert len(pivots) == 2 and sum(pivots) == 0
+
 
 # ---------------------------------------------------------------------------
 # differential tests of the sparse boundary invariants against the dense
@@ -724,8 +744,28 @@ def grid_disk(n):
 
 def assert_matches_dense(K):
     for k in range(K.dimension + 2):
-        assert simplicial._boundary_invariants(K, k) == \
+        assert K._reduction._level(k).invariants == \
             dense_invariants(dense_boundary(K, k)), k
+
+
+def components(K):
+    """The vertex sets of the connected components of K, by a search over
+    its edges."""
+    neighbours = {v: set() for (v,) in K.simplices_of_dim(0)}
+    for a, b in K.simplices_of_dim(1):
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen, parts = set(), []
+    for v in neighbours:
+        if v not in seen:
+            part, stack = {v}, [v]
+            while stack:
+                for w in neighbours[stack.pop()] - part:
+                    part.add(w)
+                    stack.append(w)
+            seen |= part
+            parts.append(part)
+    return parts
 
 
 class TestBoundaryInvariantsDifferential:
@@ -745,14 +785,14 @@ class TestBoundaryInvariantsDifferential:
             assert_matches_dense(K)
         # vertex ids that are no simplex at all are no components either
         K = SimplicialComplex.from_maximal(7, [(0, 1), (1, 2), (5,)])
-        assert simplicial._boundary_invariants(K, 1) == [1, 1]
+        assert K._reduction._level(1).invariants == [1, 1]
         assert homology_invariants(K, 0) == (2, [])
 
     def test_empty_complex(self):
         K = SimplicialComplex(0, frozenset())
         assert K.dimension == -1
         assert_matches_dense(K)
-        assert simplicial._boundary_invariants(K, 1) == []
+        assert K._reduction._level(1).invariants == []
         assert homology_invariants(K, 0) == (0, [])
 
     def test_surfaces_with_torsion(self):
@@ -765,9 +805,22 @@ class TestBoundaryInvariantsDifferential:
     def test_edge_boundary_counts_a_spanning_forest(self):
         # a cycle of n vertices has a spanning tree of n - 1 edges; two
         # cycles and a point have 2n - 2
-        assert simplicial._boundary_invariants(circle(6), 1) == [1] * 5
+        assert circle(6)._reduction._level(1).invariants == [1] * 5
         K = disjoint_union(circle(6), circle(6), point())
-        assert simplicial._boundary_invariants(K, 1) == [1] * 10
+        assert K._reduction._level(1).invariants == [1] * 10
+
+    def test_a_complex_and_its_reduction_make_no_reference_cycle(self):
+        import gc
+        import weakref
+        K = circle(5)
+        assert homology_data(K, 1).group.describe() == "Z"
+        ref = weakref.ref(K)
+        gc.disable()
+        try:
+            del K
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_lone_non_units_are_not_pivots(self):
         rng = random.Random(59)
@@ -790,20 +843,72 @@ class TestBoundaryInvariantsDifferential:
             assert sparse_invariants(M) == dense_invariants(M)
 
     def test_collapse_keeps_a_lone_non_unit(self):
-        rows, units = simplicial._collapse({0: {0: 2}, 1: {0: 1, 1: 1}})
+        steps = []
+        rows = simplicial._collapse({0: {0: 2}, 1: {0: 1, 1: 1}}, steps)
         # row 1 holds a lone +1 and goes with column 1; then row 0 and
         # column 0 hold only the 2, which stays
-        assert units == 1
+        assert len(steps) == 1
         assert rows == {0: {0: 2}}
 
     def test_collapse_alone_clears_a_disk(self):
         # every triangle of a disk goes by free faces and coreductions, the
         # inner ones only after the outer ones have made them free
         D = grid_disk(4)
-        cols = simplicial._sparse_boundary(D, 2)
-        rows, units = simplicial._collapse(cols)
-        assert units == len(D.simplices_of_dim(2)) == 32
+        cols, steps = simplicial._sparse_boundary(D._by_dim, 2), []
+        rows = simplicial._collapse(cols, steps)
+        assert len(steps) == len(D.simplices_of_dim(2)) == 32
         assert not any(cols.values()) and not any(rows.values())
+
+
+class TestSpanningForestLevel:
+    def complexes(self):
+        rng = random.Random(71)
+        out = [random_complex(rng, rng.randint(1, 9), 3, 8) for _ in range(40)]
+        out += [disjoint_union(*[random_complex(rng, rng.randint(1, 6), 2, 5)
+                                 for _ in range(rng.randint(2, 4))]) for _ in range(30)]
+        # vertex ids 3, 4 and 6 are no simplices
+        out.append(SimplicialComplex.from_maximal(7, [(0, 1), (1, 2), (5,)]))
+        assert any(len(components(K)) > 1 for K in out)
+        return out
+
+    def test_one_critical_vertex_per_component(self):
+        for K in self.complexes():
+            R, vertices = K._reduction, K.simplices_of_dim(0)
+            parts = components(K)
+            assert len(R._level(1).paired) == len(vertices) - len(parts)
+            critical = [vertices[c][0] for c in R.critical(0)[0]]
+            assert sorted(len(part & set(critical)) for part in parts) == [1] * len(parts)
+            assert not any(any(row) for row in R.boundary(1).data)
+            # pi takes each vertex to the critical vertex of its component
+            for c, (v,) in enumerate(vertices):
+                (part,) = [p for p in parts if v in p]
+                assert R.project(0, {c: 1}) == [int(x in part) for x in critical]
+            # iota of each critical edge is a cycle
+            for e in R.critical(1)[0]:
+                boundary = {}
+                for j, coef in R.lift(1, e).items():
+                    a, b = K.simplices_of_dim(1)[j]
+                    boundary[a] = boundary.get(a, 0) - coef
+                    boundary[b] = boundary.get(b, 0) + coef
+                assert not any(boundary.values())
+
+    def test_homology_invariants_leave_the_forest_steps_unbuilt(self):
+        for K in self.complexes():
+            for n in range(K.dimension + 2):
+                assert homology_invariants(K, n) == \
+                    dense_homology_invariants(K, n)
+            level = K._reduction._level(1)
+            if K.simplices_of_dim(1):
+                assert isinstance(level, simplicial._Forest)
+                assert "steps" not in vars(level) and "row_step" not in vars(level)
+
+
+def dense_homology_invariants(K, n):
+    """(rank, torsion) of H_n from the dense Smith forms of the boundary maps."""
+    lower = dense_invariants(dense_boundary(K, n)) if n else []
+    upper = dense_invariants(dense_boundary(K, n + 1))
+    return (len(K.simplices_of_dim(n)) - len(lower) - len(upper),
+            [d for d in upper if d > 1])
 
 
 # ---------------------------------------------------------------------------
