@@ -16,10 +16,13 @@ form runs it on the columns of a matrix as rows, so nothing is
 transposed back and forth.
 
 hnf, snf, solve_columns, kernel and unimodular_inverse build the
-transforms their callers read.  Membership, lattice_index and Smith
-invariants are transform-free: they reduce against echelon pivots or
-alternate Hermite forms to a diagonal.  An FgAbGroup caches the echelon
-of its relations on its first membership test, like its invariants.
+transforms their callers read.  Membership, lattice_index, ambient_index
+and Smith invariants are transform-free: they reduce against echelon
+pivots or alternate Hermite forms to a diagonal.  An FgAbGroup caches
+the echelon of its relations on its first membership test, like its
+invariants.  exactness_defect answers injective, surjective and
+image = kernel with these lattice tests, where hom_parts would build the
+kernel, image and cokernel groups.
 
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> S, U, V = snf(M)
@@ -524,6 +527,13 @@ def kernel(mat):
     return IntMatrix._new(mat.cols, len(basis), _transposed(basis, mat.cols))
 
 
+def preimage(mat, rel):
+    """Column generators of {x : mat x in span(rel)}: the first mat.cols
+    rows of the kernel of mat | rel."""
+    K = kernel(mat.hstack(rel))
+    return IntMatrix._new(mat.cols, K.cols, K.data[:mat.cols])
+
+
 def lattice_index(sub, sup):
     """Index of span(sub) inside span(sup); None stands for infinite index.
 
@@ -546,6 +556,25 @@ def lattice_index(sub, sup):
     d = 1
     for (prow, hc), (_, hs) in zip(sub_ech, sup_ech):
         d = d * hc[prow] // hs[prow]
+    return d
+
+
+def ambient_index(gens):
+    """Index of span(gens) inside the whole of Z^rows; None stands for
+    infinite index.  It is lattice_index(gens, identity) read off one
+    echelon form: the product of its pivots once there is one in every row.
+
+    >>> ambient_index(IntMatrix.from_rows([[2, 0], [1, 3]]))
+    6
+    >>> ambient_index(IntMatrix.from_rows([[2], [1]])) is None
+    True
+    """
+    echelon = _echelon(gens)
+    if len(echelon) < gens.rows:
+        return None
+    d = 1
+    for prow, hc in echelon:
+        d *= hc[prow]
     return d
 
 
@@ -775,8 +804,44 @@ def hom_parts(h):
     # image: (im M + R_t)/R_t as a subquotient of the target ambient
     image_part = subquotient(tgt.generators, M.hstack(tgt.relations), tgt.relations)
     # kernel: preimage of R_t under M, modulo R_s
-    K = kernel(M.hstack(tgt.relations))
-    pre_cols = [K.column(j)[: src.generators] for j in range(K.cols)]
-    pre = IntMatrix.from_columns(src.generators, pre_cols).hstack(src.relations)
+    pre = preimage(M, tgt.relations).hstack(src.relations)
     kernel_part = subquotient(src.generators, pre, src.relations)
     return kernel_part, image_part, coker_part
+
+
+def exactness_defect(inj, sur, tests=("injective", "surjective", "exact")):
+    """The first of `tests` that  A --inj--> B --sur--> C  fails, or None.
+
+    Each test is a yes/no lattice test, with no group built:
+
+    * injective: the preimage of the relations of B under inj lies in the
+      relations of A;
+    * surjective: im sur + the relations of C is all of Z^c (index 1);
+    * exact: im inj + the relations of B and the preimage under sur of
+      the relations of C have one canonical form.
+
+    >>> Z = free_group(1)
+    >>> two = hom_make(Z, Z, IntMatrix.from_rows([[2]]))
+    >>> exactness_defect(two, hom_make(Z, cyclic_group(2), IntMatrix.from_rows([[1]])))
+    >>> exactness_defect(two, identity_hom(Z))
+    'exact'
+    >>> exactness_defect(two, two, ("injective", "exact", "surjective"))
+    'exact'
+    """
+    mid = inj.target.relations
+    for test in tests:
+        if test == "injective":
+            ech = inj.source._relation_echelon
+            pre = preimage(inj.matrix, mid)
+            holds = all(_in_span(ech, c) for c in _transposed(pre.data, pre.cols))
+        elif test == "surjective":
+            holds = ambient_index(sur.matrix.hstack(sur.target.relations)) == 1
+        elif test == "exact":
+            kernel_gens = preimage(sur.matrix, sur.target.relations)
+            holds = (lattice_canon(inj.matrix.hstack(mid))
+                     == lattice_canon(kernel_gens.hstack(mid)))
+        else:
+            raise ValueError("unknown exactness test %r" % test)
+        if not holds:
+            return test
+    return None

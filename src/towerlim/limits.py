@@ -17,34 +17,36 @@ tail pair (T, A):
   lim1 = (lim L'/A'^k L') / L' on the complement, the quotient of a
   completion, which is uncountable whenever it is nonzero.
 
-The Mittag-Leffler verdict reads the same analysis: the consecutive
-image index [A^k T : A^(k+1) T] is [Z^n : A Z^n + K_k] for the kernel
-chain K_0 ... K_l, and from l on it is |det| of the free block, so ML
-holds exactly when that determinant is +-1.  The q-coranks of lim1 are
-read off the characteristic polynomial of the quotient block modulo q
-(see structured.completion_quotient); nothing is sampled.
+The Mittag-Leffler verdict reads the same analysis, but only its kernel
+chain and d = |det| of the free block: the consecutive image index
+[A^k T : A^(k+1) T] is [Z^n : A Z^n + K_k] for the kernel chain
+K_0 ... K_l, the pivot product of one echelon form, and from l on it is
+d, so ML holds exactly when d = 1.  The q-coranks of lim1 are read off
+the characteristic polynomial of the quotient block modulo q (see
+structured.completion_quotient); nothing is sampled.
 
 Every unit-part extraction is certified exactly: A is bijective on N,
-and when d = |det A| is 1 the image chain of the injective A stabilizes
-at once on all of Z^n, so N must be all of Z^n.
+and when d is 1 the image chain of the injective A stabilizes at once
+on all of Z^n, so N must be all of Z^n.  The factoring and this
+certificate run on the first read of N, which ML never makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import TooLarge
 from .exactlat import (
     FgAbGroup,
     IntMatrix,
+    ambient_index,
     diagonal_group,
+    exactness_defect,
     free_group,
     hom_make,
-    hom_parts,
     identity_hom,
     lattice_canon,
-    lattice_index,
     snf,
     solve_columns,
     subquotient,
@@ -131,24 +133,38 @@ def _certify_unit_lattice(A_free, N, d):
             "stable image lattice disagrees with the unit sublattice")
 
 
+@dataclass(frozen=True)
+class TailAnalysis:
+    """The analysis of one periodic tail (T, A): its kernel-chain reduction,
+    the injective free block of the reduced tail map and d = |det| of that
+    block.  The ML verdict reads only these; the certified unit lattice
+    of the free block, which lim, lim1 and the six-term sequences read,
+    is built on its first read and kept."""
+
+    reduction: TailReduction
+    free_block: IntMatrix
+    d: int
+
+    @cached_property
+    def unit_lattice(self):
+        N = _unit_lattice(self.free_block)
+        _certify_unit_lattice(self.free_block, N, self.d)
+        return N
+
+
 @lru_cache(maxsize=64)
 def _tail_analysis(tail_group, tail_endo):
-    """The one certified analysis of a periodic tail (T, A) that lim, lim1,
-    the ML verdict and the six-term sequences read: (kernel-chain
-    reduction, its injective free block, |det| of that block, the
-    certified unit lattice of that block).  Memoized on the tail's value,
-    so a tower and its shifts share one record."""
+    """The one TailAnalysis of a periodic tail (T, A), memoized on the
+    tail's value, so a tower and its shifts share one record."""
     red = tail_reduction(PeriodicTower((), (), tail_group, tail_endo, None))
     A_free = _free_block(red)
-    d = abs(A_free.det())
-    N = _unit_lattice(A_free)
-    _certify_unit_lattice(A_free, N, d)
-    return red, A_free, d, N
+    return TailAnalysis(red, A_free, abs(A_free.det()))
 
 
 def periodic_lim_data(t):
     """lim of an eventually periodic tower, with transport data."""
-    red, _, _, N = _tail_analysis(t.tail_group, t.tail_endo)
+    tail = _tail_analysis(t.tail_group, t.tail_endo)
+    red, N = tail.reduction, tail.unit_lattice
     tor = red.torsion_idx
     m = red.group.generators
     gens = []
@@ -169,7 +185,8 @@ class PeriodicLim1Data:
 
 
 def periodic_lim1_data(t):
-    _, A_free, _, N = _tail_analysis(t.tail_group, t.tail_endo)
+    tail = _tail_analysis(t.tail_group, t.tail_endo)
+    A_free, N = tail.free_block, tail.unit_lattice
     rf = A_free.rows
     s = N.cols
     if rf == s:
@@ -259,13 +276,13 @@ def _ml_periodic(t):
     from l on equals |det| of the free block, the torsion block being
     bijective; so ML holds iff that determinant is +-1, which is then
     the stable index, and the offset or onset is the first k <= l whose
-    index reaches it.
+    index reaches it.  Each index is the pivot product of one echelon
+    form of A | K_k; the unit lattice is never read.
     """
-    red, _, d, _ = _tail_analysis(t.tail_group, t.tail_endo)
-    A = red.original_endo.matrix
-    whole = IntMatrix.identity(A.rows)
-    for k, K in enumerate(red.kernel_chain):
-        if lattice_index(A.hstack(K), whole) == d:
+    tail = _tail_analysis(t.tail_group, t.tail_endo)
+    A, d = tail.reduction.original_endo.matrix, tail.d
+    for k, K in enumerate(tail.reduction.kernel_chain):
+        if ambient_index(A.hstack(K)) == d:
             break
     else:
         raise InternalInconsistency("no kernel-chain step reaches the stable image index")
@@ -509,14 +526,22 @@ def _lim_subgroup_hom(data_src, data_tgt, level_map):
     return hom_make(data_src.group, data_tgt.group, M)
 
 
+_LIM_JOINT_FAILURES = {
+    "injective": "lim of the inclusion has a kernel",
+    "exact": "exactness fails at lim of the total tower",
+    "surjective": "lim1 of the sub tower vanishes but lim is not onto",
+}
+
+
 def six_term(ses):
     """All six terms of the limit sequence of a short exact sequence of
     towers, with per-joint exactness verdicts.
 
     Joints between finitely generated (or zero) terms are verified by
-    exact kernel/image computation; joints involving completion terms get
-    structured consistency checks; anything else is labeled skipped.  A
-    failed verified joint raises InconsistentSES.
+    the lattice tests of exactlat.exactness_defect, in the order of the
+    joints; joints involving completion terms get structured consistency
+    checks; anything else is labeled skipped.  A failed verified joint
+    raises InconsistentSES.
     """
     if ses.canonical_completion:
         return _six_term_canonical(ses)
@@ -532,26 +557,16 @@ def six_term(ses):
     lim_j = _lim_subgroup_hom(ds, dt, inj)
     lim_f = _lim_subgroup_hom(dt, dq, sur)
 
-    joints = []
-    kj, imj, _ = hom_parts(lim_j)
-    if kj.group.is_trivial():
-        joints.append(JointVerdict("lim_sub", "verified", "lim of the inclusion is injective"))
-    else:
-        raise InconsistentSES("lim of the inclusion has a kernel")
-    kf, imf, ckf = hom_parts(lim_f)
-    rel = dt.group.relations
-    im_l = lattice_canon(imj.witness.hstack(rel))
-    ker_l = lattice_canon(kf.witness.hstack(rel))
-    if im_l == ker_l:
-        joints.append(JointVerdict("lim_total", "verified", "image equals kernel"))
-    else:
-        raise InconsistentSES("exactness fails at lim of the total tower")
+    # lim is onto exactly when lim1 of the sub tower vanishes
+    tests = ("injective", "exact") + (("surjective",) if l1s.is_trivial else ())
+    defect = exactness_defect(lim_j, lim_f, tests)
+    if defect is not None:
+        raise InconsistentSES(_LIM_JOINT_FAILURES[defect])
+    joints = [JointVerdict("lim_sub", "verified", "lim of the inclusion is injective"),
+              JointVerdict("lim_total", "verified", "image equals kernel")]
     if l1s.is_trivial:
-        if ckf.group.is_trivial():
-            joints.append(JointVerdict("lim_quot", "verified",
-                                       "lim is onto since lim1 of the sub tower vanishes"))
-        else:
-            raise InconsistentSES("lim1 of the sub tower vanishes but lim is not onto")
+        joints.append(JointVerdict("lim_quot", "verified",
+                                   "lim is onto since lim1 of the sub tower vanishes"))
     else:
         joints.append(JointVerdict(
             "lim_quot", "consistent",

@@ -23,12 +23,12 @@ from .exactlat import (
     IllDefined,
     IntMatrix,
     diagonal_group,
+    exactness_defect,
     free_group,
     hom_make,
-    hom_parts,
     identity_hom,
-    kernel as lattice_kernel,
     lattice_canon,
+    preimage,
     present,
     snf,
     solve_columns,
@@ -311,13 +311,6 @@ def truncate(t, n):
     return FiniteTower(tuple(groups), tuple(bonds))
 
 
-def _preimage_lattice(matrix, rel, src_rank):
-    """Generators of {x in Z^src_rank : matrix*x in span(rel)}."""
-    K = lattice_kernel(matrix.hstack(rel))
-    cols = [K.column(j)[:src_rank] for j in range(K.cols)]
-    return IntMatrix.from_columns(src_rank, cols)
-
-
 def _kernel_chain_bound(group):
     # the kernel chain adds rank or halves torsion each strict step
     bits = sum(d.bit_length() for d in group.torsion)
@@ -335,10 +328,9 @@ def kernel_chain(group, endo):
     is formed.  The chain is Noetherian so it stabilizes; the iteration
     cap is a proven bound, not a guess.
     """
-    n = group.generators
     chain = [lattice_canon(group.relations)]
     for _ in range(_kernel_chain_bound(group) + 1):
-        nxt = lattice_canon(_preimage_lattice(endo.matrix, chain[-1], n))
+        nxt = lattice_canon(preimage(endo.matrix, chain[-1]))
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
@@ -475,19 +467,20 @@ class TowerSES:
         return chain[i]
 
 
+_NOT_EXACT = {
+    "injective": "inclusion is not injective",
+    "surjective": "projection is not surjective",
+    "exact": "image of the inclusion differs from the kernel of the projection",
+}
+
+
 def _exact_at(inj, sur, level):
-    """Injectivity, surjectivity and image=kernel at one level."""
-    k_inj, im_inj, _ = hom_parts(inj)
-    if not k_inj.group.is_trivial():
-        raise NotExact(level, "inclusion is not injective")
-    k_sur, _, ck_sur = hom_parts(sur)
-    if not ck_sur.group.is_trivial():
-        raise NotExact(level, "projection is not surjective")
-    mid_rel = sur.source.relations
-    im_l = lattice_canon(im_inj.witness.hstack(mid_rel))
-    ker_l = lattice_canon(k_sur.witness.hstack(mid_rel))
-    if im_l != ker_l:
-        raise NotExact(level, "image of the inclusion differs from the kernel of the projection")
+    """Injectivity, surjectivity and image = kernel at one level, in that
+    order, as the lattice tests of exactlat.exactness_defect; the first
+    that fails raises NotExact."""
+    defect = exactness_defect(inj, sur)
+    if defect is not None:
+        raise NotExact(level, _NOT_EXACT[defect])
 
 
 def _square_commutes(upper, lower, left_bond, right_bond, level, what):

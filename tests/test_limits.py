@@ -16,6 +16,7 @@ from towerlim import limits, poly, procat
 from towerlim.exactlat import (
     IntMatrix,
     Subquotient,
+    ambient_index,
     charpoly,
     cyclic_group,
     free_group,
@@ -23,6 +24,7 @@ from towerlim.exactlat import (
     hom_parts,
     kernel as lattice_kernel,
     lattice_canon,
+    lattice_index,
     present,
     snf,
 )
@@ -49,6 +51,7 @@ from towerlim.towers import (
     FiniteTower,
     adic_quotient_tower,
     canonical_completion_ses,
+    kernel_chain,
     make_streamed,
     periodic_tower,
     pure_tower,
@@ -599,6 +602,31 @@ class TestMlConditions:
         cert = ml_conditions(pure_tower(Z2, [[1, 0], [0, 0]])).ml.certificate
         assert cert.kind == "stabilized" and cert.j_offset == 1
 
+    def test_chain_index_is_the_pivot_product(self):
+        # [Z^n : A Z^n + K_k] from one echelon form against lattice_index;
+        # a singular A on a free part leaves A | K_0 of rank below n
+        from towerlim.lab import LabConfig, gen_tower, trial_rng
+        cfg = LabConfig(master_seed=47, trials=0)
+        rng = random.Random(47)
+        tails = [gen_tower(trial_rng(47, "ml_index", i), cfg, with_prefix=False)
+                 for i in range(300)]
+        for _ in range(100):
+            n, r = rng.randint(1, 4), rng.randint(0, 3)
+            B = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)])
+            C = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)])
+            A = B * C if r else IntMatrix.zero(n, n)
+            tails.append(pure_tower(free_group(n), A))
+        infinite = finite = 0
+        for t in tails:
+            A = t.tail_endo.matrix
+            whole = IntMatrix.identity(A.rows)
+            for K in kernel_chain(t.tail_group, t.tail_endo):
+                want = lattice_index(A.hstack(K), whole)
+                assert ambient_index(A.hstack(K)) == want, (A, K)
+                infinite += want is None
+                finite += want is not None and want > 1
+        assert infinite >= 50 and finite >= 200
+
 
 class TestShiftInvariance:
     def test_lim_and_lim1_shift_invariant(self):
@@ -845,3 +873,23 @@ class TestUnitLatticeCertificate:
                             lambda A: IntMatrix.from_columns(A.rows, [[1, 0]]))
         with pytest.raises(limits.InternalInconsistency, match="not invariant"):
             limit(pure_tower(Z2, [[2, 1], [1, 1]]))
+
+
+class TestMLReadsNoUnitLattice:
+    def test_ml_answers_with_the_unit_lattice_refused(self, monkeypatch):
+        from towerlim.lab import LabConfig, gen_tower, trial_rng
+        cfg = LabConfig(master_seed=59, trials=0)
+        towers = [gen_tower(trial_rng(59, "ml_unit", i), cfg) for i in range(80)]
+        towers += [shift(t, k) for t in towers if t.prefix_len for k in (1, 3)]
+        limits._tail_analysis.cache_clear()
+        want = [ml_conditions(t).to_json() for t in towers]
+
+        def refuse(A):
+            raise AssertionError("the unit lattice was read")
+
+        limits._tail_analysis.cache_clear()
+        monkeypatch.setattr(limits, "_unit_lattice", refuse)
+        assert [ml_conditions(t).to_json() for t in towers] == want
+        for t in towers:
+            with pytest.raises(AssertionError, match="unit lattice was read"):
+                limit(t)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,14 +7,17 @@ from towerlim.exactlat import (
     Homomorphism,
     IntMatrix,
     cyclic_group,
+    diagonal_group,
+    exactness_defect,
     free_group,
     hom_make,
+    hom_parts,
     identity_hom,
     kernel,
     lattice_canon,
     present,
 )
-from towerlim.lab import LabConfig, gen_tower, trial_rng
+from towerlim.lab import LabConfig, gen_diag_group, gen_matrix_between, gen_tower, trial_rng
 from towerlim.towers import (
     FiniteTower,
     NotExact,
@@ -23,6 +27,7 @@ from towerlim.towers import (
     UnknownFamily,
     _cluster_bond,
     _cluster_group,
+    _exact_at,
     _kernel_chain_bound,
     adic_quotient_tower,
     canonical_completion_ses,
@@ -326,3 +331,90 @@ class TestTowerSES:
         for i in range(4):
             assert (ses.total.group_at(i).rank
                     == ses.sub.group_at(i).rank + ses.quot.group_at(i).rank)
+
+
+def hom_parts_verdicts(inj, sur):
+    """Injectivity, surjectivity and image = kernel read from the full
+    kernel, image and cokernel groups that hom_parts builds."""
+    k_inj, im_inj, _ = hom_parts(inj)
+    k_sur, _, ck_sur = hom_parts(sur)
+    mid = sur.source.relations
+    return {"injective": k_inj.group.is_trivial(),
+            "surjective": ck_sur.group.is_trivial(),
+            "exact": (lattice_canon(im_inj.witness.hstack(mid))
+                      == lattice_canon(k_sur.witness.hstack(mid)))}
+
+
+HOM_PARTS_REASONS = (
+    ("injective", "inclusion is not injective"),
+    ("surjective", "projection is not surjective"),
+    ("exact", "image of the inclusion differs from the kernel of the projection"),
+)
+
+
+def random_short_sequence(rng, config, kind):
+    """inj: A -> B and sur: B -> C between diagonal groups.
+
+    kind 0 draws both maps at random.  kind 1 is A >-> A (+) C ->> C
+    through a (x, Xx) and (y, z) -> z - Xy, exact for any map X; kind 2
+    is Z/a >-> Z/ab ->> Z/b (a = 0 for Z).  Half of the kind 1 and 2
+    sequences have one map scaled by 2 or 3 or, in kind 1, X replaced."""
+    bound = config.entry_bound
+    if kind == 0:
+        (A, da), (B, db), (C, dc) = (gen_diag_group(rng, config) for _ in range(3))
+        return (hom_make(A, B, gen_matrix_between(rng, db, da, bound)),
+                hom_make(B, C, gen_matrix_between(rng, dc, db, bound)))
+    if kind == 1:
+        (A, da), (C, dc) = gen_diag_group(rng, config), gen_diag_group(rng, config)
+        B = diagonal_group(da + dc)
+        X = gen_matrix_between(rng, dc, da, bound)
+        Y = X if rng.below(4) else gen_matrix_between(rng, dc, da, bound)
+        inj = IntMatrix.identity(len(da)).vstack(X)
+        sur = (-Y).hstack(IntMatrix.identity(len(dc)))
+    else:
+        a, b = rng.rand_range(0, 6), rng.rand_range(1, 6)
+        A, B, C = cyclic_group(a), cyclic_group(a * b), cyclic_group(b)
+        inj, sur = IntMatrix.from_rows([[b]]), IntMatrix.identity(1)
+    if rng.below(2):
+        k = rng.rand_range(2, 3)
+        if rng.below(2):
+            inj = inj * k
+        else:
+            sur = sur * k
+    return hom_make(A, B, inj), hom_make(B, C, sur)
+
+
+class TestExactnessDifferential:
+    def test_lattice_tests_match_hom_parts(self):
+        config = LabConfig(master_seed=53, trials=0)
+        outcomes = {}
+        finite_cokernels = 0
+        for i in range(600):
+            inj, sur = random_short_sequence(trial_rng(53, "exactness", i), config, i % 3)
+            verdicts = hom_parts_verdicts(inj, sur)
+            want = next((reason for test, reason in HOM_PARTS_REASONS
+                         if not verdicts[test]), None)
+            try:
+                _exact_at(inj, sur, 7)
+                got = None
+            except NotExact as e:
+                assert e.level == 7
+                got = e.reason
+            assert got == want, (inj, sur)
+            for order in itertools.permutations(verdicts):
+                assert exactness_defect(inj, sur, order) == next(
+                    (test for test in order if not verdicts[test]), None), (inj, sur, order)
+            outcomes[want] = outcomes.get(want, 0) + 1
+            # im sur + R_C of full rank but index > 1: every pivot is
+            # there, and one of them is not 1
+            order = hom_parts(sur)[2].group.order()
+            finite_cokernels += order is not None and order > 1
+        assert outcomes.get(None, 0) >= 100
+        for _, reason in HOM_PARTS_REASONS:
+            assert outcomes.get(reason, 0) >= 40, outcomes
+        assert finite_cokernels >= 40
+
+    def test_unknown_test_name_is_refused(self):
+        one = identity_hom(Z)
+        with pytest.raises(ValueError, match="unknown exactness test"):
+            exactness_defect(one, one, ("injective", "onto"))
