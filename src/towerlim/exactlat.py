@@ -24,6 +24,18 @@ invariants.  exactness_defect answers injective, surjective and
 image = kernel with these lattice tests, where hom_parts would build the
 kernel, image and cokernel groups.
 
+The records of the package (FgAbGroup and Homomorphism here, the towers,
+reports and verdicts elsewhere) are plain classes on Record.  Each names
+its fields in `_fields` and writes its own `__init__`, which checks its
+input and sets each field with object.__setattr__; Record gives them all
+value equality within one class, the hash of the field tuple, the repr
+Name(field=value, ...) and no assignment or deletion afterwards.  A
+cached_property writes the instance dictionary directly, so a record
+still caches what it computes.  The two records a caller fills in,
+TowerFile and LabReport, are MutableRecords, with no hash.  Nothing
+imports dataclasses, whose import and decoration were a third of the
+start-up of every command.
+
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> S, U, V = snf(M)
 >>> S.diagonal()
@@ -34,10 +46,9 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 
 class ExactLatticeError(Exception):
@@ -50,6 +61,51 @@ class IllDefined(ExactLatticeError):
 
 class IndexUndefined(ExactLatticeError):
     """Lattice index requested for a pair that is not nested."""
+
+
+class Record:
+    """Value semantics over the fields a subclass names, in order, in
+    `_fields`: equality only with a record of the same class and equal
+    fields, the hash of the field tuple, the repr Name(field=value, ...),
+    and no assignment or deletion once `__init__` has set the fields
+    with object.__setattr__."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        names = cls._fields
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._values = staticmethod(attrgetter(*names) if len(names) > 1 else
+                                   lambda record: tuple(getattr(record, n) for n in names))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class MutableRecord(Record):
+    """A Record whose fields may be reassigned after construction; it has
+    no hash."""
+
+    __slots__ = ()
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
 
 class IntMatrix:
@@ -582,16 +638,16 @@ def ambient_index(gens):
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Record):
     """Finitely generated abelian group Z^generators / (column span of relations)."""
 
-    generators: int
-    relations: IntMatrix
+    _fields = ("generators", "relations")
 
-    def __post_init__(self):
-        if self.relations.rows != self.generators:
+    def __init__(self, generators, relations):
+        if relations.rows != generators:
             raise ValueError("relations must have one row per generator")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
 
     @cached_property
     def _smith(self):
@@ -705,13 +761,15 @@ def diagonal_group(orders):
         n, [[d if j == i else 0 for j in range(n)] for i, d in enumerate(orders) if d]))
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """Map of f.g. abelian groups given by a matrix on chosen generators."""
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix
+    _fields = ("source", "target", "matrix")
+
+    def __init__(self, source, target, matrix):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
 
     def __call__(self, vector):
         return self.matrix.apply(vector)
@@ -766,12 +824,14 @@ def hom_make(source, target, matrix):
     return Homomorphism(source, target, matrix)
 
 
-@dataclass(frozen=True)
-class Subquotient:
+class Subquotient(Record):
     """A subquotient of some Z^n with a witness matrix into/out of Z^n."""
 
-    group: FgAbGroup
-    witness: IntMatrix
+    _fields = ("group", "witness")
+
+    def __init__(self, group, witness):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "witness", witness)
 
 
 def subquotient(ambient_rank, sub_gens, rel_gens):

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 from .errors import UnknownSuite
 from .exactlat import (
     IllDefined,
     IntMatrix,
+    MutableRecord,
+    Record,
     diagonal_group,
     diagonal_orders,
     free_group,
@@ -83,13 +84,15 @@ def trial_rng(master_seed, suite, index):
     return SplitMix64(a ^ h ^ (0x9E3779B97F4A7C15 * (index + 1) & _MASK))
 
 
-@dataclass(frozen=True)
-class LabConfig:
-    master_seed: int
-    trials: int
-    max_rank: int = 3
-    entry_bound: int = 5
-    depth: int = 12
+class LabConfig(Record):
+    _fields = ("master_seed", "trials", "max_rank", "entry_bound", "depth")
+
+    def __init__(self, master_seed, trials, max_rank=3, entry_bound=5, depth=12):
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "max_rank", max_rank)
+        object.__setattr__(self, "entry_bound", entry_bound)
+        object.__setattr__(self, "depth", depth)
 
     def to_json(self):
         return {"master_seed": self.master_seed, "trials": self.trials,
@@ -97,14 +100,17 @@ class LabConfig:
                 "depth": self.depth}
 
 
-@dataclass
-class LabReport:
-    suite: str
-    config: LabConfig
-    passed: int = 0
-    failed: int = 0
-    counterexamples: list = field(default_factory=list)
-    elapsed: float = 0.0
+class LabReport(MutableRecord):
+    _fields = ("suite", "config", "passed", "failed", "counterexamples", "elapsed")
+
+    def __init__(self, suite, config, passed=0, failed=0, counterexamples=None,
+                 elapsed=0.0):
+        self.suite = suite
+        self.config = config
+        self.passed = passed
+        self.failed = failed
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.elapsed = elapsed
 
     @property
     def ok(self):

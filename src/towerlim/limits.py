@@ -33,13 +33,12 @@ certificate run on the first read of N, which ML never makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import TooLarge
 from .exactlat import (
-    FgAbGroup,
     IntMatrix,
+    Record,
     ambient_index,
     diagonal_group,
     exactness_defect,
@@ -58,7 +57,6 @@ from .towers import (
     FiniteTower,
     PeriodicTower,
     StreamedTower,
-    TailReduction,
     TowerError,
     _minimize_with_transform,
     tail_reduction,
@@ -78,13 +76,18 @@ class InternalInconsistency(Exception):
 # periodic-tail analysis
 
 
-@dataclass(frozen=True)
-class PeriodicLimData:
-    """Everything the six-term machinery needs about lim of one tower."""
+class PeriodicLimData(Record):
+    """Everything the six-term machinery needs about lim of one tower: its
+    TailReduction, the IntMatrix unit_basis whose columns are the lim
+    generators in reduced coordinates, and the FgAbGroup group, the
+    abstract lim presented on those generators."""
 
-    reduction: TailReduction
-    unit_basis: IntMatrix        # columns: lim generators in reduced coordinates
-    group: FgAbGroup             # abstract lim, presented on those generators
+    _fields = ("reduction", "unit_basis", "group")
+
+    def __init__(self, reduction, unit_basis, group):
+        object.__setattr__(self, "reduction", reduction)
+        object.__setattr__(self, "unit_basis", unit_basis)
+        object.__setattr__(self, "group", group)
 
 
 def _free_block(reduction):
@@ -133,17 +136,19 @@ def _certify_unit_lattice(A_free, N, d):
             "stable image lattice disagrees with the unit sublattice")
 
 
-@dataclass(frozen=True)
-class TailAnalysis:
+class TailAnalysis(Record):
     """The analysis of one periodic tail (T, A): its kernel-chain reduction,
     the injective free block of the reduced tail map and d = |det| of that
     block.  The ML verdict reads only these; the certified unit lattice
     of the free block, which lim, lim1 and the six-term sequences read,
     is built on its first read and kept."""
 
-    reduction: TailReduction
-    free_block: IntMatrix
-    d: int
+    _fields = ("reduction", "free_block", "d")
+
+    def __init__(self, reduction, free_block, d):
+        object.__setattr__(self, "reduction", reduction)
+        object.__setattr__(self, "free_block", free_block)
+        object.__setattr__(self, "d", d)
 
     @cached_property
     def unit_lattice(self):
@@ -175,13 +180,17 @@ def periodic_lim_data(t):
     return PeriodicLimData(red, gens_m, grp)
 
 
-@dataclass(frozen=True)
-class PeriodicLim1Data:
-    """lim1 of an eventually periodic tower: the completion-quotient data."""
+class PeriodicLim1Data(Record):
+    """lim1 of an eventually periodic tower: the completion-quotient data.
+    quotient_matrix is the tail map induced on the non-unit free quotient,
+    of rank quotient_rank."""
 
-    quotient_rank: int
-    quotient_matrix: IntMatrix   # the tail map induced on the non-unit free quotient
-    structured: StructuredGroup
+    _fields = ("quotient_rank", "quotient_matrix", "structured")
+
+    def __init__(self, quotient_rank, quotient_matrix, structured):
+        object.__setattr__(self, "quotient_rank", quotient_rank)
+        object.__setattr__(self, "quotient_matrix", quotient_matrix)
+        object.__setattr__(self, "structured", structured)
 
 
 def periodic_lim1_data(t):
@@ -209,8 +218,7 @@ def periodic_lim1_data(t):
 # Mittag-Leffler condition family
 
 
-@dataclass(frozen=True)
-class MLCertificate:
+class MLCertificate(Record):
     """kind: stabilized | non_ml | depth_limited.
 
     stabilized: images of deep levels in each fixed level agree from
@@ -223,13 +231,17 @@ class MLCertificate:
     non_ml certificate.
     """
 
-    kind: str
-    j_offset: int = 0
-    symbolic: bool = False
-    index: int = 0
-    onset: int = 0
-    depth: int = 0
-    note: str = ""
+    _fields = ("kind", "j_offset", "symbolic", "index", "onset", "depth", "note")
+
+    def __init__(self, kind, j_offset=0, symbolic=False, index=0, onset=0, depth=0,
+                 note=""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "j_offset", j_offset)
+        object.__setattr__(self, "symbolic", symbolic)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "onset", onset)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "note", note)
 
     def to_json(self):
         out = {"kind": self.kind}
@@ -246,21 +258,25 @@ class MLCertificate:
         return out
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    holds: bool
-    certificate: MLCertificate
+class ConditionVerdict(Record):
+    _fields = ("holds", "certificate")
+
+    def __init__(self, holds, certificate):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "certificate", certificate)
 
     def to_json(self):
         return {"holds": self.holds, "certificate": self.certificate.to_json()}
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
-    ml: ConditionVerdict
-    dual_ml: ConditionVerdict
-    virtually_ml: ConditionVerdict
-    nearly_ml: ConditionVerdict
+class ConditionsReport(Record):
+    _fields = ("ml", "dual_ml", "virtually_ml", "nearly_ml")
+
+    def __init__(self, ml, dual_ml, virtually_ml, nearly_ml):
+        object.__setattr__(self, "ml", ml)
+        object.__setattr__(self, "dual_ml", dual_ml)
+        object.__setattr__(self, "virtually_ml", virtually_ml)
+        object.__setattr__(self, "nearly_ml", nearly_ml)
 
     def to_json(self):
         return {"ml": self.ml.to_json(), "dual_ml": self.dual_ml.to_json(),
@@ -475,35 +491,41 @@ def _reduce_mod(echelon, vector):
 # six-term exact sequence
 
 
-@dataclass(frozen=True)
-class JointVerdict:
-    position: str
-    verdict: str   # verified | consistent | skipped
-    note: str = ""
+class JointVerdict(Record):
+    """verdict is verified, consistent or skipped."""
+
+    _fields = ("position", "verdict", "note")
+
+    def __init__(self, position, verdict, note=""):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "note", note)
 
     def to_json(self):
         return {"position": self.position, "verdict": self.verdict, "note": self.note}
 
 
-@dataclass(frozen=True)
-class SixTermReport:
-    lim_sub: StructuredGroup
-    lim_total: StructuredGroup
-    lim_quot: StructuredGroup
-    lim1_sub: StructuredGroup
-    lim1_total: StructuredGroup
-    lim1_quot: StructuredGroup
-    joints: tuple
-    connecting: str
+class SixTermReport(Record):
+    _fields = ("lim_sub", "lim_total", "lim_quot", "lim1_sub", "lim1_total", "lim1_quot",
+               "joints", "connecting")
+
+    def __init__(self, lim_sub, lim_total, lim_quot, lim1_sub, lim1_total, lim1_quot,
+                 joints, connecting):
+        object.__setattr__(self, "lim_sub", lim_sub)
+        object.__setattr__(self, "lim_total", lim_total)
+        object.__setattr__(self, "lim_quot", lim_quot)
+        object.__setattr__(self, "lim1_sub", lim1_sub)
+        object.__setattr__(self, "lim1_total", lim1_total)
+        object.__setattr__(self, "lim1_quot", lim1_quot)
+        object.__setattr__(self, "joints", joints)
+        object.__setattr__(self, "connecting", connecting)
 
     def terms(self):
         return (self.lim_sub, self.lim_total, self.lim_quot,
                 self.lim1_sub, self.lim1_total, self.lim1_quot)
 
     def to_json(self):
-        names = ("lim_sub", "lim_total", "lim_quot",
-                 "lim1_sub", "lim1_total", "lim1_quot")
-        out = {n: v.to_json() for n, v in zip(names, self.terms())}
+        out = {n: v.to_json() for n, v in zip(self._fields, self.terms())}
         out["joints"] = [j.to_json() for j in self.joints]
         out["connecting"] = self.connecting
         return out

@@ -24,7 +24,6 @@ since the bijection criterion presupposes a morphism inducing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice, product
 from math import gcd
 from operator import mul
@@ -33,6 +32,7 @@ from .exactlat import (
     Homomorphism,
     IllDefined,
     IntMatrix,
+    Record,
     charpoly,
     diagonal_orders,
     hom_make,
@@ -47,8 +47,7 @@ from .structured import compare_structured, corank_difference
 from .towers import PeriodicTower, TowerError, reduce_to_images, shift, solve_next_map
 
 
-@dataclass(frozen=True)
-class Interleaving:
+class Interleaving(Record):
     """Certificate of pro-isomorphism between two periodic tails.
 
     forward_maps[i] maps A at level (gap_forward*i + offset_forward) into
@@ -60,13 +59,18 @@ class Interleaving:
     (`_verify_certificate`), and `checked_levels` is 0.
     """
 
-    gap_forward: int
-    gap_backward: int
-    offset_forward: int
-    offset_backward: int
-    forward_maps: tuple
-    backward_maps: tuple
-    checked_levels: int
+    _fields = ("gap_forward", "gap_backward", "offset_forward", "offset_backward",
+               "forward_maps", "backward_maps", "checked_levels")
+
+    def __init__(self, gap_forward, gap_backward, offset_forward, offset_backward,
+                 forward_maps, backward_maps, checked_levels):
+        object.__setattr__(self, "gap_forward", gap_forward)
+        object.__setattr__(self, "gap_backward", gap_backward)
+        object.__setattr__(self, "offset_forward", offset_forward)
+        object.__setattr__(self, "offset_backward", offset_backward)
+        object.__setattr__(self, "forward_maps", forward_maps)
+        object.__setattr__(self, "backward_maps", backward_maps)
+        object.__setattr__(self, "checked_levels", checked_levels)
 
     def to_json(self):
         return {
@@ -80,11 +84,16 @@ class Interleaving:
         }
 
 
-@dataclass(frozen=True)
-class ProIsoVerdict:
-    kind: str            # isomorphic | not_isomorphic | undecided
-    reason: str
-    witness: Interleaving | None = None
+class ProIsoVerdict(Record):
+    """kind is isomorphic, not_isomorphic or undecided; an isomorphic
+    verdict may carry its Interleaving as witness."""
+
+    _fields = ("kind", "reason", "witness")
+
+    def __init__(self, kind, reason, witness=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
 
     def to_json(self):
         out = {"kind": self.kind, "reason": self.reason}

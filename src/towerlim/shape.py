@@ -14,10 +14,9 @@ one-point compactification of a discrete null-sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import errors
 from .errors import DegreeMismatch, ShapeError, TooLarge
-from .exactlat import IntMatrix, free_group, hom_make, hom_parts, identity_hom
+from .exactlat import IntMatrix, Record, free_group, hom_make, hom_parts, identity_hom
 from .limits import derived_limit, limit
 from .simplicial import (
     SimplicialComplex,
@@ -38,20 +37,17 @@ class UnknownExample(ShapeError):
     pass
 
 
-# The most vertices one level of a registered family may have; a larger
-# level is refused with TooLarge, from the closed form of its vertex
-# count, before it is built.
-MAX_LEVEL_VERTICES = 100_000
+class PeriodicSimplicialTower(Record):
+    """Constant-complex tail with a simplicial self-map (plus optional
+    prefix of (complex, bond to previous level) pairs)."""
 
+    _fields = ("prefix", "tail_complex", "tail_map", "splice")
 
-@dataclass(frozen=True)
-class PeriodicSimplicialTower:
-    """Constant-complex tail with a simplicial self-map (plus optional prefix)."""
-
-    prefix: tuple                      # (complex, bond to previous level) pairs
-    tail_complex: SimplicialComplex
-    tail_map: SimplicialMap
-    splice: SimplicialMap | None = None
+    def __init__(self, prefix, tail_complex, tail_map, splice=None):
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail_complex", tail_complex)
+        object.__setattr__(self, "tail_map", tail_map)
+        object.__setattr__(self, "splice", splice)
 
     def complex_at(self, i):
         if i < len(self.prefix):
@@ -66,10 +62,12 @@ class PeriodicSimplicialTower:
         return self.tail_map
 
 
-@dataclass(frozen=True)
-class StreamedSimplicialTower:
-    family: str
-    params: tuple = ()
+class StreamedSimplicialTower(Record):
+    _fields = ("family", "params")
+
+    def __init__(self, family, params=()):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
 
     def complex_at(self, i):
         self._check_levels(i)
@@ -82,12 +80,12 @@ class StreamedSimplicialTower:
     def _check_levels(self, *levels):
         for i in levels:
             count = _EXAMPLES[self.family].vertices(self.params, i)
-            if count > MAX_LEVEL_VERTICES:
+            if count > errors.MAX_LEVEL_VERTICES:
                 params = ", ".join(map(str, self.params))
                 raise TooLarge(
                     "level %d of %s(%s) would have %d vertices, over the bound of "
                     "%d vertices per level"
-                    % (i, self.family, params, count, MAX_LEVEL_VERTICES))
+                    % (i, self.family, params, count, errors.MAX_LEVEL_VERTICES))
 
 
 def constant_tower(K):
@@ -314,20 +312,22 @@ def _registered_homology_tower(st, n, reduced):
 # Steenrod homology descriptors
 
 
-@dataclass(frozen=True)
-class SteenrodDescriptor:
+class SteenrodDescriptor(Record):
     """The two computed parts of the homology of the limit in one degree.
 
     The group sits in an extension 0 -> lim1_part -> H -> lim_part -> 0;
     splits records when the extension is known to be trivial (a free or
-    vanishing lim part, or a vanishing lim1 part).
+    vanishing lim part, or a vanishing lim1 part); it is "yes" or "unknown".
     """
 
-    degree: int
-    lim1_part: StructuredGroup
-    lim_part: StructuredGroup
-    splits: str          # "yes" | "unknown"
-    reduced: bool
+    _fields = ("degree", "lim1_part", "lim_part", "splits", "reduced")
+
+    def __init__(self, degree, lim1_part, lim_part, splits, reduced):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "lim1_part", lim1_part)
+        object.__setattr__(self, "lim_part", lim_part)
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "reduced", reduced)
 
     def middle(self):
         """The limit's homology group itself, when the extension splits."""
@@ -435,12 +435,19 @@ def cech_cohomology(st, n):
 # finite mapping telescopes
 
 
-@dataclass(frozen=True)
-class Telescope:
-    complex: SimplicialComplex
-    level_vertex_ids: tuple      # tuple of tuples: telescope ids per level copy
-    level_complexes: tuple       # the (iterated subdivision) complex of each level
-    base_vertex_map: tuple       # simplicial retraction onto the level-0 copy
+class Telescope(Record):
+    """The telescope complex; level_vertex_ids holds the telescope ids of
+    each level copy, level_complexes the (iterated subdivision) complex of
+    each level, and base_vertex_map the simplicial retraction onto the
+    level-0 copy."""
+
+    _fields = ("complex", "level_vertex_ids", "level_complexes", "base_vertex_map")
+
+    def __init__(self, complex, level_vertex_ids, level_complexes, base_vertex_map):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "level_vertex_ids", level_vertex_ids)
+        object.__setattr__(self, "level_complexes", level_complexes)
+        object.__setattr__(self, "base_vertex_map", base_vertex_map)
 
     def level_inclusion(self, j):
         return SimplicialMap(self.level_complexes[j], self.complex,

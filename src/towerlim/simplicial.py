@@ -31,7 +31,7 @@ on the critical n-cells (its transpose for cohomology), with f_#
 applied to the few lifted chains directly.  A complex indexes its
 simplices by dimension, its maximal simplices, its reduction and its
 witnesses once, on the object itself.  A dense residue of more than
-MAX_DENSE_ENTRIES entries is refused with TooLarge before it is
+`errors.MAX_DENSE_ENTRIES` entries is refused with TooLarge before it is
 allocated.
 
 SimplicialComplex.from_maximal closes its input once, from the top
@@ -55,15 +55,15 @@ every simplex is a face of one, and the target is closed under faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 
+from . import errors
 from .errors import SimplicialError, TooLarge
 from .exactlat import (
-    FgAbGroup,
     IntMatrix,
+    Record,
     _invariant_factors,
     diagonal_group,
     hom_make,
@@ -73,18 +73,25 @@ from .exactlat import (
 )
 
 
-# The most entries a dense residue may have, about a 700 x 700 matrix:
-# what the unit pivots leave of a boundary map, whether for its Smith
-# invariants or as a boundary map of the reduced complex K'.  A larger
-# one is refused with TooLarge before it is allocated; the dense Smith
-# form and kernel of such a matrix would run for minutes.
-MAX_DENSE_ENTRIES = 500_000
+class SimplicialComplex(Record):
+    """A face-closed frozenset of simplices, each a sorted tuple of
+    vertices below vertex_count."""
 
+    _fields = ("vertex_count", "simplices")
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    vertex_count: int
-    simplices: frozenset   # of sorted vertex tuples, face-closed
+    def __init__(self, vertex_count, simplices):
+        # the codimension-1 faces suffice: by induction on the dimension
+        # every face of every simplex is then present
+        for s in simplices:
+            if tuple(sorted(s)) != s:
+                raise SimplicialError("simplex %r is not sorted" % (s,))
+            if len(s) > 1:
+                for i in range(len(s)):
+                    f = s[:i] + s[i + 1:]
+                    if f not in simplices:
+                        raise SimplicialError("missing face %r of %r" % (f, s))
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "simplices", simplices)
 
     @staticmethod
     def from_maximal(vertex_count, maximal):
@@ -126,19 +133,6 @@ class SimplicialComplex:
         self.__dict__.update(vertex_count=vertex_count, simplices=simplices,
                              _by_dim=by_dim, _maximal_simplices=maximal)
         return self
-
-    def __post_init__(self):
-        # the codimension-1 faces suffice: by induction on the dimension
-        # every face of every simplex is then present
-        simplices = self.simplices
-        for s in simplices:
-            if tuple(sorted(s)) != s:
-                raise SimplicialError("simplex %r is not sorted" % (s,))
-            if len(s) > 1:
-                for i in range(len(s)):
-                    f = s[:i] + s[i + 1:]
-                    if f not in simplices:
-                        raise SimplicialError("missing face %r of %r" % (f, s))
 
     @cached_property
     def _by_dim(self):
@@ -318,13 +312,13 @@ def _markowitz(cols, rows, steps):
 
 def _dense_residue(row_pos, columns):
     """The columns (dicts keyed by row) as a dense matrix, with row i at
-    row_pos[i]; refused past MAX_DENSE_ENTRIES before it is allocated."""
+    row_pos[i]; refused past errors.MAX_DENSE_ENTRIES before it is allocated."""
     entries = len(row_pos) * len(columns)
-    if entries > MAX_DENSE_ENTRIES:
+    if entries > errors.MAX_DENSE_ENTRIES:
         raise TooLarge(
             "the dense residue of a boundary map would have %d x %d = %d entries, "
             "over the bound of %d entries on a dense residue"
-            % (len(row_pos), len(columns), entries, MAX_DENSE_ENTRIES))
+            % (len(row_pos), len(columns), entries, errors.MAX_DENSE_ENTRIES))
     dense = [[0] * len(columns) for _ in range(len(row_pos))]
     for j, col in enumerate(columns):
         for i, v in col.items():
@@ -573,11 +567,18 @@ def homology_invariants(K, n, reduced=False):
     return (free, torsion)
 
 
-@dataclass(frozen=True)
-class HomologyData:
-    group: FgAbGroup
-    cycle_basis: IntMatrix     # columns: (co)cycles generating the group, over the critical cells
-    incoming: IntMatrix        # the map into degree-n (co)chains of K' whose image is divided out
+class HomologyData(Record):
+    """The FgAbGroup group, the IntMatrix cycle_basis whose columns are the
+    (co)cycles generating it over the critical cells, and the IntMatrix
+    incoming, the map into degree-n (co)chains of K' whose image is
+    divided out."""
+
+    _fields = ("group", "cycle_basis", "incoming")
+
+    def __init__(self, group, cycle_basis, incoming):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "cycle_basis", cycle_basis)
+        object.__setattr__(self, "incoming", incoming)
 
 
 def _witness(K, co, n, reduced=False):
@@ -620,22 +621,22 @@ def simplicial_homology(K, n, reduced=False):
     return diagonal_group(tuple(t) + (0,) * r)
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
-    source: SimplicialComplex
-    target: SimplicialComplex
-    vertex_map: tuple
+class SimplicialMap(Record):
+    _fields = ("source", "target", "vertex_map")
 
-    def __post_init__(self):
+    def __init__(self, source, target, vertex_map):
         # the maximal simplices suffice: every simplex is a face of one,
         # and the image of a face is a face of the image, which the
         # face-closed target then holds
-        if len(self.vertex_map) != self.source.vertex_count:
+        if len(vertex_map) != source.vertex_count:
             raise SimplicialError("vertex map has the wrong length")
-        vm, simplices = self.vertex_map, self.target.simplices
-        for s in self.source._maximal_simplices:
-            if tuple(sorted({vm[v] for v in s})) not in simplices:
+        simplices = target.simplices
+        for s in source._maximal_simplices:
+            if tuple(sorted({vertex_map[v] for v in s})) not in simplices:
                 raise SimplicialError("image of %r is not a simplex" % (s,))
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "vertex_map", vertex_map)
 
     def compose(self, inner):
         if inner.target is not self.source and inner.target != self.source:

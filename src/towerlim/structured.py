@@ -10,9 +10,7 @@ invariants, and everything else is Undecided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactlat import FgAbGroup, IntMatrix, charpoly, free_group
+from .exactlat import Record, charpoly, free_group
 from .poly import prime_factors
 
 
@@ -30,8 +28,7 @@ def _corank_profile(matrix, primes):
                  for q in primes)
 
 
-@dataclass(frozen=True)
-class StructuredGroup:
+class StructuredGroup(Record):
     """Tagged exact description of a possibly non-f.g. abelian group.
 
     tag is one of:
@@ -47,16 +44,22 @@ class StructuredGroup:
       depth_limited        payload: report string
     """
 
-    tag: str
-    group: FgAbGroup | None = None
-    rank: int = 0
-    matrix: IntMatrix | None = None
-    factors: tuple = ()
-    countable_repetition: bool = False
-    descriptor: str = ""
-    is_uncountable: bool = False
-    missing_primes: tuple = ()
-    corank_profile: tuple = ()
+    _fields = ("tag", "group", "rank", "matrix", "factors", "countable_repetition",
+               "descriptor", "is_uncountable", "missing_primes", "corank_profile")
+
+    def __init__(self, tag, group=None, rank=0, matrix=None, factors=(),
+                 countable_repetition=False, descriptor="", is_uncountable=False,
+                 missing_primes=(), corank_profile=()):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "countable_repetition", countable_repetition)
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "is_uncountable", is_uncountable)
+        object.__setattr__(self, "missing_primes", missing_primes)
+        object.__setattr__(self, "corank_profile", corank_profile)
 
     # -- constructors (normalizing) ------------------------------------
 

@@ -10,11 +10,11 @@ ParseError; dangling names raise UnresolvedReference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import errors
 from .errors import TooLarge
-from .exactlat import IntMatrix, hom_make, present
+from .exactlat import IntMatrix, MutableRecord, hom_make, present
 from .towers import (
     StreamedTower,
     TowerError,
@@ -24,12 +24,6 @@ from .towers import (
     periodic_tower,
     tower_ses,
 )
-
-
-# The most generators a [group] may declare; a larger count is refused
-# with TooLarge before its relation matrix is allocated.  The largest
-# count in the shipped files and the benchmark is 12.
-MAX_GENERATORS = 10_000
 
 
 class ParseError(Exception):
@@ -61,8 +55,7 @@ _SECTION_KEYS = {
 }
 
 
-@dataclass
-class TowerFile:
+class TowerFile(MutableRecord):
     """Parsed and resolved tower description document.
 
     `parse` checks every section.  The simplicial objects of the [complex],
@@ -73,12 +66,15 @@ class TowerFile:
     mis-parameterised stower family) surfaces there.
     """
 
-    groups: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    towers: dict = field(default_factory=dict)
-    ses: dict = field(default_factory=dict)
-    sections: tuple = ()     # raw (kind, name, {key: value-string}) for round-trips
+    _fields = ("groups", "maps", "towers", "ses", "sections")
     _simplicial = ()         # checked (kind, name, spec, line), in file order
+
+    def __init__(self, groups=None, maps=None, towers=None, ses=None, sections=()):
+        self.groups = {} if groups is None else groups
+        self.maps = {} if maps is None else maps
+        self.towers = {} if towers is None else towers
+        self.ses = {} if ses is None else ses
+        self.sections = sections   # raw (kind, name, {key: value-string}) for round-trips
 
     @cached_property
     def stowers(self):
@@ -170,9 +166,9 @@ def _resolve(sections):
         if kind == "group":
             text, line = _need(entries, "generators", kind, name, header)
             gens = _parse_int(text, line)
-            if gens > MAX_GENERATORS:
+            if gens > errors.MAX_GENERATORS:
                 raise TooLarge("[group %s] declares %d generators, over the bound of %d "
-                               "generators per group" % (name, gens, MAX_GENERATORS))
+                               "generators per group" % (name, gens, errors.MAX_GENERATORS))
             rel_rows = []
             if "relations" in entries:
                 rel_rows = _parse_matrix(*entries["relations"])

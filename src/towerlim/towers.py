@@ -15,13 +15,12 @@ toward index 0.  Two representations are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlat import (
     FgAbGroup,
     Homomorphism,
     IllDefined,
     IntMatrix,
+    Record,
     diagonal_group,
     exactness_defect,
     free_group,
@@ -55,8 +54,7 @@ class EvaluatorFailure(TowerError):
     pass
 
 
-@dataclass(frozen=True)
-class PeriodicTower:
+class PeriodicTower(Record):
     """Eventually periodic tower.
 
     prefix_groups[i] is the level-i group; prefix_bonds[i] maps level i+1
@@ -65,11 +63,14 @@ class PeriodicTower:
     (tail_group, tail_endo) and splice is None.
     """
 
-    prefix_groups: tuple
-    prefix_bonds: tuple
-    tail_group: FgAbGroup
-    tail_endo: Homomorphism
-    splice: Homomorphism | None
+    _fields = ("prefix_groups", "prefix_bonds", "tail_group", "tail_endo", "splice")
+
+    def __init__(self, prefix_groups, prefix_bonds, tail_group, tail_endo, splice):
+        object.__setattr__(self, "prefix_groups", prefix_groups)
+        object.__setattr__(self, "prefix_bonds", prefix_bonds)
+        object.__setattr__(self, "tail_group", tail_group)
+        object.__setattr__(self, "tail_endo", tail_endo)
+        object.__setattr__(self, "splice", splice)
 
     @property
     def prefix_len(self):
@@ -100,14 +101,16 @@ class PeriodicTower:
             ", ".join(g.describe() for g in self.prefix_groups), tail)
 
 
-@dataclass(frozen=True)
-class StreamedTower:
+class StreamedTower(Record):
     """A member of the closed streamed-family registry, with a level offset
     so shifting stays representable."""
 
-    family: str
-    params: tuple
-    offset: int = 0
+    _fields = ("family", "params", "offset")
+
+    def __init__(self, family, params, offset=0):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "offset", offset)
 
     def group_at(self, i):
         return _FAMILY_REGISTRY[self.family].group(self.params, i + self.offset)
@@ -121,16 +124,16 @@ class StreamedTower:
         return "streamed %s%s%s" % (self.family, extra, off)
 
 
-@dataclass(frozen=True)
-class FiniteTower:
+class FiniteTower(Record):
     """Materialized levels 0..depth of a tower."""
 
-    groups: tuple
-    bonds: tuple
+    _fields = ("groups", "bonds")
 
-    def __post_init__(self):
-        if len(self.bonds) != max(len(self.groups) - 1, 0):
+    def __init__(self, groups, bonds):
+        if len(bonds) != max(len(groups) - 1, 0):
             raise ValueError("need exactly one bond between consecutive levels")
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "bonds", bonds)
 
     @property
     def depth(self):
@@ -371,20 +374,24 @@ def _minimize_with_transform(group, endo):
     return grp, h, project, section, kept_diag
 
 
-@dataclass(frozen=True)
-class TailReduction:
+class TailReduction(Record):
     """Tail of a periodic tower after kernel-chain reduction, with the
     kernel chain of the original tail map and the coordinate transport
     back to the original tail group."""
 
-    original_group: FgAbGroup
-    original_endo: Homomorphism
-    kernel_chain: tuple
-    group: FgAbGroup
-    endo: Homomorphism
-    project: IntMatrix
-    section: IntMatrix
-    diag: tuple
+    _fields = ("original_group", "original_endo", "kernel_chain", "group", "endo",
+               "project", "section", "diag")
+
+    def __init__(self, original_group, original_endo, kernel_chain, group, endo,
+                 project, section, diag):
+        object.__setattr__(self, "original_group", original_group)
+        object.__setattr__(self, "original_endo", original_endo)
+        object.__setattr__(self, "kernel_chain", kernel_chain)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "endo", endo)
+        object.__setattr__(self, "project", project)
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "diag", diag)
 
     @property
     def torsion_idx(self):
@@ -424,8 +431,7 @@ def reduce_to_images(t):
 # short exact sequences of towers
 
 
-@dataclass(frozen=True)
-class TowerSES:
+class TowerSES(Record):
     """A verified levelwise short exact sequence of pure periodic towers.
 
     inject_chain[i] and surject_chain[i] are the maps at level i, solved
@@ -436,14 +442,19 @@ class TowerSES:
     propagated chain is known only on its stored levels.
     """
 
-    sub: object
-    total: object
-    quot: object
-    inject_chain: tuple
-    surject_chain: tuple
-    verified_to: int
-    canonical_completion: bool = False
-    constant: bool = False
+    _fields = ("sub", "total", "quot", "inject_chain", "surject_chain", "verified_to",
+               "canonical_completion", "constant")
+
+    def __init__(self, sub, total, quot, inject_chain, surject_chain, verified_to,
+                 canonical_completion=False, constant=False):
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "quot", quot)
+        object.__setattr__(self, "inject_chain", inject_chain)
+        object.__setattr__(self, "surject_chain", surject_chain)
+        object.__setattr__(self, "verified_to", verified_to)
+        object.__setattr__(self, "canonical_completion", canonical_completion)
+        object.__setattr__(self, "constant", constant)
 
     def inject_at(self, i):
         if self.canonical_completion:

@@ -183,8 +183,8 @@ class TestResourceBounds:
     def test_dense_residue_bound(self, capsys, monkeypatch):
         # level 2 of the earring reduces to one vertex and two loops, so
         # its boundary from edges is 1 x 2, past a bound of 1 entry
-        from towerlim import simplicial
-        monkeypatch.setattr(simplicial, "MAX_DENSE_ENTRIES", 1)
+        from towerlim import errors
+        monkeypatch.setattr(errors, "MAX_DENSE_ENTRIES", 1)
         code, _, err, _ = self.run_timed(
             ["cech", fixture("hawaiian.tower"), "--degree", "0"], capsys)
         assert code == EXIT_DEPTH
@@ -403,6 +403,30 @@ class TestImportBoundary:
         lazy = {"towerlim." + m for m in ("procat", "shape", "simplicial", "lab")}
         assert not lazy & set(after_lim)
         assert {"towerlim.shape", "towerlim.simplicial"} <= set(after_steenrod)
+
+    def test_no_command_loads_dataclasses(self):
+        # the records are plain classes, so no command pays for importing
+        # dataclasses and the inspect, ast, dis and tokenize it pulls in
+        commands = [
+            ["lim", "towers/solenoid_2.tower"],
+            ["lim1", "towers/solenoid_2.tower"],
+            ["ml", "towers/hawaiian.tower"],
+            ["six-term", "towers/solenoid_2.tower"],
+            ["steenrod", "towers/solenoid_2.tower", "--degree", "0"],
+            ["cech", "towers/solenoid_2.tower", "--degree", "1"],
+            ["telescope", "towers/solenoid_2.tower", "--m", "2"],
+            ["interleave", "towers/interleave_4_2.tower", "--a", "four", "--b", "two",
+             "--depth", "2"],
+            ["compare", "towers/compare_2_3.tower", "--a", "two", "--b", "three"],
+            ["lab", "--suite", "ml_equiv", "--seed", "1", "--trials", "2"],
+        ]
+        codes, loaded = _fresh(
+            "import json, sys\n"
+            "import towerlim.cli as cli\n"
+            "codes = [cli.main(argv) for argv in %r]\n"
+            "print(json.dumps([codes, sorted(sys.modules)]))" % (commands,))
+        assert codes == [0] * len(commands)
+        assert not {"dataclasses", "inspect"} & set(loaded)
 
     def test_bare_import_loads_no_submodule(self):
         loaded, unresolved, unlisted = _fresh(
