@@ -121,6 +121,10 @@ def dispatch(argv):
     # command or a bare --help gets the full listing
     names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
     args = _build_parser(names).parse_args(argv)
+    # refused before any work, as telescope refuses a negative m
+    for name in ("depth", "trials"):
+        if getattr(args, name, 0) < 0:
+            raise ValueError("%s needs %s >= 0" % (args.command, name))
     if args.command == "lab":
         from .lab import LabConfig, run_suite
         cfg = LabConfig(master_seed=args.seed, trials=args.trials, depth=args.depth)

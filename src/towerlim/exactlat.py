@@ -15,14 +15,14 @@ only.  Hermite forms run the row algorithm on plain lists; the column
 form runs it on the columns of a matrix as rows, so nothing is
 transposed back and forth.
 
-hnf, snf, solve_columns, kernel and unimodular_inverse build the
-transforms their callers read.  Membership, lattice_index, ambient_index
-and Smith invariants are transform-free: they reduce against echelon
-pivots or alternate Hermite forms to a diagonal.  An FgAbGroup caches
-the echelon of its relations on its first membership test, like its
-invariants.  exactness_defect answers injective, surjective and
-image = kernel with these lattice tests, where hom_parts would build the
-kernel, image and cokernel groups.
+hnf, solve_columns and kernel build the transforms their callers read;
+snf carries U and U^-1 through its row steps and forms no V.
+Membership, lattice_index, ambient_index and Smith invariants are
+transform-free: they reduce against echelon pivots or alternate Hermite
+forms to a diagonal.  An FgAbGroup caches the echelon of its relations
+on its first membership test, like its invariants.  exactness_defect
+answers injective, surjective and image = kernel with these lattice
+tests, where hom_parts would build the kernel, image and cokernel groups.
 
 The records of the package (FgAbGroup and Homomorphism here, the towers,
 reports and verdicts elsewhere) are plain classes on Record.  Each names
@@ -37,10 +37,12 @@ imports dataclasses, whose import and decoration were a third of the
 start-up of every command.
 
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
->>> S, U, V = snf(M)
+>>> S, U, Uinv = snf(M)
 >>> S.diagonal()
 [2, 4]
->>> (U * M * V) == S
+>>> lattice_canon(U * M) == lattice_canon(S)    # S = U * M * V, V unimodular
+True
+>>> U * Uinv == IntMatrix.identity(2)
 True
 """
 
@@ -299,15 +301,17 @@ def _transposed(rows, width):
     return tuple(zip(*rows)) if rows else ((),) * width
 
 
-def _row_hnf(a, n, transform=True, reduce=True):
-    """Row Hermite form R = W*A of the rows `a` (n-long lists, reused).
+def _row_hnf(a, n, t=None, reduce=True):
+    """Row Hermite form of the first n columns of the rows `a`, in place.
 
-    Returns (R, W) as lists of row lists, with W unimodular; W is None
-    when transform is false.  Without reduce the entries above each pivot
-    are left as they are, so R is only a row echelon form.
+    The row steps E act on whole rows, so the columns after the first n
+    ride along: a caller that appends U to each row gets back E*U.  The
+    rows `t`, when given, take the contragredient step (a_p -= q*a_i is
+    t_i += q*t_p; swaps and signs act alike) and end as E^-T*t.  Without
+    reduce the entries above each pivot are left as they are, so the form
+    is only a row echelon form.
     """
     m = len(a)
-    w = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
     pivot_row = 0
     for col in range(n):
         # find a nonzero entry at or below pivot_row
@@ -317,33 +321,31 @@ def _row_hnf(a, n, transform=True, reduce=True):
         # gcd the column entries into pivot_row by extended euclid on rows
         if i0 != pivot_row:
             a[pivot_row], a[i0] = a[i0], a[pivot_row]
-            if transform:
-                w[pivot_row], w[i0] = w[i0], w[pivot_row]
+            if t is not None:
+                t[pivot_row], t[i0] = t[i0], t[pivot_row]
         ap = a[pivot_row]
-        wp = w[pivot_row] if transform else None
+        tp = t[pivot_row] if t is not None else None
         for i in range(pivot_row + 1, m):
             ai = a[i]
             if not ai[col]:
                 continue
-            wi = w[i] if transform else None
+            ti = t[i] if t is not None else None
             while ai[col]:
                 q = ap[col] // ai[col]
                 if q:
                     ap = [x - q * y for x, y in zip(ap, ai)]
-                    if transform:
-                        wp = [x - q * y for x, y in zip(wp, wi)]
+                    if t is not None:
+                        ti = [x + q * y for x, y in zip(ti, tp)]
                 ap, ai = ai, ap
-                wp, wi = wi, wp
+                tp, ti = ti, tp
             a[i] = ai
-            if transform:
-                w[i] = wi
+            if t is not None:
+                t[i] = ti
         if ap[col] < 0:
             ap = [-x for x in ap]
-            if transform:
-                wp = [-x for x in wp]
+            if t is not None:
+                tp = [-x for x in tp]
         a[pivot_row] = ap
-        if transform:
-            w[pivot_row] = wp
         if reduce:
             # reduce the entries above the pivot into [0, p)
             p = ap[col]
@@ -351,23 +353,28 @@ def _row_hnf(a, n, transform=True, reduce=True):
                 q = a[i][col] // p
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], ap)]
-                    if transform:
-                        w[i] = [x - q * y for x, y in zip(w[i], wp)]
+                    if t is not None:
+                        tp = [x + q * y for x, y in zip(tp, t[i])]
+        if t is not None:
+            t[pivot_row] = tp
         pivot_row += 1
         if pivot_row == m:
             break
-    return a, w
 
 
 def _column_hnf(mat, transform=True, reduce=True):
     """Column Hermite form of mat, read by columns: (H columns, U columns).
 
     The row algorithm runs on the columns of mat as rows, so no matrix
-    is transposed; U is None when transform is false, and H is only an
-    echelon form when reduce is false.
+    is transposed; with transform each column carries its row of the
+    identity, which ends as its column of U.  U is None when transform is
+    false, and H is only an echelon form when reduce is false.
     """
-    return _row_hnf([list(c) for c in _transposed(mat.data, mat.cols)], mat.rows,
-                    transform, reduce)
+    n, k = mat.rows, mat.cols
+    ident = IntMatrix.identity(k).data if transform else ((),) * k
+    cols = [list(c + e) for c, e in zip(_transposed(mat.data, k), ident)]
+    _row_hnf(cols, n, reduce=reduce)
+    return ([c[:n] for c in cols], [c[n:] for c in cols]) if transform else (cols, None)
 
 
 def hnf(mat):
@@ -396,67 +403,64 @@ def _is_diagonal(a):
 
 
 def snf(mat):
-    """Smith normal form (S, U, V) with S = U * mat * V.
+    """Smith normal form (S, U, U^-1) with S = U * mat * V.
 
     S is diagonal with nonnegative entries d1 | d2 | ...; U and V are
-    unimodular.  Alternating row and column Hermite reductions converge
-    to a diagonal form with polynomially bounded entries (the canonical
-    reduction steps keep everything below the pivots); a final pass
-    enforces the divisibility chain.
+    unimodular, and V is not formed.  Alternating row and column Hermite
+    reductions converge to a diagonal form with polynomially bounded
+    entries (the canonical reduction steps keep everything below the
+    pivots); a final pass enforces the divisibility chain.  The row steps
+    carry U and, by their contragredient, U^-T (as Kannan and Bachem,
+    SIAM J. Comput. 8, 1979, carry transforms), so U is never inverted.
 
-    >>> S, U, V = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    >>> S, U, Uinv = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
     >>> S.diagonal()
     [1, 6]
+    >>> U * Uinv == IntMatrix.identity(2)
+    True
     """
     m, n = mat.rows, mat.cols
     a = [list(r) for r in mat.data]
-    u = v = None                       # None stands for the identity
+    u = IntMatrix.identity(m).data
+    t = list(u)                        # the rows of U^-T
     while True:
-        a, w = _row_hnf(a, n)
-        if u is None:
-            u = w
-        else:
-            ucols = _transposed(u, m)
-            u = [[sum(map(mul, wr, uc)) for uc in ucols] for wr in w]
-        # the column step: the row algorithm on the columns of a
-        ct, x = _row_hnf([list(c) for c in _transposed(a, n)], m)
+        au = [r + list(ur) for r, ur in zip(a, u)]      # the rows of a | U
+        _row_hnf(au, n, t)
+        u = [r[n:] for r in au]
+        # the column step, transform-free: the row algorithm on the columns of a
+        ct = [list(c) for c in _transposed(au, n)[:n]]
+        _row_hnf(ct, m)
         a = [list(r) for r in _transposed(ct, m)]
-        # v * x^T, entry (i, j) is the dot product of row i of v and row j of x
-        v = [list(c) for c in _transposed(x, n)] if v is None else \
-            [[sum(map(mul, vr, xr)) for xr in x] for vr in v]
         if _is_diagonal(a):
             k = min(m, n)
             # sort the nonzero diagonal entries to the front
             order = sorted(range(k), key=lambda i: (a[i][i] == 0, i))
             if order != list(range(k)):
                 perm_rows = order + list(range(k, m))
-                perm_cols = order + list(range(k, n))
                 u = [u[i] for i in perm_rows]
-                v = [[v[r][perm_cols[j]] for j in range(n)] for r in range(n)]
+                t = [t[i] for i in perm_rows]
                 diag = [a[i][i] for i in order]
                 a = [[0] * n for _ in range(m)]
-                for t, d in enumerate(diag):
-                    a[t][t] = d
-            # enforce the divisibility chain with a column fix and restart
-            changed = False
+                for j, d in enumerate(diag):
+                    a[j][j] = d
+            # enforce the divisibility chain: add column i + 1 to column i
+            # and restart
             for i in range(k - 1):
                 di, dj = a[i][i], a[i + 1][i + 1]
                 if di != 0 and dj % di != 0:
-                    for r in range(n):
-                        v[r][i] += v[r][i + 1]
                     a[i + 1][i] = dj
-                    changed = True
                     break
-            if not changed:
+            else:
                 break
     # normalize signs
     for i in range(min(m, n)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
+            t[i] = [-x for x in t[i]]
     return (IntMatrix._new(m, n, tuple(map(tuple, a))),
             IntMatrix._new(m, m, tuple(map(tuple, u))),
-            IntMatrix._new(n, n, tuple(map(tuple, v))))
+            IntMatrix._new(m, m, _transposed(t, m)))
 
 
 def _invariant_factors(mat):
@@ -471,7 +475,7 @@ def _invariant_factors(mat):
     """
     a, n = [list(r) for r in mat.data], mat.cols
     while True:
-        a, _ = _row_hnf(a, n, transform=False)
+        _row_hnf(a, n)
         if _is_diagonal(a):
             break
         a, n = [list(c) for c in _transposed(a, n)], len(a)
@@ -481,15 +485,6 @@ def _invariant_factors(mat):
             g = gcd(d[i], d[j])
             d[i], d[j] = g, d[i] // g * d[j]
     return d
-
-
-def unimodular_inverse(mat):
-    """Inverse of a unimodular matrix, exact."""
-    n = mat.rows
-    H, U = hnf(mat)
-    if H != IntMatrix.identity(n):
-        raise ExactLatticeError("matrix is not unimodular")
-    return U
 
 
 # ---------------------------------------------------------------------------

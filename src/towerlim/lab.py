@@ -26,7 +26,6 @@ from .exactlat import (
     lattice_canon,
     lattice_contains,
     lattice_index,
-    unimodular_inverse,
 )
 from .limits import brute_lim, derived_limit, limit, ml_conditions, six_term
 from .procat import chain_basis, chain_extends, compare_invariants, find_interleaving
@@ -380,14 +379,17 @@ def _suite_ml_certificate(rng, config, report):
 
 
 def _gen_unimodular(rng, n, bound):
-    """Random unimodular matrix: a product of elementary row operations."""
+    """Random unimodular U and U^-1 from the same elementary steps:
+    rows[i] += c rows[j] on U is column j -= c column i on U^-1."""
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv_cols = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n):
         i, j = rng.below(n), rng.below(n)
         if i != j:
             c = rng.rand_range(-bound, bound)
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    return IntMatrix.from_rows(rows)
+            inv_cols[j] = [x - c * y for x, y in zip(inv_cols[j], inv_cols[i])]
+    return IntMatrix.from_rows(rows), IntMatrix.from_columns(n, inv_cols)
 
 
 def _suite_compare_vs_interleave(rng, config, report):
@@ -403,8 +405,8 @@ def _suite_compare_vs_interleave(rng, config, report):
     A = gen_matrix_between(rng, (0,) * n, (0,) * n, bound)
     power_pair = rng.below(2) == 0
     if power_pair:
-        U = _gen_unimodular(rng, n, 2)
-        B = U * A ** rng.rand_range(1, 2) * unimodular_inverse(U)
+        U, Uinv = _gen_unimodular(rng, n, 2)
+        B = U * A ** rng.rand_range(1, 2) * Uinv
     else:
         m = rng.rand_range(1, min(2, config.max_rank))
         B = gen_matrix_between(rng, (0,) * m, (0,) * m, bound)

@@ -49,7 +49,6 @@ from .exactlat import (
     snf,
     solve_columns,
     subquotient,
-    unimodular_inverse,
 )
 from .poly import factor_kernel
 from .structured import StructuredGroup
@@ -203,10 +202,9 @@ def periodic_lim1_data(t):
     if s == 0:
         Abar = A_free
     else:
-        _, U, _ = snf(N)
-        Uinv = unimodular_inverse(U)
-        conj = U * A_free * Uinv
-        Abar = conj.submatrix(range(s, rf), range(s, rf))
+        _, U, Uinv = snf(N)
+        Abar = (U.submatrix(range(s, rf), range(rf)) * A_free
+                * Uinv.submatrix(range(rf), range(s, rf)))
     d = Abar.det()
     if abs(d) == 1:
         raise InternalInconsistency("unit part survived the quotient")

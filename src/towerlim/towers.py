@@ -31,7 +31,6 @@ from .exactlat import (
     present,
     snf,
     solve_columns,
-    unimodular_inverse,
 )
 
 
@@ -358,19 +357,16 @@ def _minimize_with_transform(group, endo):
     coordinate (0 for free ones).
     """
     n = group.generators
-    S, U, _ = snf(group.relations)
+    S, U, Uinv = snf(group.relations)
     diag = [0] * n
     for i in range(min(S.rows, S.cols)):
         diag[i] = S.data[i][i]
     keep = [i for i in range(n) if diag[i] != 1]
-    Uinv = unimodular_inverse(U)
-    conj = U * endo.matrix * Uinv
-    reduced = conj.submatrix(keep, keep)
-    kept_diag = tuple(diag[i] for i in keep)
-    grp = diagonal_group(kept_diag)
-    h = hom_make(grp, grp, reduced)
     project = U.submatrix(keep, range(n))
     section = Uinv.submatrix(range(n), keep)
+    kept_diag = tuple(diag[i] for i in keep)
+    grp = diagonal_group(kept_diag)
+    h = hom_make(grp, grp, project * endo.matrix * section)
     return grp, h, project, section, kept_diag
 
 

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from towerlim.cli import dispatch
-from towerlim.exactlat import IntMatrix, free_group, hom_make, snf
+from towerlim.exactlat import IntMatrix, free_group, hom_make, lattice_canon, snf
 from towerlim.lab import LabConfig, SUITE_NAMES, run_suite
 from towerlim.limits import derived_limit, limit, six_term
 from towerlim.procat import chain_extends, compare_invariants, find_interleaving
@@ -196,9 +196,10 @@ def test_criterion_10_snf_against_minor_gcd_oracle():
         cols = rng.randint(1, 4)
         M = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)]
                                  for _ in range(rows)])
-        S, U, V = snf(M)
-        assert U * M * V == S
-        assert abs(U.det()) == 1 and abs(V.det()) == 1
+        S, U, Uinv = snf(M)
+        # S = U M V with V unimodular: the same column count and lattice
+        assert S.cols == M.cols and lattice_canon(U * M) == lattice_canon(S)
+        assert U * Uinv == IntMatrix.identity(M.rows)
         assert S.diagonal() == _minor_gcd_invariants(M)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

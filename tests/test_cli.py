@@ -353,6 +353,30 @@ class TestCommandSurface:
         assert code == EXIT_ILL_DEFINED
         assert capsys.readouterr().err == "ill-defined input: telescope needs m >= 0\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["interleave", "interleave_4_2.tower", "--a", "four", "--b", "two", "--depth", "-1"],
+         "interleave needs depth >= 0"),
+        (["compare", "compare_2_3.tower", "--a", "two", "--b", "three", "--depth", "-3"],
+         "compare needs depth >= 0"),
+        (["lab", "--suite", "prohom", "--trials", "-1"], "lab needs trials >= 0"),
+        (["lab", "--suite", "ml_equiv", "--trials", "2", "--depth", "-1"],
+         "lab needs depth >= 0"),
+    ])
+    def test_negative_depth_or_trials_is_4(self, monkeypatch, capsys, argv, message):
+        from towerlim import lab, procat
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the argument check")
+
+        for module, name in ((procat, "find_interleaving"), (procat, "compare_invariants"),
+                             (procat, "separating_invariant"), (lab, "run_suite")):
+            monkeypatch.setattr(module, name, no_work)
+        if argv[0] != "lab":
+            argv = [argv[0], fixture(argv[1])] + argv[2:]
+        assert main(argv) == EXIT_ILL_DEFINED
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "ill-defined input: %s\n" % message)
+
     def test_degree_mismatch_is_4(self, monkeypatch, capsys):
         from towerlim import shape
 

@@ -31,7 +31,6 @@ from towerlim.exactlat import (
     present,
     snf,
     solve_columns,
-    unimodular_inverse,
 )
 from towerlim.exactlat import _column_hnf  # the reference for kernel's echelon form
 from towerlim.exactlat import _invariant_factors
@@ -82,6 +81,15 @@ def random_matrix(rng, rows, cols, bound):
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
 
 
+def assert_smith_transform(M, S, U, Uinv):
+    """S = U * M * V for some unimodular V, and Uinv is U^-1.  The first
+    holds iff S and U * M have the same column count and column lattice,
+    since then their column Hermite forms agree."""
+    assert S.cols == M.cols
+    assert lattice_canon(U * M) == lattice_canon(S)
+    assert U * Uinv == IntMatrix.identity(M.rows)
+
+
 class TestHnf:
     def test_identity(self):
         H, U = hnf(IntMatrix.identity(2))
@@ -124,15 +132,14 @@ class TestHnf:
 
 class TestSnf:
     def test_already_diagonal(self):
-        S, U, V = snf(IntMatrix.from_rows([[2, 0], [0, 4]]))
+        S, _, _ = snf(IntMatrix.from_rows([[2, 0], [0, 4]]))
         assert S.diagonal() == [2, 4]
 
     def test_example(self):
         M = IntMatrix.from_rows([[2, 4], [6, 8]])
-        S, U, V = snf(M)
+        S, U, Uinv = snf(M)
         assert S.diagonal() == [2, 4]
-        assert U * M * V == S
-        assert abs(U.det()) == 1 and abs(V.det()) == 1
+        assert_smith_transform(M, S, U, Uinv)
 
     def test_zero_1x1(self):
         S, _, _ = snf(IntMatrix.from_rows([[0]]))
@@ -144,10 +151,8 @@ class TestSnf:
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
             M = random_matrix(rng, rows, cols, 9)
-            S, U, V = snf(M)
-            assert U * M * V == S
-            assert abs(U.det()) == 1
-            assert abs(V.det()) == 1
+            S, U, Uinv = snf(M)
+            assert_smith_transform(M, S, U, Uinv)
             diag = S.diagonal()
             for a, b in zip(diag, diag[1:]):
                 if a != 0:
@@ -295,9 +300,9 @@ class TestLatticeOps:
         S, _, _ = snf(K)
         assert S.data[0][0] == 1
 
-    def test_unimodular_inverse(self):
-        U = IntMatrix.from_rows([[1, 2], [0, 1]])
-        assert U * unimodular_inverse(U) == IntMatrix.identity(2)
+    def test_snf_inverse(self):
+        _, U, Uinv = snf(IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]]))
+        assert U * Uinv == IntMatrix.identity(3) == Uinv * U
 
 
 def test_identity_hom_roundtrip():
@@ -527,9 +532,10 @@ class TestKernelDifferential:
             assert_trusted_data(H)
             assert_trusted_data(U)
             assert H.data == Hn.data and U.data == Un.data
-            S, U, V = snf(M)
-            Sn, Un, Vn = naive_snf(M)
-            for got, want in ((S, Sn), (U, Un), (V, Vn)):
+            S, U, Uinv = snf(M)
+            Sn, Un, _ = naive_snf(M)
+            _, Uninv = naive_hnf(Un)
+            for got, want in ((S, Sn), (U, Un), (Uinv, Uninv)):
                 assert_trusted_data(got)
                 assert (got.rows, got.cols) == (want.rows, want.cols)
                 assert got.data == want.data

@@ -26,7 +26,6 @@ from towerlim.exactlat import (
     lattice_canon,
     lattice_index,
     present,
-    snf,
 )
 from towerlim.limits import (
     InconsistentSES,

@@ -15,6 +15,7 @@ from towerlim.exactlat import (
     identity_hom,
     kernel,
     lattice_canon,
+    lattice_contains,
     present,
 )
 from towerlim.lab import LabConfig, gen_diag_group, gen_matrix_between, gen_tower, trial_rng
@@ -37,6 +38,7 @@ from towerlim.towers import (
     pure_tower,
     reduce_to_images,
     shift,
+    tail_reduction,
     tower_ses,
     truncate,
 )
@@ -246,6 +248,29 @@ class TestKernelChainDifferential:
             assert chain == power_kernel_chain(G, h)
             long_chains += len(chain) >= 3
         assert long_chains >= 10
+
+
+class TestTailReduction:
+    def test_transport_on_lab_tails(self):
+        # project . section = I, the reduced endomorphism is project . A .
+        # section, and project sends everything the reduction quotients out
+        # (the relations and the top of the kernel chain) into the diagonal
+        # relations of the reduced group
+        config = LabConfig(master_seed=34, trials=1)
+        mixing = 0
+        for i in range(300):
+            t = gen_tower(trial_rng(34, "tail_reduction", i), config,
+                          torsion_only=i % 3 == 0, with_prefix=False)
+            red = tail_reduction(t)
+            P, S = red.project, red.section
+            assert P * S == IntMatrix.identity(red.group.generators)
+            assert red.endo.matrix == P * red.original_endo.matrix * S
+            quotiented = P * red.original_group.relations.hstack(red.kernel_chain[-1])
+            assert all(lattice_contains(red.group.relations, quotiented.column(j))
+                       for j in range(quotiented.cols))
+            # a row of project that mixes coordinates
+            mixing += any(sum(map(bool, row)) > 1 for row in P.data)
+        assert mixing >= 30
 
 
 class TestTowerSES:
