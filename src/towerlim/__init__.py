@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # 562), so `import towerlim` loads no submodule and a command line process
 # loads only the modules its command runs.
 _EXPORTS = {
-    "exactlat": "IntMatrix FgAbGroup Homomorphism free_group hnf snf present "
-                "hom_make hom_parts",
+    "exactlat": "IntMatrix FgAbGroup Homomorphism free_group snf present hom_make "
+                "hom_parts",
     "towers": "PeriodicTower StreamedTower FiniteTower periodic_tower pure_tower "
               "make_streamed shift truncate reduce_to_images tower_ses "
               "canonical_completion_ses",

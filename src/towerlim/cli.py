@@ -84,16 +84,17 @@ _COMMANDS = {
 @functools.cache
 def _build_parser(names):
     """The parser with the subparsers of NAMES.  Its usage line names every
-    command even when NAMES is one of them."""
+    command even when NAMES is one of them.  No option may be abbreviated,
+    so each has one spelling and main reads --json off argv as given."""
     ap = argparse.ArgumentParser(
-        prog="towerlim",
+        prog="towerlim", allow_abbrev=False,
         description="Exact limits, derived limits and Steenrod homology "
                     "of towers of finitely generated abelian groups.")
     every = None if len(names) == len(_COMMANDS) else "{%s}" % ",".join(_COMMANDS)
     sub = ap.add_subparsers(dest="command", required=True, metavar=every)
     for name in names:
         help_text, add_args = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name != "lab":
             p.add_argument("file", help="tower description file")
         p.add_argument("--json", action="store_true",

@@ -15,7 +15,7 @@ only.  Hermite forms run the row algorithm on plain lists; the column
 form runs it on the columns of a matrix as rows, so nothing is
 transposed back and forth.
 
-hnf, solve_columns and kernel build the transforms their callers read;
+solve_columns and kernel build the transforms their callers read;
 snf carries U and U^-1 through its row steps and forms no V.
 Membership, lattice_index, ambient_index and Smith invariants are
 transform-free: they reduce against echelon pivots or alternate Hermite
@@ -191,9 +191,6 @@ class IntMatrix:
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
         return [sum(map(mul, row, vector)) for row in self.data]
-
-    def is_zero(self):
-        return not any(map(any, self.data))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -375,27 +372,6 @@ def _column_hnf(mat, transform=True, reduce=True):
     cols = [list(c + e) for c, e in zip(_transposed(mat.data, k), ident)]
     _row_hnf(cols, n, reduce=reduce)
     return ([c[:n] for c in cols], [c[n:] for c in cols]) if transform else (cols, None)
-
-
-def hnf(mat):
-    """Column-style Hermite normal form.
-
-    Returns (H, U) with U unimodular, H = mat * U, H lower-triangular in
-    the column sense (pivot rows strictly increasing down the nonzero
-    columns, pivots positive, entries left of a pivot reduced mod the
-    pivot).  Column operations only, so the column span of H equals the
-    column span of mat.
-
-    >>> H, U = hnf(IntMatrix.identity(2))
-    >>> H == IntMatrix.identity(2)
-    True
-    >>> H, U = hnf(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> abs(H.det())
-    8
-    """
-    hcols, ucols = _column_hnf(mat)
-    return (IntMatrix._new(mat.rows, mat.cols, _transposed(hcols, mat.rows)),
-            IntMatrix._new(mat.cols, mat.cols, _transposed(ucols, mat.cols)))
 
 
 def _is_diagonal(a):

@@ -132,9 +132,9 @@ class LabReport(MutableRecord):
 # generators
 
 
-def gen_diag_group(rng, config, torsion_only=False, max_rank=None):
+def gen_diag_group(rng, config, torsion_only=False):
     """Random group in invariant-coordinate form (diagonal relations)."""
-    n = rng.rand_range(0 if not torsion_only else 1, max_rank or config.max_rank)
+    n = rng.rand_range(0 if not torsion_only else 1, config.max_rank)
     diag = []
     for _ in range(n):
         if not torsion_only and rng.below(2) == 0:
@@ -187,9 +187,9 @@ def gen_tower(rng, config, torsion_only=False, with_prefix=True):
     return periodic_tower(groups, bonds, tail, endo, spl)
 
 
-def gen_ml_tower(rng, config, tries=40):
-    """A random tower conditioned to satisfy Mittag-Leffler."""
-    for _ in range(tries):
+def gen_ml_tower(rng, config):
+    """A random tower conditioned to satisfy Mittag-Leffler, within 40 draws."""
+    for _ in range(40):
         t = gen_tower(rng, config, with_prefix=False)
         if ml_conditions(t).ml.holds:
             return t

@@ -24,7 +24,6 @@ from .simplicial import (
     barycentric_subdivision,
     cylinder_cells,
     homology_data,
-    identity_map,
     induced_cohom,
     induced_hom,
     subdivide_map,
@@ -86,10 +85,6 @@ class StreamedSimplicialTower(Record):
                     "level %d of %s(%s) would have %d vertices, over the bound of "
                     "%d vertices per level"
                     % (i, self.family, params, count, errors.MAX_LEVEL_VERTICES))
-
-
-def constant_tower(K):
-    return PeriodicSimplicialTower((), K, identity_map(K))
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +248,13 @@ def _scalar_tower(d):
     return PeriodicTower((), (), Z, hom_make(Z, Z, [[d]]), None)
 
 
-def _verify_levels(st, n, model, levels=2, reduced=False, co=False):
+def _verify_levels(st, n, model, co=False):
     """Spot check: the maps induced on homology (on cohomology when co is
-    true) must match the registered model levelwise (kernel, image and
-    cokernel invariants agree)."""
-    for i in range(levels):
+    true) by the first two bonds must match the registered model levelwise
+    (kernel, image and cokernel invariants agree)."""
+    for i in range(2):
         bond = st.bond_at(i)
-        actual = induced_cohom(bond, n) if co else induced_hom(bond, n, reduced)
+        actual = induced_cohom(bond, n) if co else induced_hom(bond, n)
         expected = model.bond_at(i)
         pairs = zip(hom_parts(actual), hom_parts(expected))
         for got, want in pairs:
@@ -449,19 +444,9 @@ class Telescope(Record):
         object.__setattr__(self, "level_complexes", level_complexes)
         object.__setattr__(self, "base_vertex_map", base_vertex_map)
 
-    def level_inclusion(self, j):
-        return SimplicialMap(self.level_complexes[j], self.complex,
-                             self.level_vertex_ids[j])
-
     def retraction_to_base(self):
         return SimplicialMap(self.complex, self.level_complexes[0],
                              self.base_vertex_map)
-
-    def level_to_base(self, j):
-        """The composite level-j copy -> telescope -> level 0."""
-        inc = self.level_vertex_ids[j]
-        vm = tuple(self.base_vertex_map[v] for v in inc)
-        return SimplicialMap(self.level_complexes[j], self.level_complexes[0], vm)
 
 
 def telescope(st, m):

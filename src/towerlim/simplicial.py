@@ -174,30 +174,9 @@ class SimplicialComplex(Record):
     def dimension(self):
         return max(self._by_dim, default=-1)
 
-    def simplices_of_dim(self, k):
-        return list(self._by_dim.get(k, ()))
-
-    def euler_characteristic(self):
-        chi = 0
-        for s in self.simplices:
-            chi += (-1) ** (len(s) - 1)
-        return chi
-
 
 # ---------------------------------------------------------------------------
 # unit-pivot elimination of sparse boundary matrices
-
-
-def _sparse_from_matrix(mat):
-    cols = {}
-    for j in range(mat.cols):
-        col = {}
-        for i in range(mat.rows):
-            v = mat.data[i][j]
-            if v:
-                col[i] = v
-        cols[j] = col
-    return cols
 
 
 def _sparse_boundary(by_dim, k):
@@ -209,18 +188,6 @@ def _sparse_boundary(by_dim, k):
     facets = [map(index, zip(*columns[:i], *columns[i + 1:])) for i in range(k + 1)]
     signs = [(-1) ** i for i in range(k + 1)]
     return {j: dict(zip(faces, signs)) for j, faces in enumerate(zip(*facets))}
-
-
-def sparse_invariants(mat):
-    """Smith invariant factors (nonzero ones) of a sparse-ish matrix: a 1
-    for each unit pivot that _unit_pivots takes, then the invariant
-    factors of the dense residue.  Any sequence of unit pivots is
-    unimodular, so the order changes the residue but not its Smith form.
-
-    >>> sparse_invariants(IntMatrix.from_rows([[1, 1, 0], [0, 2, 2]]))
-    [1, 2]
-    """
-    return _unit_pivots(_sparse_from_matrix(mat)).invariants
 
 
 def _collapse(cols, steps):
@@ -604,10 +571,6 @@ def homology_data(K, n, reduced=False):
     return _witness(K, False, n, reduced)
 
 
-def cohomology_data(K, n):
-    return _witness(K, True, n)
-
-
 def simplicial_homology(K, n, reduced=False):
     """H_n(K) as a finitely generated abelian group.
 
@@ -654,10 +617,6 @@ def _sort_sign(seq):
                 seq[j], seq[j + 1] = seq[j + 1], seq[j]
                 sign = -sign
     return sign
-
-
-def identity_map(K):
-    return SimplicialMap(K, K, tuple(range(K.vertex_count)))
 
 
 def _reduced_chain_map(f, n):

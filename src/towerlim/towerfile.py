@@ -66,15 +66,14 @@ class TowerFile(MutableRecord):
     mis-parameterised stower family) surfaces there.
     """
 
-    _fields = ("groups", "maps", "towers", "ses", "sections")
+    _fields = ("groups", "maps", "towers", "ses")
     _simplicial = ()         # checked (kind, name, spec, line), in file order
 
-    def __init__(self, groups=None, maps=None, towers=None, ses=None, sections=()):
+    def __init__(self, groups=None, maps=None, towers=None, ses=None):
         self.groups = {} if groups is None else groups
         self.maps = {} if maps is None else maps
         self.towers = {} if towers is None else towers
         self.ses = {} if ses is None else ses
-        self.sections = sections   # raw (kind, name, {key: value-string}) for round-trips
 
     @cached_property
     def stowers(self):
@@ -158,8 +157,7 @@ def _need(entries, key, kind, name, header_line):
 
 
 def _resolve(sections):
-    doc = TowerFile(sections=tuple(
-        (k, n, {key: v for key, (v, _) in e.items()}) for k, n, e, _ in sections))
+    doc = TowerFile()
     # simplicial sections are checked here and built by _build_simplicial
     complexes, smaps, simplicial = {}, {}, []
     for kind, name, entries, header in sections:
@@ -313,7 +311,7 @@ def _resolve_ses(doc, entries, name, header):
 
 
 # ---------------------------------------------------------------------------
-# serialization (round-trip support and lab counterexample dumps)
+# serialization (lab counterexample dumps)
 
 
 def _matrix_text(rows):
@@ -332,22 +330,17 @@ def serialize_sections(sections):
     return "\n".join(out)
 
 
-def serialize(doc):
-    """Serialize a parsed document back to text (round-trip stable)."""
-    return serialize_sections(doc.sections)
-
-
-def tower_sections(t, name="main", prefix="t"):
-    """Sections describing one eventually periodic or streamed tower."""
+def tower_sections(t):
+    """Sections describing one eventually periodic or streamed tower, as
+    the tower `main` over groups and maps named t_*."""
     if isinstance(t, StreamedTower):
         if t.family == "adic_quotient":
             raise TowerError(_ADIC_QUOTIENT_SYNTAX)
         entries = {"family": t.family}
         if t.params:
             entries["params"] = _matrix_text([list(t.params)])
-        return [("tower", name, entries)]
+        return [("tower", "main", entries)]
     sections = []
-    gnames = {}
 
     def add_group(g, gname):
         rel_rows = [list(g.relations.column(j)) for j in range(g.relations.cols)]
@@ -355,36 +348,35 @@ def tower_sections(t, name="main", prefix="t"):
         if rel_rows:
             entries["relations"] = _matrix_text(rel_rows)
         sections.append(("group", gname, entries))
-        gnames[id(g)] = gname
 
     def add_map(h, mname, sname, tname):
         sections.append(("map", mname, {
             "source": sname, "target": tname,
             "matrix": _matrix_text([list(r) for r in h.matrix.data])}))
 
-    add_group(t.tail_group, "%s_tail" % prefix)
-    add_map(t.tail_endo, "%s_endo" % prefix, "%s_tail" % prefix, "%s_tail" % prefix)
-    entries = {"tail_group": "%s_tail" % prefix, "tail_endo": "%s_endo" % prefix}
+    add_group(t.tail_group, "t_tail")
+    add_map(t.tail_endo, "t_endo", "t_tail", "t_tail")
+    entries = {"tail_group": "t_tail", "tail_endo": "t_endo"}
     if t.prefix_len:
         pg = []
         for i, g in enumerate(t.prefix_groups):
-            gname = "%s_p%d" % (prefix, i)
+            gname = "t_p%d" % i
             add_group(g, gname)
             pg.append(gname)
         pb = []
         for i, b in enumerate(t.prefix_bonds):
-            mname = "%s_b%d" % (prefix, i)
+            mname = "t_b%d" % i
             add_map(b, mname, pg[i + 1], pg[i])
             pb.append(mname)
-        add_map(t.splice, "%s_splice" % prefix, "%s_tail" % prefix, pg[-1])
+        add_map(t.splice, "t_splice", "t_tail", pg[-1])
         entries["prefix_groups"] = " ".join(pg)
         if pb:
             entries["prefix_bonds"] = " ".join(pb)
-        entries["splice"] = "%s_splice" % prefix
-    sections.append(("tower", name, entries))
+        entries["splice"] = "t_splice"
+    sections.append(("tower", "main", entries))
     return sections
 
 
-def dump_tower(t, name="main"):
+def dump_tower(t):
     """One tower as replayable file text (lab counterexample format)."""
-    return serialize_sections(tower_sections(t, name))
+    return serialize_sections(tower_sections(t))

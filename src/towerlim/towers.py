@@ -217,6 +217,8 @@ def make_streamed(family, params=()):
     if family not in _FAMILY_REGISTRY:
         raise UnknownFamily(family)
     params = tuple(params)
+    if family in ("hawaiian_h1", "finite_sets") and params:
+        raise UnknownFamily("%s takes no parameters" % family)
     if family == "cluster_h1" and (len(params) != 1 or params[0] < 2):
         raise UnknownFamily("cluster_h1 needs one parameter p >= 2")
     if family == "adic_quotient" and len(params) != 2:

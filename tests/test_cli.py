@@ -1,5 +1,7 @@
+import glob
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,14 +16,12 @@ from towerlim.cli import (
     dispatch,
     main,
 )
-from towerlim.report import validate_report
 from towerlim.towerfile import (
     ParseError,
     UnresolvedReference,
     dump_tower,
     parse,
     parse_text,
-    serialize,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -29,6 +29,40 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def fixture(name):
     return os.path.join(ROOT, "towers", name)
+
+
+with open(os.path.join(ROOT, "tests", "report_schema.json"), encoding="utf-8") as _fh:
+    REPORT_SCHEMA = json.load(_fh)
+_TYPES = {"string": str, "object": dict, "array": list, "integer": int}
+
+
+def validate_report(report):
+    """Check a report against tests/report_schema.json (the subset of JSON
+    Schema that file uses).  Returns a list of problems."""
+    if not isinstance(report, dict):
+        return ["report is not an object"]
+    props = REPORT_SCHEMA["properties"]
+    problems = ["missing key %r" % key for key in REPORT_SCHEMA["required"]
+                if key not in report]
+    for key, value in report.items():
+        if key not in props:
+            problems.append("unexpected key %r" % key)
+            continue
+        spec = props[key]
+        want = _TYPES[spec["type"]]
+        if not isinstance(value, want) or (want is int and isinstance(value, bool)):
+            problems.append("key %r must be %s" % (key, spec["type"]))
+            continue
+        if "enum" in spec and value not in spec["enum"]:
+            problems.append("key %r not in its enumeration" % key)
+        if "pattern" in spec and not re.match(spec["pattern"], value):
+            problems.append("key %r does not match %s" % (key, spec["pattern"]))
+        if "minimum" in spec and value < spec["minimum"]:
+            problems.append("key %r below minimum" % key)
+        if spec.get("items", {}).get("type") == "string":
+            if not all(isinstance(x, str) for x in value):
+                problems.append("entries of %r must be strings" % key)
+    return problems
 
 
 class TestParser:
@@ -67,12 +101,22 @@ class TestParser:
         assert doc.groups["G"].smith_invariants == (0, [6])
 
     def test_round_trip(self):
-        for name in ("solenoid_2.tower", "hawaiian.tower", "compare_2_3.tower"):
-            doc = parse(fixture(name))
-            text = serialize(doc)
-            doc2 = parse_text(text)
-            assert doc2.sections == doc.sections
-            assert serialize(doc2) == text
+        # every [tower] of the shipped files comes back from its dump
+        towers = [t for path in sorted(glob.glob(os.path.join(ROOT, "towers", "*.tower")))
+                  for t in parse(path).towers.values()]
+        assert len(towers) == 10
+        for t in towers:
+            assert parse_text(dump_tower(t)).towers["main"] == t
+
+    def test_round_trip_of_lab_towers(self):
+        from towerlim.lab import LabConfig, gen_tower, trial_rng
+        cfg = LabConfig(master_seed=7, trials=300)
+        prefixed = 0
+        for i in range(300):
+            t = gen_tower(trial_rng(7, "dump", i), cfg)
+            prefixed += t.prefix_len > 0
+            assert parse_text(dump_tower(t)).towers["main"] == t
+        assert prefixed > 100
 
     def test_dump_tower_replayable(self):
         from towerlim.exactlat import cyclic_group, free_group, hom_make
@@ -240,6 +284,18 @@ class TestExitCodes:
         parsed = json.loads(out)
         assert parsed["task"] == "lim1"
 
+    @pytest.mark.parametrize("family, params", [
+        ("hawaiian_h1", "[3]"), ("finite_sets", "[7 8]"), ("finite_sets", "[7]")])
+    def test_parameterless_family_with_parameters_is_2(self, tmp_path, capsys,
+                                                       family, params):
+        bad = tmp_path / "params.tower"
+        bad.write_text("[tower t]\nfamily = %s\nparams = %s\n" % (family, params))
+        for command in ("lim", "lim1", "ml"):
+            assert main([command, str(bad)]) == EXIT_PARSE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "parse error: line 2: %s takes no parameters\n" % family
+
     def test_adic_quotient_tower_is_a_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "adic.tower"
         bad.write_text("[tower main]\nfamily = adic_quotient\nparams = [1 2]\n")
@@ -347,6 +403,21 @@ class TestCommandSurface:
         assert info.value.code == EXIT_PARSE
         err = capsys.readouterr().err
         assert "nosuch" in err and all(name in err for name in COMMANDS)
+
+    @pytest.mark.parametrize("argv, option", [
+        (["lim", "solenoid_2.tower", "--js"], "--js"),
+        (["lim1", "solenoid_2.tower", "--jso"], "--jso"),
+        (["compare", "compare_2_3.tower", "--a", "two", "--b", "three", "--dep", "1"],
+         "--dep"),
+    ])
+    def test_abbreviated_option_is_refused(self, capsys, argv, option):
+        # each option has one spelling, so main never prints text for a
+        # --json that argparse would have completed
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], fixture(argv[1])] + argv[2:])
+        assert info.value.code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: %s" % option in err
 
     def test_shape_error_is_4(self, capsys):
         code = main(["telescope", fixture("solenoid_2.tower"), "--m", "-1"])

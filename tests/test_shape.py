@@ -12,7 +12,6 @@ from towerlim.shape import (
     cech_cohomology,
     circle_complex,
     cluster,
-    constant_tower,
     homology_tower,
     make_example,
     steenrod,
@@ -32,6 +31,8 @@ from towerlim.simplicial import (
 )
 from towerlim.structured import StructuredGroup, compare_structured
 from towerlim.towers import PeriodicTower, StreamedTower
+
+from testkit import constant_tower, level_inclusion, level_to_base
 
 
 class TestBuilders:
@@ -281,7 +282,7 @@ class TestTelescope:
         st = make_example("solenoid", (2,))
         for m in (1, 2, 3):
             tel = telescope(st, m)
-            h = induced_hom(tel.level_to_base(m), 1)
+            h = induced_hom(level_to_base(tel, m), 1)
             _, _, ck = hom_parts(h)
             assert ck.group.smith_invariants == (0, [2 ** m])
 
@@ -289,5 +290,5 @@ class TestTelescope:
         st = make_example("solenoid", (2,))
         tel = telescope(st, 2)
         r = tel.retraction_to_base()    # construction validates simpliciality
-        h = induced_hom(r.compose(tel.level_inclusion(0)), 1)
+        h = induced_hom(r.compose(level_inclusion(tel, 0)), 1)
         assert abs(h.matrix.data[0][0]) == 1

@@ -20,16 +20,15 @@ from towerlim.simplicial import (
     SimplicialError,
     SimplicialMap,
     barycentric_subdivision,
-    cohomology_data,
     homology_data,
     homology_invariants,
-    identity_map,
     induced_cohom,
     induced_hom,
     simplicial_homology,
-    sparse_invariants,
     subdivide_map,
 )
+
+from testkit import constant_tower, identity_map, level_inclusion, level_to_base
 
 
 def circle(n):
@@ -50,6 +49,25 @@ def point():
     return SimplicialComplex.from_maximal(1, [(0,)])
 
 
+def simplices_of_dim(K, k):
+    """A fresh list of the k-simplices of K, from its index by dimension."""
+    return list(K._by_dim.get(k, ()))
+
+
+def euler_characteristic(K):
+    return sum((-1) ** (len(s) - 1) for s in K.simplices)
+
+
+def sparse_invariants(mat):
+    """The nonzero Smith invariant factors of mat: a 1 for each unit pivot
+    that simplicial._unit_pivots takes, then the invariant factors of the
+    dense residue.  Any sequence of unit pivots is unimodular, so the order
+    changes the residue but not its Smith form."""
+    cols = {j: {i: row[j] for i, row in enumerate(mat.data) if row[j]}
+            for j in range(mat.cols)}
+    return simplicial._unit_pivots(cols).invariants
+
+
 # ---------------------------------------------------------------------------
 # the dense reference: boundary and chain matrices of the whole complex,
 # and the witnesses and induced maps read off them
@@ -57,8 +75,8 @@ def point():
 
 def dense_boundary(K, k):
     """The boundary map from k-chains to (k-1)-chains."""
-    rows = K.simplices_of_dim(k - 1)
-    cols = K.simplices_of_dim(k)
+    rows = simplices_of_dim(K, k - 1)
+    cols = simplices_of_dim(K, k)
     idx = {s: i for i, s in enumerate(rows)}
     data = [[0] * len(cols) for _ in range(len(rows))]
     for j, s in enumerate(cols):
@@ -71,8 +89,8 @@ def dense_boundary(K, k):
 
 def dense_chain_matrix(f, k):
     """Induced map on k-chains; degenerate images contribute zero."""
-    src = f.source.simplices_of_dim(k)
-    tgt = f.target.simplices_of_dim(k)
+    src = simplices_of_dim(f.source, k)
+    tgt = simplices_of_dim(f.target, k)
     idx = {s: i for i, s in enumerate(tgt)}
     data = [[0] * len(src) for _ in range(len(tgt))]
     for j, s in enumerate(src):
@@ -90,7 +108,7 @@ def dense_witness(K, co, n, reduced=False):
         outgoing = dense_boundary(K, n + 1).transpose()
         incoming = dense_boundary(K, n).transpose()
     elif reduced and n == 0:
-        verts = K.simplices_of_dim(0)
+        verts = simplices_of_dim(K, 0)
         outgoing = IntMatrix(1, len(verts), [[1] * len(verts)])
         incoming = dense_boundary(K, 1)
     else:
@@ -137,13 +155,13 @@ class TestComplexes:
     def test_boundary_squares_to_zero(self):
         K = SimplicialComplex.from_maximal(4, [(0, 1, 2), (1, 2, 3)])
         d1, d2 = dense_boundary(K, 1), dense_boundary(K, 2)
-        assert (d1 * d2).is_zero()
+        assert d1 * d2 == IntMatrix.zero(d1.rows, d2.cols)
 
     def test_euler_characteristic(self):
-        assert circle(5).euler_characteristic() == 0
-        assert point().euler_characteristic() == 1
+        assert euler_characteristic(circle(5)) == 0
+        assert euler_characteristic(point()) == 1
         disk = SimplicialComplex.from_maximal(3, [(0, 1, 2)])
-        assert disk.euler_characteristic() == 1
+        assert euler_characteristic(disk) == 1
 
 
 class TestHomology:
@@ -194,13 +212,14 @@ class TestHomology:
                 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
         ]
         for K in complexes:
-            chi = K.euler_characteristic()
+            chi = euler_characteristic(K)
             betti = sum((-1) ** n * homology_invariants(K, n)[0]
                         for n in range(K.dimension + 1))
             assert chi == betti
 
     def test_sparse_matches_dense_oracle(self):
         from towerlim.exactlat import snf
+        assert sparse_invariants(IntMatrix.from_rows([[1, 1, 0], [0, 2, 2]])) == [1, 2]
         rng = random.Random(23)
         for _ in range(40):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
@@ -268,14 +287,14 @@ class TestCohomology:
         induced_cohom(f, 1)
         assert induced_hom(f, 1).equals(identity_hom(homology_data(K, 1).group))
         assert len(calls) == 2         # the homology witness is its own record
-        assert cohomology_data(K, 1) is cohomology_data(K, 1)
+        assert simplicial._witness(K, True, 1) is simplicial._witness(K, True, 1)
 
     def test_circle(self):
-        assert cohomology_data(circle(3), 1).group.describe() == "Z"
-        assert cohomology_data(circle(3), 0).group.describe() == "Z"
+        assert simplicial._witness(circle(3), True, 1).group.describe() == "Z"
+        assert simplicial._witness(circle(3), True, 0).group.describe() == "Z"
 
     def test_point(self):
-        assert cohomology_data(point(), 0).group.describe() == "Z"
+        assert simplicial._witness(point(), True, 0).group.describe() == "Z"
 
 
 class TestSubdivision:
@@ -283,7 +302,7 @@ class TestSubdivision:
         K = circle(3)
         sd, labels = barycentric_subdivision(K)
         assert sd.vertex_count == 6  # 3 vertices + 3 edges
-        assert len(sd.simplices_of_dim(1)) == 6
+        assert len(simplices_of_dim(sd, 1)) == 6
         assert simplicial_homology(sd, 1).describe() == "Z"
 
     def test_subdivided_map_keeps_degree(self):
@@ -316,18 +335,18 @@ class TestMappingCylinder:
             assert homology_invariants(cyl.complex, n) == \
                    homology_invariants(f.target, n)
         # the retraction is the identity on the bottom copy of L
-        assert cyl.level_to_base(0) == identity_map(f.target)
+        assert level_to_base(cyl, 0) == identity_map(f.target)
 
     def test_source_inclusion_realizes_the_map(self):
         # including sd(K) at the top and retracting to L equals sd-collapse
         # followed by f; on H_1 of the winding map that is multiplication by p
         f = winding_map(3)
         cyl = telescope(one_bond_tower(f), 1)
-        inc = induced_hom(cyl.level_inclusion(1), 1)
+        inc = induced_hom(level_inclusion(cyl, 1), 1)
         retr = induced_hom(cyl.retraction_to_base(), 1)
         comp = retr.compose(inc)
         assert abs(comp.matrix.data[0][0]) == 3
-        assert induced_hom(cyl.level_to_base(1), 1).matrix == comp.matrix
+        assert induced_hom(level_to_base(cyl, 1), 1).matrix == comp.matrix
 
     def test_cylinder_of_collapse(self):
         K = circle(3)
@@ -628,14 +647,14 @@ class TestUnitPivotElimination:
 
     def test_simplices_of_dim_is_a_fresh_list(self):
         K = circle(4)
-        edges = K.simplices_of_dim(1)
+        edges = simplices_of_dim(K, 1)
         edges.clear()
-        assert len(K.simplices_of_dim(1)) == 4
+        assert len(simplices_of_dim(K, 1)) == 4
         assert homology_invariants(K, 1) == (1, [])
 
     def test_projective_plane_telescope_torsion(self):
         # the Z/2 comes out of the dense residue after the unit pivots
-        from towerlim.shape import constant_tower, telescope
+        from towerlim.shape import telescope
         tris = [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5),
                 (1, 2, 4), (1, 2, 5), (1, 3, 5), (2, 3, 4), (3, 4, 5)]
         RP2 = SimplicialComplex.from_maximal(6, tris)
@@ -664,7 +683,7 @@ class TestUnitPivotElimination:
             assert tel.complex.dimension == 3
             assert [homology_invariants(tel.complex, n) for n in range(4)] == \
                 [(1, []), (0, []), (1, []), (0, [])]
-            assert tel.level_to_base(0) == identity_map(S2)
+            assert level_to_base(tel, 0) == identity_map(S2)
             assert abs(induced_hom(tel.retraction_to_base(), 2).matrix.data[0][0]) == 1
         assert len(tel.complex.simplices) == 8798
 
@@ -751,8 +770,8 @@ def assert_matches_dense(K):
 def components(K):
     """The vertex sets of the connected components of K, by a search over
     its edges."""
-    neighbours = {v: set() for (v,) in K.simplices_of_dim(0)}
-    for a, b in K.simplices_of_dim(1):
+    neighbours = {v: set() for (v,) in simplices_of_dim(K, 0)}
+    for a, b in simplices_of_dim(K, 1):
         neighbours[a].add(b)
         neighbours[b].add(a)
     seen, parts = set(), []
@@ -856,7 +875,7 @@ class TestBoundaryInvariantsDifferential:
         D = grid_disk(4)
         cols, steps = simplicial._sparse_boundary(D._by_dim, 2), []
         rows = simplicial._collapse(cols, steps)
-        assert len(steps) == len(D.simplices_of_dim(2)) == 32
+        assert len(steps) == len(simplices_of_dim(D, 2)) == 32
         assert not any(cols.values()) and not any(rows.values())
 
 
@@ -873,7 +892,7 @@ class TestSpanningForestLevel:
 
     def test_one_critical_vertex_per_component(self):
         for K in self.complexes():
-            R, vertices = K._reduction, K.simplices_of_dim(0)
+            R, vertices = K._reduction, simplices_of_dim(K, 0)
             parts = components(K)
             assert len(R._level(1).paired) == len(vertices) - len(parts)
             critical = [vertices[c][0] for c in R.critical(0)[0]]
@@ -887,7 +906,7 @@ class TestSpanningForestLevel:
             for e in R.critical(1)[0]:
                 boundary = {}
                 for j, coef in R.lift(1, e).items():
-                    a, b = K.simplices_of_dim(1)[j]
+                    a, b = simplices_of_dim(K, 1)[j]
                     boundary[a] = boundary.get(a, 0) - coef
                     boundary[b] = boundary.get(b, 0) + coef
                 assert not any(boundary.values())
@@ -898,7 +917,7 @@ class TestSpanningForestLevel:
                 assert homology_invariants(K, n) == \
                     dense_homology_invariants(K, n)
             level = K._reduction._level(1)
-            if K.simplices_of_dim(1):
+            if simplices_of_dim(K, 1):
                 assert isinstance(level, simplicial._Forest)
                 assert "steps" not in vars(level) and "row_step" not in vars(level)
 
@@ -907,7 +926,7 @@ def dense_homology_invariants(K, n):
     """(rank, torsion) of H_n from the dense Smith forms of the boundary maps."""
     lower = dense_invariants(dense_boundary(K, n)) if n else []
     upper = dense_invariants(dense_boundary(K, n + 1))
-    return (len(K.simplices_of_dim(n)) - len(lower) - len(upper),
+    return (len(simplices_of_dim(K, n)) - len(lower) - len(upper),
             [d for d in upper if d > 1])
 
 
@@ -923,7 +942,7 @@ def as_dense(K, co, n, reduced=False):
     R = K._reduction
     sparse = simplicial._witness(K, co, n, reduced)
     group, basis, incoming = dense_witness(K, co, n, reduced)
-    cells = K.simplices_of_dim(n)
+    cells = simplices_of_dim(K, n)
     if co:
         # the value of the pulled-back cocycle on each cell is its value on pi(cell)
         projected = [R.project(n, {j: 1}) for j in range(len(cells))]
@@ -1007,8 +1026,8 @@ class TestReducedComplexDifferential:
             for L in (K, barycentric_subdivision(K)[0]):
                 assert homology_data(L, 1).group.smith_invariants == h1
                 # H^2 = Ext(H_1, Z) + Hom(H_2, Z) = Z/2 on both surfaces
-                assert cohomology_data(L, 2).group.smith_invariants == (0, [2])
-                assert cohomology_data(L, 1).group.smith_invariants == (h1[0], [])
+                assert simplicial._witness(L, True, 2).group.smith_invariants == (0, [2])
+                assert simplicial._witness(L, True, 1).group.smith_invariants == (h1[0], [])
         for K in sample_complexes(random.Random(0), 0):
             every_degree(identity_map(K), assert_agrees_with_dense)
         # sd(RP^2) -> RP^2, each barycenter to the first vertex of its simplex
