@@ -7,8 +7,6 @@ report.  Exit codes: 0 success, 2 parse error, 3 depth-limited or past a
 resource bound, 4 ill-defined input.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import sys

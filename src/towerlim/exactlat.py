@@ -46,8 +46,6 @@ True
 True
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from math import gcd
 from operator import add, attrgetter, mul

@@ -7,8 +7,6 @@ one quantified property against an independent computation path.  Any
 failure dumps a replayable counterexample in the tower file format.
 """
 
-from __future__ import annotations
-
 import math
 import time
 

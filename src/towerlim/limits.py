@@ -31,8 +31,6 @@ on all of Z^n, so N must be all of Z^n.  The factoring and this
 certificate run on the first read of N, which ML never makes.
 """
 
-from __future__ import annotations
-
 from functools import cached_property, lru_cache
 
 from .errors import TooLarge

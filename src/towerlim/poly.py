@@ -8,8 +8,6 @@ roots (the chain lattice of the pro-category search).  `prime_factors`
 gives the primes of a determinant, the missing primes of a completion.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import random

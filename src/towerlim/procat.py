@@ -22,8 +22,6 @@ invariants without a connecting map are deliberately reported Undecided,
 since the bijection criterion presupposes a morphism inducing them.
 """
 
-from __future__ import annotations
-
 from itertools import count, islice, product
 from math import gcd
 from operator import mul

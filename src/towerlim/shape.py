@@ -12,8 +12,6 @@ solenoids, the Hawaiian earring, clusters of solenoids and the
 one-point compactification of a discrete null-sequence.
 """
 
-from __future__ import annotations
-
 from . import errors
 from .errors import DegreeMismatch, ShapeError, TooLarge
 from .exactlat import IntMatrix, Record, free_group, hom_make, hom_parts, identity_hom

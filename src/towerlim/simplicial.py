@@ -53,8 +53,6 @@ A simplicial map is validated on the maximal simplices of its source:
 every simplex is a face of one, and the target is closed under faces.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse

@@ -8,8 +8,6 @@ keys is descriptor equality, distinctness is only claimed on genuine group
 invariants, and everything else is Undecided.
 """
 
-from __future__ import annotations
-
 from .exactlat import Record, charpoly, free_group
 from .poly import prime_factors
 

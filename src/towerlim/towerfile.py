@@ -8,14 +8,13 @@ Unknown section kinds and unknown keys are rejected with a located
 ParseError; dangling names raise UnresolvedReference.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 
 from . import errors
 from .errors import TooLarge
 from .exactlat import IntMatrix, MutableRecord, hom_make, present
 from .towers import (
+    _FAMILY_REGISTRY,
     StreamedTower,
     TowerError,
     UnknownFamily,
@@ -67,7 +66,9 @@ class TowerFile(MutableRecord):
     """
 
     _fields = ("groups", "maps", "towers", "ses")
-    _simplicial = ()         # checked (kind, name, spec, line), in file order
+    # checked (kind, name, spec, where), in file order: where is the header
+    # line, or a family's entries for _refusal_line
+    _simplicial = ()
 
     def __init__(self, groups=None, maps=None, towers=None, ses=None):
         self.groups = {} if groups is None else groups
@@ -214,15 +215,15 @@ def _resolve(sections):
 
 def _build_simplicial(checked):
     """The stowers of a document from its checked simplicial sections."""
-    from .shape import PeriodicSimplicialTower, UnknownExample, make_example
+    from .shape import _EXAMPLES, PeriodicSimplicialTower, UnknownExample, make_example
     from .simplicial import SimplicialComplex, SimplicialError, SimplicialMap
     complexes, smaps, stowers = {}, {}, {}
-    for kind, name, spec, line in checked:
+    for kind, name, spec, where in checked:
         if kind == "family":
             try:
                 stowers[name] = make_example(*spec)
             except UnknownExample as exc:
-                raise ParseError(line, str(exc))
+                raise ParseError(_refusal_line(where, spec[0] in _EXAMPLES), str(exc))
         elif kind == "stower":
             tail_c, tail_m = spec
             stowers[name] = PeriodicSimplicialTower((), complexes[tail_c], smaps[tail_m])
@@ -255,6 +256,14 @@ def _parse_params(entries):
     return tuple(rows[0])
 
 
+def _refusal_line(entries, known):
+    """The line of a family that refuses its section: `params =` when a
+    known family refuses the params given, else `family =` (an unknown
+    family, or params missing)."""
+    key = "params" if known and "params" in entries else "family"
+    return entries[key][1]
+
+
 _ADIC_QUOTIENT_SYNTAX = ("adic_quotient cannot be written as a [tower] family; "
                          "[ses] canonical = G A builds the quotient tower L/A^k L")
 
@@ -267,7 +276,7 @@ def _resolve_tower(doc, entries, name, header):
         try:
             return make_streamed(fam, _parse_params(entries))
         except UnknownFamily as exc:
-            raise ParseError(line, str(exc))
+            raise ParseError(_refusal_line(entries, fam in _FAMILY_REGISTRY), str(exc))
     tail_group = _ref(doc.groups, _need(entries, "tail_group", "tower", name, header)[0])
     tail_endo = _ref(doc.maps, _need(entries, "tail_endo", "tower", name, header)[0])
     prefix_groups = []
@@ -284,8 +293,7 @@ def _resolve_tower(doc, entries, name, header):
 
 def _check_stower(complexes, smaps, entries, name, header):
     if "family" in entries:
-        fam, line = entries["family"]
-        return ("family", name, (fam, _parse_params(entries)), line)
+        return ("family", name, (entries["family"][0], _parse_params(entries)), entries)
     tail_c = _need(entries, "tail_complex", "stower", name, header)[0]
     _ref(complexes, tail_c)
     tail_m = _need(entries, "tail_map", "stower", name, header)[0]

@@ -13,8 +13,6 @@ toward index 0.  Two representations are supported:
   closed-form answers, chosen by family name in the limits module.
 """
 
-from __future__ import annotations
-
 from .exactlat import (
     FgAbGroup,
     Homomorphism,
@@ -341,12 +339,6 @@ def kernel_chain(group, endo):
     raise TowerError("kernel chain failed to stabilize within its proven bound")
 
 
-def quotient_by(group, sub_gens):
-    """Quotient of the group by a sublattice of the ambient Z^n that
-    contains the relations."""
-    return FgAbGroup(group.generators, lattice_canon(group.relations.hstack(sub_gens)))
-
-
 def _minimize_with_transform(group, endo):
     """Re-present (group, endo) on an invariant-factor generating set.
 
@@ -406,7 +398,8 @@ def tail_reduction(t):
         raise TowerError("tail_reduction needs an eventually periodic tower")
     T, A = t.tail_group, t.tail_endo
     chain = tuple(kernel_chain(T, A))
-    Q = quotient_by(T, chain[-1])
+    # K_l contains the relations and is already canonical, so it presents T/K_l
+    Q = FgAbGroup(T.generators, chain[-1])
     A1 = hom_make(Q, Q, A.matrix)
     grp, h, project, section, diag = _minimize_with_transform(Q, A1)
     return TailReduction(T, A, chain, grp, h, project, section, diag)

@@ -294,7 +294,30 @@ class TestExitCodes:
             assert main([command, str(bad)]) == EXIT_PARSE
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == "parse error: line 2: %s takes no parameters\n" % family
+            assert err == "parse error: line 3: %s takes no parameters\n" % family
+
+    @pytest.mark.parametrize("command, section, message", [
+        ("lim", "[tower t]\nfamily = finite_sets\nparams = [7]\n",
+         "line 3: finite_sets takes no parameters"),
+        ("steenrod", "[stower s]\nfamily = solenoid\nparams = [1]\n",
+         "line 3: solenoid needs one parameter p >= 2"),
+        ("lim", "[tower t]\nfamily = cluster_h1\n",
+         "line 2: cluster_h1 needs one parameter p >= 2"),
+        ("steenrod", "[stower s]\nfamily = cluster_solenoids\n",
+         "line 2: cluster_solenoids needs one parameter p >= 2"),
+        ("lim", "[tower t]\nfamily = nosuch\nparams = [1]\n", "line 2: nosuch"),
+        ("steenrod", "[stower s]\nfamily = nosuch\nparams = [1]\n", "line 2: nosuch"),
+    ], ids=["finite_sets [7]", "solenoid [1]", "cluster_h1 unparameterised",
+            "cluster_solenoids unparameterised", "unknown tower", "unknown stower"])
+    def test_refused_params_are_located_at_their_line(self, tmp_path, capsys,
+                                                       command, section, message):
+        # params a known family refuses are blamed on `params =`; an
+        # unknown family, or params missing, on `family =`
+        bad = tmp_path / "params.tower"
+        bad.write_text(section)
+        argv = [command, str(bad)] + (["--degree", "0"] if command == "steenrod" else [])
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: %s\n" % message
 
     def test_adic_quotient_tower_is_a_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "adic.tower"
@@ -501,7 +524,9 @@ class TestImportBoundary:
 
     def test_no_command_loads_dataclasses(self):
         # the records are plain classes, so no command pays for importing
-        # dataclasses and the inspect, ast, dis and tokenize it pulls in
+        # dataclasses and the inspect, ast, dis and tokenize it pulls in;
+        # the input digest is the interpreter's own SHA-256, so none loads
+        # hashlib, _hashlib or OpenSSL; and no module imports __future__
         commands = [
             ["lim", "towers/solenoid_2.tower"],
             ["lim1", "towers/solenoid_2.tower"],
@@ -521,7 +546,8 @@ class TestImportBoundary:
             "codes = [cli.main(argv) for argv in %r]\n"
             "print(json.dumps([codes, sorted(sys.modules)]))" % (commands,))
         assert codes == [0] * len(commands)
-        assert not {"dataclasses", "inspect"} & set(loaded)
+        assert not {"dataclasses", "inspect", "hashlib", "_hashlib",
+                    "__future__"} & set(loaded)
 
     def test_bare_import_loads_no_submodule(self):
         loaded, unresolved, unlisted = _fresh(
@@ -582,6 +608,28 @@ class TestGoldenReports:
         for name in os.listdir(gdir):
             with open(os.path.join(gdir, name)) as fh:
                 assert validate_report(json.load(fh)) == []
+
+
+def _digest_inputs():
+    inputs = {"empty": b"", "non-ascii str": "[group Ĝ]\ngenerators = 1  # Čech, lim¹\n"}
+    for path in sorted(glob.glob(os.path.join(ROOT, "towers", "*.tower"))):
+        with open(path, "rb") as fh:
+            inputs[os.path.basename(path)] = fh.read()
+    inputs["1 MB"] = bytes(range(256)) * 4096
+    return inputs
+
+
+DIGEST_INPUTS = _digest_inputs()
+
+
+@pytest.mark.parametrize("data", DIGEST_INPUTS.values(), ids=DIGEST_INPUTS.keys())
+def test_input_digest_matches_hashlib(data):
+    # the report's built-in SHA-256 against OpenSSL's, so every recorded
+    # digest stays the same
+    import hashlib
+    from towerlim.report import input_digest
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    assert input_digest(data) == "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 SMOKE_COMMANDS = (["lim"], ["lim1"], ["ml"], ["six-term"],
