@@ -7,15 +7,15 @@ report.  Exit codes: 0 success, 2 parse error, 3 depth-limited or past a
 resource bound, 4 ill-defined input.
 """
 
-import argparse
-import functools
+import re
 import sys
 
 from .errors import DegreeMismatch, ShapeError, SimplicialError, TooLarge, UnknownSuite
 from .exactlat import IllDefined
 from .limits import derived_limit, limit, ml_conditions, six_term
 from .report import build_report, input_digest, report_json
-from .towerfile import DimensionMismatch, ParseError, UnresolvedReference, parse
+from .towerfile import (DimensionMismatch, MissingSection, ParseError, UnresolvedReference,
+                        parse)
 from .towers import PeriodicTower, TowerError
 
 # procat, shape, simplicial and lab are imported by the commands that run
@@ -27,78 +27,227 @@ EXIT_DEPTH = 3
 EXIT_ILL_DEFINED = 4
 
 
-def _tower_args(p):
-    p.add_argument("--tower", default=None)
-
-
-def _ses_args(p):
-    p.add_argument("--ses", default=None)
-
-
-def _cech_args(p):
-    p.add_argument("--stower", default=None)
-    p.add_argument("--degree", type=int, required=True)
-
-
-def _steenrod_args(p):
-    _cech_args(p)
-    p.add_argument("--reduced", action="store_true")
-
-
-def _pair_args(p):
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--depth", type=int, default=4)
-
-
-def _telescope_args(p):
-    p.add_argument("--stower", default=None)
-    p.add_argument("--m", type=int, required=True)
-
-
-def _lab_args(p):
+def _suite_names():
     from .lab import SUITE_NAMES
-    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--depth", type=int, default=12)
+    return SUITE_NAMES
 
 
-# name -> (help, its arguments after FILE and --json); lab reads no FILE
+# an option is (spelling, type, default, required, choices): type bool is a
+# flag that takes no value, and choices, when not None, is a function that
+# returns the allowed values
+_TOWER = (("--tower", str, None, False, None),)
+_STOWER = ("--stower", str, None, False, None)
+_DEGREE = ("--degree", int, None, True, None)
+_PAIR = (("--a", str, None, True, None), ("--b", str, None, True, None),
+         ("--depth", int, 4, False, None))
+
+# name -> (help, whether it reads FILE, its options after --json)
 _COMMANDS = {
-    "lim": ("inverse limit of a tower", _tower_args),
-    "lim1": ("derived limit of a tower", _tower_args),
-    "ml": ("Mittag-Leffler condition family", _tower_args),
-    "six-term": ("six-term exact sequence of a tower SES", _ses_args),
-    "steenrod": ("Steenrod homology descriptor of a simplicial tower", _steenrod_args),
-    "cech": ("Pontryagin (Cech) cohomology of a simplicial tower", _cech_args),
-    "interleave": ("search for a pro-isomorphism certificate", _pair_args),
-    "compare": ("decide pro-isomorphism via lim/lim1 invariants", _pair_args),
-    "telescope": ("finite mapping telescope homology", _telescope_args),
-    "lab": ("randomized property suites", _lab_args),
+    "lim": ("inverse limit of a tower", True, _TOWER),
+    "lim1": ("derived limit of a tower", True, _TOWER),
+    "ml": ("Mittag-Leffler condition family", True, _TOWER),
+    "six-term": ("six-term exact sequence of a tower SES", True,
+                 (("--ses", str, None, False, None),)),
+    "steenrod": ("Steenrod homology descriptor of a simplicial tower", True,
+                 (_STOWER, _DEGREE, ("--reduced", bool, False, False, None))),
+    "cech": ("Pontryagin (Cech) cohomology of a simplicial tower", True,
+             (_STOWER, _DEGREE)),
+    "interleave": ("search for a pro-isomorphism certificate", True, _PAIR),
+    "compare": ("decide pro-isomorphism via lim/lim1 invariants", True, _PAIR),
+    "telescope": ("finite mapping telescope homology", True,
+                  (_STOWER, ("--m", int, None, True, None))),
+    "lab": ("randomized property suites", False, (
+        ("--suite", str, None, True, _suite_names),
+        ("--seed", int, 42, False, None),
+        ("--trials", int, 200, False, None),
+        ("--depth", int, 12, False, None))),
 }
 
+_JSON = ("--json", bool, False, False, None)
+_HELP = ("-h", "--help")
+_DESCRIPTION = ("Exact limits, derived limits and Steenrod homology of towers of finitely\n"
+                "generated abelian groups.")
+# what argparse takes for a negative number, a value rather than an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-@functools.cache
-def _build_parser(names):
-    """The parser with the subparsers of NAMES.  Its usage line names every
-    command even when NAMES is one of them.  No option may be abbreviated,
-    so each has one spelling and main reads --json off argv as given."""
-    ap = argparse.ArgumentParser(
-        prog="towerlim", allow_abbrev=False,
-        description="Exact limits, derived limits and Steenrod homology "
-                    "of towers of finitely generated abelian groups.")
-    every = None if len(names) == len(_COMMANDS) else "{%s}" % ",".join(_COMMANDS)
-    sub = ap.add_subparsers(dest="command", required=True, metavar=every)
-    for name in names:
-        help_text, add_args = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if name != "lab":
-            p.add_argument("file", help="tower description file")
-        p.add_argument("--json", action="store_true",
-                       help="emit the machine-readable report")
-        add_args(p)
-    return ap
+
+def _options(name):
+    """Every option of command NAME, --json first."""
+    return (_JSON,) + _COMMANDS[name][2]
+
+
+def _spelling(option):
+    flag, kind, _, _, choices = option
+    if kind is bool:
+        return flag
+    return "%s %s" % (flag, "{%s}" % ",".join(choices()) if choices else flag[2:].upper())
+
+
+def _usage(name):
+    if name is None:
+        return "usage: towerlim [-h] {%s} ..." % ",".join(_COMMANDS)
+    words = ["[-h]"] + [_spelling(o) if o[3] else "[%s]" % _spelling(o)
+                        for o in _options(name)]
+    if _COMMANDS[name][1]:
+        words.append("file")
+    return "usage: towerlim %s %s" % (name, " ".join(words))
+
+
+def _help(name):
+    """The --help text of the program (NAME None) or of one command, its
+    help column placed as argparse places it."""
+    options = [(2, "-h, --help", "show this help message and exit")]
+    if name is None:
+        head = [_usage(None), _DESCRIPTION]
+        commands = [(2, "{%s}" % ",".join(_COMMANDS), "")]
+        commands += [(4, n, spec[0]) for n, spec in _COMMANDS.items()]
+        sections = [("positional arguments", commands), ("options", options)]
+    else:
+        head = [_usage(name)]
+        sections = []
+        if _COMMANDS[name][1]:
+            sections.append(("positional arguments", [(2, "file", "tower description file")]))
+        options.append((2, "--json", "emit the machine-readable report"))
+        options += [(2, _spelling(o), "") for o in _COMMANDS[name][2]]
+        sections.append(("options", options))
+    column = min(max(indent + len(words) for _, rows in sections
+                     for indent, words, _ in rows) + 2, 24)
+    for title, rows in sections:
+        lines = [title + ":"]
+        for indent, words, text in rows:
+            line = " " * indent + words
+            if text and len(line) + 2 <= column:
+                line = line.ljust(column) + text
+            elif text:
+                line += "\n" + " " * column + text
+            lines.append(line)
+        head.append("\n".join(lines))
+    return "\n\n".join(head) + "\n"
+
+
+def _refuse(name, message):
+    """Exit 2 with argparse's usage and error lines on stderr."""
+    prog = "towerlim" if name is None else "towerlim " + name
+    sys.stderr.write("%s\n%s: error: %s\n" % (_usage(name), prog, message))
+    raise SystemExit(EXIT_PARSE)
+
+
+def _split(arg, flags):
+    """(flag, explicit value or None) of an option-like ARG, flag "" when no
+    option in FLAGS or -h/--help matches; None when ARG is a value.  A
+    single-dash -h runs on into its explicit value, as in -hh."""
+    if not arg or arg[0] != "-" or arg == "-":
+        return None
+    if arg in flags or arg in _HELP:
+        return arg, None
+    flag, eq, value = arg.partition("=")
+    if eq and (flag in flags or flag in _HELP):
+        return flag, value
+    if arg.startswith("-h"):
+        return "-h", arg[2:]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return "", None
+
+
+def _take_help(name, flag, explicit):
+    """Print the help of NAME and exit 0, unless -h/--help was given a
+    value that is not more h's."""
+    if explicit is not None:
+        # -hh is -h twice; -h= and --help=h give a value
+        rest = explicit.lstrip("h") if flag == "-h" else explicit
+        if rest or not explicit:
+            _refuse(name, "argument -h/--help: ignored explicit argument %r" % rest)
+    sys.stdout.write(_help(name))
+    raise SystemExit(EXIT_OK)
+
+
+def _parse_argv(argv):
+    """The command of ARGV and the values of its FILE and options, as a
+    dict keyed "command", "file" and the option names without dashes.
+
+    It reads ARGV as argparse reads the parser that `_COMMANDS` describes
+    (no abbreviations): `--opt value` or `--opt=value`, options before or
+    after FILE, a negative number as a value, the last of a repeated
+    option, and everything after `--` as values.  -h or --help prints the
+    help and exits 0; anything else it cannot read exits 2 with
+    argparse's usage line and message on stderr.
+    """
+    extras = []
+    for i, arg in enumerate(argv):
+        option = _split(arg, ())
+        if option is None or (arg == "--" and i + 1 < len(argv)):
+            break
+        if option[0]:
+            _take_help(None, *option)
+        extras.append(arg)
+    else:
+        _refuse(None, "the following arguments are required: command")
+    name = argv[i]
+    if name not in _COMMANDS:
+        _refuse(None, "argument command: invalid choice: %r (choose from %s)"
+                % (name, ", ".join(map(repr, _COMMANDS))))
+    takes_file, options = _COMMANDS[name][1], _options(name)
+    specs = {o[0]: o for o in options}
+    args = {"command": name, **{o[0][2:]: o[2] for o in options}}
+    rest = argv[i + 1:]
+    at = None           # the index of FILE in rest
+    ended = False       # past the first --
+    seen = set()
+    k = 0
+    while k < len(rest):
+        arg = rest[k]
+        k += 1
+        if arg == "--" and not ended:
+            # argparse hands this -- to FILE when FILE comes next to it
+            ended = True
+            if not (takes_file and (k - 2 == at or (at is None and k < len(rest)))):
+                extras.append(arg)
+            continue
+        option = None if ended else _split(arg, specs)
+        if option is None:
+            if takes_file and at is None:
+                at = k - 1
+            else:
+                extras.append(arg)
+            continue
+        flag, explicit = option
+        if flag in _HELP:
+            _take_help(name, flag, explicit)
+        if not flag:
+            extras.append(arg)
+            continue
+        _, kind, _, _, choices = specs[flag]
+        seen.add(flag)
+        if kind is bool:
+            if explicit is not None:
+                _refuse(name, "argument %s: ignored explicit argument %r" % (flag, explicit))
+            args[flag[2:]] = True
+            continue
+        if explicit is None:
+            if k == len(rest) or rest[k] == "--" or _split(rest[k], specs) is not None:
+                _refuse(name, "argument %s: expected one argument" % flag)
+            explicit = rest[k]
+            k += 1
+        value = explicit
+        if kind is int:
+            try:
+                value = int(explicit)
+            except ValueError:
+                _refuse(name, "argument %s: invalid int value: %r" % (flag, explicit))
+        if choices is not None and value not in choices():
+            _refuse(name, "argument %s: invalid choice: %r (choose from %s)"
+                    % (flag, value, ", ".join(map(repr, choices()))))
+        args[flag[2:]] = value
+    missing = (["file"] if takes_file and at is None else []) + [
+        o[0] for o in options if o[3] and o[0] not in seen]
+    if missing:
+        _refuse(name, "the following arguments are required: %s" % ", ".join(missing))
+    if extras:
+        _refuse(None, "unrecognized arguments: %s" % " ".join(extras))
+    if takes_file:
+        args["file"] = rest[at]
+    return args
 
 
 def _pick(table, name, what):
@@ -110,59 +259,59 @@ def _pick(table, name, what):
         return table["main"]
     if len(table) == 1:
         return next(iter(table.values()))
+    if not table:
+        raise MissingSection(what)
     raise UnresolvedReference("pick a %s with --%s (found: %s)"
                               % (what, what, ", ".join(sorted(table))))
 
 
 def dispatch(argv):
     """Run one command; returns (exit_code, report dict, human text)."""
-    # only the subparser of the command being run is built; an unknown
-    # command or a bare --help gets the full listing
-    names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
-    args = _build_parser(names).parse_args(argv)
+    args = _parse_argv(argv)
+    command = args["command"]
     # refused before any work, as telescope refuses a negative m
     for name in ("depth", "trials"):
-        if getattr(args, name, 0) < 0:
-            raise ValueError("%s needs %s >= 0" % (args.command, name))
-    if args.command == "lab":
+        if args.get(name, 0) < 0:
+            raise ValueError("%s needs %s >= 0" % (command, name))
+    if command == "lab":
         from .lab import LabConfig, run_suite
-        cfg = LabConfig(master_seed=args.seed, trials=args.trials, depth=args.depth)
-        rep = run_suite(cfg, args.suite)
+        cfg = LabConfig(master_seed=args["seed"], trials=args["trials"], depth=args["depth"])
+        rep = run_suite(cfg, args["suite"])
         digest = input_digest(repr(sorted(cfg.to_json().items())))
         report = build_report("lab", rep.to_json(), digest,
                               depth_used=cfg.depth,
                               warnings=[] if rep.ok else ["suite failed"])
         text = "lab %s: %d/%d passed (%.2fs)" % (
-            args.suite, rep.passed, rep.passed + rep.failed, rep.elapsed)
+            args["suite"], rep.passed, rep.passed + rep.failed, rep.elapsed)
         return (EXIT_OK if rep.ok else 1), report, text
 
-    with open(args.file, "rb") as fh:
+    with open(args["file"], "rb") as fh:
         raw = fh.read()
     digest = input_digest(raw)
-    doc = parse(args.file)
+    doc = parse(args["file"])
 
-    if args.command == "lim":
-        t = _pick(doc.towers, args.tower, "tower")
+    if command == "lim":
+        t = _pick(doc.towers, args["tower"], "tower")
         sg = limit(t)
         report = build_report("lim", sg.to_json(), digest,
                               warnings=_depth_warnings(sg))
         return _result_code(sg), report, "lim = %s" % _decorate(sg)
-    if args.command == "lim1":
-        t = _pick(doc.towers, args.tower, "tower")
+    if command == "lim1":
+        t = _pick(doc.towers, args["tower"], "tower")
         sg = derived_limit(t)
         report = build_report("lim1", sg.to_json(), digest,
                               warnings=_depth_warnings(sg))
         return _result_code(sg), report, "lim1 = %s" % _decorate(sg)
-    if args.command == "ml":
-        t = _pick(doc.towers, args.tower, "tower")
+    if command == "ml":
+        t = _pick(doc.towers, args["tower"], "tower")
         rep = ml_conditions(t)
         report = build_report("ml", rep.to_json(), digest)
         text = ("ml: %s; dual: %s; virtually: %s; nearly: %s"
                 % (rep.ml.holds, rep.dual_ml.holds,
                    rep.virtually_ml.holds, rep.nearly_ml.holds))
         return EXIT_OK, report, text
-    if args.command == "six-term":
-        ses = _pick(doc.ses, args.ses, "ses")
+    if command == "six-term":
+        ses = _pick(doc.ses, args["ses"], "ses")
         rep = six_term(ses)
         joints = ["%s:%s" % (j.position, j.verdict) for j in rep.joints]
         report = build_report("six-term", rep.to_json(), digest,
@@ -171,65 +320,65 @@ def dispatch(argv):
         text = "; ".join("%s = %s" % (n, v.render())
                          for n, v in zip(names, rep.terms()))
         return EXIT_OK, report, text
-    if args.command == "steenrod":
+    if command == "steenrod":
         from .shape import steenrod
-        st = _pick(doc.stowers, args.stower, "stower")
-        d = steenrod(st, args.degree, args.reduced)
+        st = _pick(doc.stowers, args["stower"], "stower")
+        d = steenrod(st, args["degree"], args["reduced"])
         report = build_report("steenrod", d.to_json(), digest)
         text = ("H_%d%s: lim1 part %s, lim part %s, splits %s -> %s"
                 % (d.degree, " reduced" if d.reduced else "",
                    d.lim1_part.render(), d.lim_part.render(), d.splits, d.render()))
         return EXIT_OK, report, text
-    if args.command == "cech":
+    if command == "cech":
         from .shape import cech_cohomology
-        st = _pick(doc.stowers, args.stower, "stower")
-        sg = cech_cohomology(st, args.degree)
+        st = _pick(doc.stowers, args["stower"], "stower")
+        sg = cech_cohomology(st, args["degree"])
         report = build_report("cech", sg.to_json(), digest,
                               warnings=_depth_warnings(sg))
-        return _result_code(sg), report, "H^%d = %s" % (args.degree, sg.render())
-    if args.command == "interleave":
+        return _result_code(sg), report, "H^%d = %s" % (args["degree"], sg.render())
+    if command == "interleave":
         from .procat import find_interleaving, separating_invariant
-        a = _pick(doc.towers, args.a, "tower")
-        b = _pick(doc.towers, args.b, "tower")
+        a = _pick(doc.towers, args["a"], "tower")
+        b = _pick(doc.towers, args["b"], "tower")
         # lim and lim1 are pro-invariants: when they differ, no depth helps
         if isinstance(a, PeriodicTower) and isinstance(b, PeriodicTower):
             reason = separating_invariant(a, b)
             if reason is not None:
                 report = build_report("interleave", {"found": False, "reason": reason},
-                                      digest, depth_used=args.depth)
+                                      digest, depth_used=args["depth"])
                 return (EXIT_OK, report,
                         "absent (no interleaving at any depth: %s)" % reason)
         truncated = []
-        cert = find_interleaving(a, b, args.depth, truncated)
+        cert = find_interleaving(a, b, args["depth"], truncated)
         result = {"found": cert is not None}
         if cert is not None:
             result["certificate"] = cert.to_json()
         warnings = [] if cert else [
             "search cut short by the candidate cap in cell gaps (%d, %d) offsets (%d, %d)"
             % cell for cell in truncated]
-        report = build_report("interleave", result, digest, depth_used=args.depth,
+        report = build_report("interleave", result, digest, depth_used=args["depth"],
                               warnings=warnings)
         if cert:
             text = "interleaving found"
         elif warnings:
             text = "not found (searched to depth %d, %d cells cut short)" % (
-                args.depth, len(warnings))
+                args["depth"], len(warnings))
         else:
-            text = "absent (searched to depth %d)" % args.depth
+            text = "absent (searched to depth %d)" % args["depth"]
         return EXIT_OK, report, text
-    if args.command == "compare":
+    if command == "compare":
         from .procat import compare_invariants
-        a = _pick(doc.towers, args.a, "tower")
-        b = _pick(doc.towers, args.b, "tower")
-        verdict = compare_invariants(a, b, depth=args.depth)
+        a = _pick(doc.towers, args["a"], "tower")
+        b = _pick(doc.towers, args["b"], "tower")
+        verdict = compare_invariants(a, b, depth=args["depth"])
         report = build_report("compare", verdict.to_json(), digest,
-                              depth_used=args.depth)
+                              depth_used=args["depth"])
         return EXIT_OK, report, "%s: %s" % (verdict.kind, verdict.reason)
-    if args.command == "telescope":
+    if command == "telescope":
         from .shape import telescope
         from .simplicial import homology_invariants
-        st = _pick(doc.stowers, args.stower, "stower")
-        tel = telescope(st, args.m)
+        st = _pick(doc.stowers, args["stower"], "stower")
+        tel = telescope(st, args["m"])
         base = st.complex_at(0)
         degrees = range(0, max(base.dimension, tel.complex.dimension) + 1)
         rows = []
@@ -240,10 +389,10 @@ def dispatch(argv):
             retracts &= (got == want)
             rows.append({"degree": n, "telescope": list(got[0:1]) + [got[1]],
                          "level0": list(want[0:1]) + [want[1]]})
-        result = {"levels": args.m, "homology": rows, "retracts_to_level0": retracts}
-        report = build_report("telescope", result, digest, depth_used=args.m)
+        result = {"levels": args["m"], "homology": rows, "retracts_to_level0": retracts}
+        report = build_report("telescope", result, digest, depth_used=args["m"])
         text = "telescope of %d levels %s level 0 homology" % (
-            args.m, "matches" if retracts else "DIFFERS FROM")
+            args["m"], "matches" if retracts else "DIFFERS FROM")
         return EXIT_OK if retracts else 1, report, text
     raise AssertionError("unreachable command")
 

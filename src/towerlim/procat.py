@@ -39,10 +39,10 @@ from .exactlat import (
     lattice_contains,
     solve_columns,
 )
-from .limits import derived_limit, limit
+from .limits import _tail_analysis, derived_limit, limit
 from .poly import factor_kernel, poly_of_matrix, prime_factors
 from .structured import compare_structured, corank_difference
-from .towers import PeriodicTower, TowerError, reduce_to_images, shift, solve_next_map
+from .towers import PeriodicTower, TowerError, solve_next_map
 
 
 class Interleaving(Record):
@@ -288,8 +288,7 @@ def find_interleaving(a, b, depth=4, truncated=None):
     """
     if not isinstance(a, PeriodicTower) or not isinstance(b, PeriodicTower):
         raise TowerError("find_interleaving needs eventually periodic towers")
-    A = reduce_to_images(shift(a, a.prefix_len))
-    B = reduce_to_images(shift(b, b.prefix_len))
+    A, B = _reduced_tail(a), _reduced_tail(b)
 
     ident = _identity_certificate(A, B)
     if ident is not None:
@@ -321,6 +320,13 @@ def find_interleaving(a, b, depth=4, truncated=None):
                     if capped and truncated is not None:
                         truncated.append((ga, gb, c1, c2))
     return None
+
+
+def _reduced_tail(t):
+    """`reduce_to_images` of the tail of t, read from the one analysis of
+    that tail that lim and lim1 share."""
+    red = _tail_analysis(t.tail_group, t.tail_endo).reduction
+    return PeriodicTower((), (), red.group, red.endo, None)
 
 
 def _identity_certificate(A, B):

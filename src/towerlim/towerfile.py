@@ -38,6 +38,14 @@ class UnresolvedReference(Exception):
         self.name = name
 
 
+class MissingSection(UnresolvedReference):
+    """A command reads a kind of section that the file does not have."""
+
+    def __init__(self, kind):
+        Exception.__init__(self, "no [%s] section in the file" % kind)
+        self.name = kind
+
+
 class DimensionMismatch(Exception):
     pass
 
@@ -57,24 +65,32 @@ _SECTION_KEYS = {
 class TowerFile(MutableRecord):
     """Parsed and resolved tower description document.
 
-    `parse` checks every section.  The simplicial objects of the [complex],
-    [smap] and [stower] sections are built on the first read of `stowers`,
-    so a command on the algebraic towers of a file does not load the
-    simplicial modules; an error that only those objects detect (a simplex
-    out of range, a vertex map that is not simplicial, an unknown or
-    mis-parameterised stower family) surfaces there.
+    `parse` checks every section.  The short exact sequences of the [ses]
+    sections are built, with their exactness checks, on the first read of
+    `ses`, so a command that reads only the towers of a file does not pay
+    for them.  The simplicial objects of the [complex], [smap] and [stower]
+    sections are built on the first read of `stowers`, so a command on the
+    algebraic towers of a file does not load the simplicial modules.  An
+    error that only the built objects detect (a sequence that is not
+    exact, a simplex out of range, a vertex map that is not simplicial, an
+    unknown or mis-parameterised stower family) surfaces there.
     """
 
-    _fields = ("groups", "maps", "towers", "ses")
+    _fields = ("groups", "maps", "towers")
+    # checked (name, builder, arguments) of each [ses] section, in file order
+    _sequences = ()
     # checked (kind, name, spec, where), in file order: where is the header
     # line, or a family's entries for _refusal_line
     _simplicial = ()
 
-    def __init__(self, groups=None, maps=None, towers=None, ses=None):
+    def __init__(self, groups=None, maps=None, towers=None):
         self.groups = {} if groups is None else groups
         self.maps = {} if maps is None else maps
         self.towers = {} if towers is None else towers
-        self.ses = {} if ses is None else ses
+
+    @cached_property
+    def ses(self):
+        return {name: build(*spec) for name, build, spec in self._sequences}
 
     @cached_property
     def stowers(self):
@@ -160,7 +176,7 @@ def _need(entries, key, kind, name, header_line):
 def _resolve(sections):
     doc = TowerFile()
     # simplicial sections are checked here and built by _build_simplicial
-    complexes, smaps, simplicial = {}, {}, []
+    complexes, smaps, simplicial, sequences = {}, {}, [], []
     for kind, name, entries, header in sections:
         if kind == "group":
             text, line = _need(entries, "generators", kind, name, header)
@@ -208,7 +224,8 @@ def _resolve(sections):
         elif kind == "stower":
             simplicial.append(_check_stower(complexes, smaps, entries, name, header))
         elif kind == "ses":
-            doc.ses[name] = _resolve_ses(doc, entries, name, header)
+            sequences.append((name,) + _check_ses(doc, entries, name, header))
+    doc._sequences = tuple(sequences)
     doc._simplicial = tuple(simplicial)
     return doc
 
@@ -301,7 +318,8 @@ def _check_stower(complexes, smaps, entries, name, header):
     return ("stower", name, (tail_c, tail_m), header)
 
 
-def _resolve_ses(doc, entries, name, header):
+def _check_ses(doc, entries, name, header):
+    """The builder of an [ses] section and its resolved arguments."""
     if "canonical" in entries:
         val, line = entries["canonical"]
         parts = val.split()
@@ -309,13 +327,13 @@ def _resolve_ses(doc, entries, name, header):
             raise ParseError(line, "canonical takes a group name and an endo name")
         grp = _ref(doc.groups, parts[0])
         endo = _ref(doc.maps, parts[1])
-        return canonical_completion_ses(grp, endo)
+        return canonical_completion_ses, (grp, endo)
     sub = _ref(doc.towers, _need(entries, "sub", "ses", name, header)[0])
     total = _ref(doc.towers, _need(entries, "total", "ses", name, header)[0])
     quot = _ref(doc.towers, _need(entries, "quot", "ses", name, header)[0])
     inject = _ref(doc.maps, _need(entries, "inject", "ses", name, header)[0])
     surject = _ref(doc.maps, _need(entries, "surject", "ses", name, header)[0])
-    return tower_ses(sub, total, quot, inject, surject)
+    return tower_ses, (sub, total, quot, inject, surject)
 
 
 # ---------------------------------------------------------------------------

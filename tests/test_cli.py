@@ -275,6 +275,54 @@ class TestExitCodes:
                        "inject = one\nsurject = one\n")
         assert main(["six-term", str(bad)]) == 4
 
+    def test_lim_answers_past_a_sequence_that_is_not_exact(self, tmp_path, capsys):
+        # an [ses] is built, and checked for exactness, only by the command
+        # that reads it
+        path = tmp_path / "not_exact.tower"
+        path.write_text("[group Zg]\ngenerators = 1\n"
+                        "[map one]\nsource = Zg\ntarget = Zg\nmatrix = [1]\n"
+                        "[map two]\nsource = Zg\ntarget = Zg\nmatrix = [2]\n"
+                        "[tower p]\ntail_group = Zg\ntail_endo = one\n"
+                        "[ses e]\nsub = p\ntotal = p\nquot = p\n"
+                        "inject = two\nsurject = one\n")
+        assert main(["lim", str(path)]) == EXIT_OK
+        assert main(["six-term", str(path)]) == EXIT_ILL_DEFINED
+        out, err = capsys.readouterr()
+        assert out == "lim = Z\n"
+        assert err == ("ill-defined input: not exact at level 0: image of the inclusion "
+                       "differs from the kernel of the projection\n")
+
+    def test_ses_names_are_checked_when_the_file_is_read(self, tmp_path, capsys):
+        path = tmp_path / "dangling.tower"
+        path.write_text("[group Zg]\ngenerators = 1\n"
+                        "[map one]\nsource = Zg\ntarget = Zg\nmatrix = [1]\n"
+                        "[tower p]\ntail_group = Zg\ntail_endo = one\n"
+                        "[ses e]\nsub = p\ntotal = p\ninject = one\nsurject = one\n"
+                        "[ses f]\ncanonical = Zg\n")
+        assert main(["lim", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: line 10: [ses e] is missing 'quot'\n"
+        path.write_text(path.read_text().replace("total = p", "total = p\nquot = q"))
+        assert main(["lim", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: unresolved reference: q\n"
+        path.write_text(path.read_text().replace("quot = q", "quot = p"))
+        assert main(["lim", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == ("parse error: line 17: canonical takes a group "
+                                           "name and an endo name\n")
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["six-term", "compare_2_3.tower"], "ses"),
+        (["steenrod", "compare_2_3.tower", "--degree", "0"], "stower"),
+        (["telescope", "interleave_4_2.tower", "--m", "1"], "stower"),
+        (["lim", None], "tower"),
+        (["ml", None], "tower"),
+    ])
+    def test_a_missing_kind_of_section_is_named(self, tmp_path, capsys, argv, kind):
+        path = tmp_path / "group_only.tower"
+        path.write_text("[group G]\ngenerators = 1\n")
+        argv = [argv[0], str(path) if argv[1] is None else fixture(argv[1])] + argv[2:]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: no [%s] section in the file\n" % kind
+
     def test_unresolved_is_2(self):
         assert main(["lim", fixture("compare_2_3.tower"), "--tower", "nope"]) == 2
 
@@ -526,7 +574,9 @@ class TestImportBoundary:
         # the records are plain classes, so no command pays for importing
         # dataclasses and the inspect, ast, dis and tokenize it pulls in;
         # the input digest is the interpreter's own SHA-256, so none loads
-        # hashlib, _hashlib or OpenSSL; and no module imports __future__
+        # hashlib, _hashlib or OpenSSL; the command line is read from the
+        # command table, so none loads argparse and the gettext and locale
+        # it pulls in; and no module imports __future__
         commands = [
             ["lim", "towers/solenoid_2.tower"],
             ["lim1", "towers/solenoid_2.tower"],
@@ -546,8 +596,8 @@ class TestImportBoundary:
             "codes = [cli.main(argv) for argv in %r]\n"
             "print(json.dumps([codes, sorted(sys.modules)]))" % (commands,))
         assert codes == [0] * len(commands)
-        assert not {"dataclasses", "inspect", "hashlib", "_hashlib",
-                    "__future__"} & set(loaded)
+        assert not {"dataclasses", "inspect", "hashlib", "_hashlib", "argparse",
+                    "gettext", "locale", "__future__"} & set(loaded)
 
     def test_bare_import_loads_no_submodule(self):
         loaded, unresolved, unlisted = _fresh(
