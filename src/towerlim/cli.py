@@ -285,10 +285,11 @@ def dispatch(argv):
             args["suite"], rep.passed, rep.passed + rep.failed, rep.elapsed)
         return (EXIT_OK if rep.ok else 1), report, text
 
+    # FILE is read once: the digest and the document come from its bytes
     with open(args["file"], "rb") as fh:
         raw = fh.read()
     digest = input_digest(raw)
-    doc = parse(args["file"])
+    doc = parse(raw)
 
     if command == "lim":
         t = _pick(doc.towers, args["tower"], "tower")
@@ -428,7 +429,8 @@ def main(argv=None):
             DegreeMismatch, UnknownSuite, ValueError) as exc:
         print("ill-defined input: %s" % exc, file=sys.stderr)
         return EXIT_ILL_DEFINED
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing FILE, a directory, one without read permission
         print("cannot read input: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     if "--json" in argv:

@@ -98,21 +98,18 @@ class TowerFile(MutableRecord):
 
 
 def _parse_matrix(text, line):
+    """The rows of a bracketed matrix, as tuples of ints of one length."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(line, "matrix must be bracketed, like [1 2; 3 4]")
     body = text[1:-1].strip()
     if not body:
         return []
-    rows = []
-    for chunk in body.split(";"):
-        entries = chunk.split()
-        try:
-            rows.append([int(x) for x in entries])
-        except ValueError:
-            raise ParseError(line, "matrix entries must be decimal integers")
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
+    try:
+        rows = [tuple(map(int, chunk.split())) for chunk in body.split(";")]
+    except ValueError:
+        raise ParseError(line, "matrix entries must be decimal integers")
+    if len({len(r) for r in rows}) > 1:
         raise ParseError(line, "matrix rows have unequal lengths")
     return rows
 
@@ -125,7 +122,7 @@ def _parse_int(text, line):
 
 
 def parse_text(text):
-    """Parse a tower file from text; see parse() for the file variant."""
+    """Parse and resolve a tower file from its text; see parse() for its bytes."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -161,10 +158,21 @@ def parse_text(text):
     return _resolve(sections)
 
 
-def parse(path):
-    """Parse and resolve a tower description file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+def parse(raw):
+    """Parse and resolve a tower description file from its bytes, which
+    must be UTF-8; a byte that is not is a ParseError at its line.
+
+    >>> parse(b"[group G]\\ngenerators = 1  # caf\\xe9\\n")
+    Traceback (most recent call last):
+        ...
+    towerlim.towerfile.ParseError: line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(raw.count(b"\n", 0, exc.start) + 1, "byte 0x%02x is not UTF-8 (%s)"
+                         % (raw[exc.start], exc.reason))
+    return parse_text(text)
 
 
 def _need(entries, key, kind, name, header_line):
@@ -187,20 +195,22 @@ def _resolve(sections):
             rel_rows = []
             if "relations" in entries:
                 rel_rows = _parse_matrix(*entries["relations"])
-            try:
-                # file rows are relators, so the relation matrix is their transpose
-                rel = IntMatrix.from_columns(gens, rel_rows) if rel_rows else \
-                    IntMatrix.from_columns(gens, [])
-                doc.groups[name] = present(gens, rel)
-            except ValueError as exc:
-                raise DimensionMismatch(str(exc))
+            if rel_rows and len(rel_rows[0]) != gens:
+                raise DimensionMismatch("column length mismatch")
+            if gens < 0:
+                raise DimensionMismatch("row count mismatch")
+            # file rows are relators, so the relation matrix is their transpose
+            rel = IntMatrix._new(gens, len(rel_rows),
+                                 tuple(zip(*rel_rows)) if rel_rows else ((),) * gens)
+            doc.groups[name] = present(gens, rel)
         elif kind == "map":
             src = _ref(doc.groups, _need(entries, "source", kind, name, header)[0])
             tgt = _ref(doc.groups, _need(entries, "target", kind, name, header)[0])
             rows = _parse_matrix(*_need(entries, "matrix", kind, name, header))
+            matrix = (IntMatrix._new(len(rows), len(rows[0]), tuple(rows)) if rows
+                      else IntMatrix.zero(tgt.generators, src.generators))
             try:
-                doc.maps[name] = hom_make(src, tgt, IntMatrix.from_rows(rows)
-                                          if rows else IntMatrix.zero(tgt.generators, src.generators))
+                doc.maps[name] = hom_make(src, tgt, matrix)
             except ValueError as exc:
                 raise DimensionMismatch(str(exc))
         elif kind == "tower":
@@ -219,7 +229,7 @@ def _resolve(sections):
             vm = _parse_matrix(*_need(entries, "vertex_map", kind, name, header))
             if len(vm) != 1:
                 raise ParseError(header, "vertex_map must be a single row")
-            smaps[name] = (src, tgt, tuple(vm[0]))
+            smaps[name] = (src, tgt, vm[0])
             simplicial.append((kind, name, smaps[name], header))
         elif kind == "stower":
             simplicial.append(_check_stower(complexes, smaps, entries, name, header))
@@ -270,7 +280,7 @@ def _parse_params(entries):
         return ()
     if len(rows) != 1:
         raise ParseError(entries["params"][1], "params must be a single row")
-    return tuple(rows[0])
+    return rows[0]
 
 
 def _refusal_line(entries, known):

@@ -1,3 +1,4 @@
+import builtins
 import glob
 import json
 import os
@@ -29,6 +30,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def fixture(name):
     return os.path.join(ROOT, "towers", name)
+
+
+def parse_file(path):
+    with open(path, "rb") as fh:
+        return parse(fh.read())
 
 
 with open(os.path.join(ROOT, "tests", "report_schema.json"), encoding="utf-8") as _fh:
@@ -67,7 +73,7 @@ def validate_report(report):
 
 class TestParser:
     def test_solenoid_fixture(self):
-        doc = parse(fixture("solenoid_2.tower"))
+        doc = parse_file(fixture("solenoid_2.tower"))
         t = doc.towers["main"]
         assert t.tail_group.smith_invariants == (1, [])
         assert t.tail_endo.matrix.data == ((2,),)
@@ -103,7 +109,7 @@ class TestParser:
     def test_round_trip(self):
         # every [tower] of the shipped files comes back from its dump
         towers = [t for path in sorted(glob.glob(os.path.join(ROOT, "towers", "*.tower")))
-                  for t in parse(path).towers.values()]
+                  for t in parse_file(path).towers.values()]
         assert len(towers) == 10
         for t in towers:
             assert parse_text(dump_tower(t)).towers["main"] == t
@@ -138,6 +144,35 @@ class TestParser:
             dump_tower(adic_quotient_tower(Z, hom_make(Z, Z, [[2]])))
         text = dump_tower(make_streamed("cluster_h1", (3,)))
         assert parse_text(text).towers["main"].params == (3,)
+
+
+class TestReadPath:
+    def test_dispatch_opens_file_once(self, monkeypatch):
+        path = fixture("solenoid_2.tower")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, report, _ = dispatch(["six-term", path, "--json"])
+        monkeypatch.undo()
+        assert code == EXIT_OK and report["task"] == "six-term"
+        assert opened == [path]
+
+    def test_crlf_file_parses_as_lf(self, tmp_path):
+        with open(fixture("solenoid_2.tower"), "rb") as fh:
+            lf = fh.read()
+        assert b"\r" not in lf
+        crlf = lf.replace(b"\n", b"\r\n")
+        (tmp_path / "crlf.tower").write_bytes(crlf)
+        a, b = parse(lf), parse(crlf)
+        assert a.towers == b.towers and len(a.towers) == 1
+        assert a.groups == b.groups and a.maps == b.maps
+        assert dispatch(["lim1", str(tmp_path / "crlf.tower")])[2] == \
+            dispatch(["lim1", fixture("solenoid_2.tower")])[2]
 
 
 class TestDispatch:
@@ -255,6 +290,32 @@ class TestExitCodes:
 
     def test_missing_file_is_2(self):
         assert main(["lim", "/nonexistent/x.tower"]) == 2
+
+    def test_directory_is_2(self, tmp_path, capsys):
+        assert main(["lim", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read input: ") and "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root reads a file of mode 000")
+    def test_unreadable_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "locked.tower"
+        path.write_text("[group G]\ngenerators = 1\n")
+        path.chmod(0)
+        try:
+            assert main(["lim", str(path)]) == EXIT_PARSE
+        finally:
+            path.chmod(0o600)
+        assert capsys.readouterr().err.startswith("cannot read input: ")
+
+    def test_non_utf8_file_is_a_parse_error_at_its_line(self, tmp_path, capsys):
+        # a Latin-1 e-acute in a comment on line 2
+        path = tmp_path / "latin1.tower"
+        path.write_bytes(b"[group G]\ngenerators = 1  # caf\xe9\n"
+                         b"[map m]\nsource = G\ntarget = G\nmatrix = [2]\n")
+        assert main(["lim", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "parse error: line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)\n")
 
     def test_ill_defined_is_4(self, tmp_path):
         bad = tmp_path / "bad.tower"
@@ -401,7 +462,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.tower"
         bad.write_text("[%s main]\nfamily = solenoid\nparams = [2; 3]\n" % kind)
         with pytest.raises(ParseError) as info:
-            parse(str(bad))
+            parse(bad.read_bytes())
         assert str(info.value) == "line 3: params must be a single row"
 
     @pytest.mark.parametrize("section,message", [
@@ -576,10 +637,13 @@ class TestImportBoundary:
         # the input digest is the interpreter's own SHA-256, so none loads
         # hashlib, _hashlib or OpenSSL; the command line is read from the
         # command table, so none loads argparse and the gettext and locale
-        # it pulls in; and no module imports __future__
+        # it pulls in; reports are written without the json package; and no
+        # module imports __future__.  The probe imports json to print, after
+        # it has taken its list of modules.
         commands = [
             ["lim", "towers/solenoid_2.tower"],
             ["lim1", "towers/solenoid_2.tower"],
+            ["lim1", "towers/solenoid_2.tower", "--json"],
             ["ml", "towers/hawaiian.tower"],
             ["six-term", "towers/solenoid_2.tower"],
             ["steenrod", "towers/solenoid_2.tower", "--degree", "0"],
@@ -591,13 +655,15 @@ class TestImportBoundary:
             ["lab", "--suite", "ml_equiv", "--seed", "1", "--trials", "2"],
         ]
         codes, loaded = _fresh(
-            "import json, sys\n"
+            "import sys\n"
             "import towerlim.cli as cli\n"
             "codes = [cli.main(argv) for argv in %r]\n"
-            "print(json.dumps([codes, sorted(sys.modules)]))" % (commands,))
+            "loaded = sorted(sys.modules)\n"
+            "import json\n"
+            "print(json.dumps([codes, loaded]))" % (commands,))
         assert codes == [0] * len(commands)
         assert not {"dataclasses", "inspect", "hashlib", "_hashlib", "argparse",
-                    "gettext", "locale", "__future__"} & set(loaded)
+                    "gettext", "locale", "json", "__future__"} & set(loaded)
 
     def test_bare_import_loads_no_submodule(self):
         loaded, unresolved, unlisted = _fresh(

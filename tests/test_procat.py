@@ -366,7 +366,7 @@ class TestInvariantsFirst:
                         "[tower z2]\ntail_group = T\ntail_endo = t1\n"
                         "[tower d23]\ntail_group = Z2g\ntail_endo = d23\n"
                         "[tower d25]\ntail_group = Z2g\ntail_endo = d25\n")
-        towers = parse(str(path)).towers
+        towers = parse(path.read_bytes()).towers
         for a, b, reason in (
                 ("two", "three", "lim1 invariants differ: Z_2/Z vs Z_3/Z"),
                 ("z", "z2", "lim invariants differ: Z vs Z/2"),
