@@ -267,7 +267,11 @@ def _pick(table, name, what):
 
 def dispatch(argv):
     """Run one command; returns (exit_code, report dict, human text)."""
-    args = _parse_argv(argv)
+    return _run(_parse_argv(argv))
+
+
+def _run(args):
+    """Run the command of the parsed ARGS (see `_parse_argv`)."""
     command = args["command"]
     # refused before any work, as telescope refuses a negative m
     for name in ("depth", "trials"):
@@ -416,9 +420,9 @@ def _depth_warnings(sg):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
-        code, report, text = dispatch(argv)
+        code, report, text = _run(args)
     except (ParseError, UnresolvedReference, DimensionMismatch) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -433,7 +437,7 @@ def main(argv=None):
         # a missing FILE, a directory, one without read permission
         print("cannot read input: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    if "--json" in argv:
+    if args["json"]:
         sys.stdout.write(report_json(report))
     else:
         print(text)

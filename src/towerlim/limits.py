@@ -17,6 +17,12 @@ tail pair (T, A):
   lim1 = (lim L'/A'^k L') / L' on the complement, the quotient of a
   completion, which is uncountable whenever it is nonzero.
 
+Each tail is analysed once (`_tail_analysis`, memoized on the tail, so
+a tower and its shifts share it), and every periodic answer is a
+property of that one `TailAnalysis`, computed on its first read: the
+lim basis and group, the free quotient and lim1, the ML verdict, and
+the reduced tail that the pro-category search reads.
+
 The Mittag-Leffler verdict reads the same analysis, but only its kernel
 chain and d = |det| of the free block: the consecutive image index
 [A^k T : A^(k+1) T] is [Z^n : A Z^n + K_k] for the kernel chain
@@ -43,7 +49,6 @@ from .exactlat import (
     free_group,
     hom_make,
     identity_hom,
-    lattice_canon,
     snf,
     solve_columns,
     subquotient,
@@ -71,38 +76,6 @@ class InternalInconsistency(Exception):
 
 # ---------------------------------------------------------------------------
 # periodic-tail analysis
-
-
-class PeriodicLimData(Record):
-    """Everything the six-term machinery needs about lim of one tower: its
-    TailReduction, the IntMatrix unit_basis whose columns are the lim
-    generators in reduced coordinates, and the FgAbGroup group, the
-    abstract lim presented on those generators."""
-
-    _fields = ("reduction", "unit_basis", "group")
-
-    def __init__(self, reduction, unit_basis, group):
-        object.__setattr__(self, "reduction", reduction)
-        object.__setattr__(self, "unit_basis", unit_basis)
-        object.__setattr__(self, "group", group)
-
-
-def _free_block(reduction):
-    fi = reduction.free_idx
-    return reduction.endo.matrix.submatrix(fi, fi)
-
-
-def _embed_free_columns(reduction, cols_matrix):
-    """Columns over the free coordinates, embedded into reduced coordinates."""
-    m = reduction.group.generators
-    fi = reduction.free_idx
-    out = []
-    for j in range(cols_matrix.cols):
-        v = [0] * m
-        for row, val in zip(fi, cols_matrix.column(j)):
-            v[row] = val
-        out.append(v)
-    return IntMatrix.from_columns(m, out)
 
 
 def _unit_lattice(A_free):
@@ -136,9 +109,11 @@ def _certify_unit_lattice(A_free, N, d):
 class TailAnalysis(Record):
     """The analysis of one periodic tail (T, A): its kernel-chain reduction,
     the injective free block of the reduced tail map and d = |det| of that
-    block.  The ML verdict reads only these; the certified unit lattice
-    of the free block, which lim, lim1 and the six-term sequences read,
-    is built on its first read and kept."""
+    block.  Every periodic answer is a property of this one record, built
+    on its first read and kept: the ML verdict reads only the kernel chain
+    and d; the certified unit lattice N of the free block, and from it the
+    lim basis and group, the free quotient and lim1, are what lim, lim1,
+    the six-term sequences and the pro-category search read."""
 
     _fields = ("reduction", "free_block", "d")
 
@@ -153,61 +128,94 @@ class TailAnalysis(Record):
         _certify_unit_lattice(self.free_block, N, self.d)
         return N
 
+    @cached_property
+    def lim_basis(self):
+        """The lim generators in reduced coordinates, as columns: the unit
+        vectors of the torsion coordinates, then the columns of N placed
+        on the free coordinates."""
+        red = self.reduction
+        units = IntMatrix.identity(red.group.generators)
+        rows = range(units.rows)
+        return units.submatrix(rows, red.torsion_idx).hstack(
+            units.submatrix(rows, red.free_idx) * self.unit_lattice)
+
+    @cached_property
+    def lim_group(self):
+        """lim, the abstract group presented on the lim basis."""
+        red = self.reduction
+        return diagonal_group(tuple(red.diag[i] for i in red.torsion_idx)
+                              + (0,) * self.unit_lattice.cols)
+
+    @cached_property
+    def free_quotient(self):
+        """(rank, Abar): the tail map induced on the free quotient Z^n / N
+        of the free block, in the coordinates of an SNF of N."""
+        A_free, N = self.free_block, self.unit_lattice
+        rf, s = A_free.rows, N.cols
+        if rf == s:
+            return 0, IntMatrix.identity(0)
+        if s == 0:
+            return rf, A_free
+        _, U, Uinv = snf(N)
+        return rf - s, (U.submatrix(range(s, rf), range(rf)) * A_free
+                        * Uinv.submatrix(range(rf), range(s, rf)))
+
+    @cached_property
+    def lim1(self):
+        """lim1, the completion quotient along the free quotient."""
+        rank, Abar = self.free_quotient
+        if rank == 0:
+            return StructuredGroup.zero()
+        if abs(Abar.det()) == 1:
+            raise InternalInconsistency("unit part survived the quotient")
+        return StructuredGroup.completion_quotient(rank, Abar)
+
+    @cached_property
+    def ml(self):
+        """The ML verdict, read off the kernel chain K_0 ... K_l.
+
+        A^k induces T / K_k = A^k T, so [A^k T : A^(k+1) T] =
+        [Z^n : A Z^n + K_k] (K_k contains the relations).  The index never
+        increases with k and from l on equals d, the torsion block being
+        bijective; so ML holds iff d = 1, which is then the stable index,
+        and the offset or onset is the first k <= l whose index reaches
+        it.  Each index is the pivot product of one echelon form of
+        A | K_k; the unit lattice is never read.
+        """
+        A, d = self.reduction.original_endo.matrix, self.d
+        for k, K in enumerate(self.reduction.kernel_chain):
+            if ambient_index(A.hstack(K)) == d:
+                break
+        else:
+            raise InternalInconsistency(
+                "no kernel-chain step reaches the stable image index")
+        if d == 1:
+            return ConditionVerdict(True, MLCertificate(
+                "stabilized", j_offset=k, symbolic=True,
+                note="image lattices of the tail map stabilize after %d steps" % k))
+        return ConditionVerdict(False, MLCertificate(
+            "non_ml", index=d, onset=k,
+            note="consecutive image index is a constant %d" % d))
+
+    @cached_property
+    def reduced_tower(self):
+        """`reduce_to_images` of the tail: the reduced tail as a pure
+        periodic tower, which the pro-category search reads."""
+        return PeriodicTower((), (), self.reduction.group, self.reduction.endo, None)
+
 
 @lru_cache(maxsize=64)
 def _tail_analysis(tail_group, tail_endo):
     """The one TailAnalysis of a periodic tail (T, A), memoized on the
     tail's value, so a tower and its shifts share one record."""
     red = tail_reduction(PeriodicTower((), (), tail_group, tail_endo, None))
-    A_free = _free_block(red)
+    A_free = red.endo.matrix.submatrix(red.free_idx, red.free_idx)
     return TailAnalysis(red, A_free, abs(A_free.det()))
 
 
-def periodic_lim_data(t):
-    """lim of an eventually periodic tower, with transport data."""
-    tail = _tail_analysis(t.tail_group, t.tail_endo)
-    red, N = tail.reduction, tail.unit_lattice
-    tor = red.torsion_idx
-    m = red.group.generators
-    gens = []
-    for i in tor:
-        gens.append([1 if j == i else 0 for j in range(m)])
-    gens_m = IntMatrix.from_columns(m, gens).hstack(_embed_free_columns(red, N))
-    grp = diagonal_group(tuple(red.diag[i] for i in tor) + (0,) * N.cols)
-    return PeriodicLimData(red, gens_m, grp)
-
-
-class PeriodicLim1Data(Record):
-    """lim1 of an eventually periodic tower: the completion-quotient data.
-    quotient_matrix is the tail map induced on the non-unit free quotient,
-    of rank quotient_rank."""
-
-    _fields = ("quotient_rank", "quotient_matrix", "structured")
-
-    def __init__(self, quotient_rank, quotient_matrix, structured):
-        object.__setattr__(self, "quotient_rank", quotient_rank)
-        object.__setattr__(self, "quotient_matrix", quotient_matrix)
-        object.__setattr__(self, "structured", structured)
-
-
-def periodic_lim1_data(t):
-    tail = _tail_analysis(t.tail_group, t.tail_endo)
-    A_free, N = tail.free_block, tail.unit_lattice
-    rf = A_free.rows
-    s = N.cols
-    if rf == s:
-        return PeriodicLim1Data(0, IntMatrix.identity(0), StructuredGroup.zero())
-    if s == 0:
-        Abar = A_free
-    else:
-        _, U, Uinv = snf(N)
-        Abar = (U.submatrix(range(s, rf), range(rf)) * A_free
-                * Uinv.submatrix(range(rf), range(s, rf)))
-    d = Abar.det()
-    if abs(d) == 1:
-        raise InternalInconsistency("unit part survived the quotient")
-    sg = StructuredGroup.completion_quotient(rf - s, Abar)
-    return PeriodicLim1Data(rf - s, Abar, sg)
+def _analysis(t):
+    """The TailAnalysis of the tail of the eventually periodic tower t."""
+    return _tail_analysis(t.tail_group, t.tail_endo)
 
 
 # ---------------------------------------------------------------------------
@@ -280,33 +288,6 @@ class ConditionsReport(Record):
                 "nearly_ml": self.nearly_ml.to_json()}
 
 
-def _ml_periodic(t):
-    """ML of a periodic tail, read off its kernel chain K_0 ... K_l.
-
-    A^k induces T / K_k = A^k T, so [A^k T : A^(k+1) T] = [Z^n : A Z^n + K_k]
-    (K_k contains the relations).  The index never increases with k and
-    from l on equals |det| of the free block, the torsion block being
-    bijective; so ML holds iff that determinant is +-1, which is then
-    the stable index, and the offset or onset is the first k <= l whose
-    index reaches it.  Each index is the pivot product of one echelon
-    form of A | K_k; the unit lattice is never read.
-    """
-    tail = _tail_analysis(t.tail_group, t.tail_endo)
-    A, d = tail.reduction.original_endo.matrix, tail.d
-    for k, K in enumerate(tail.reduction.kernel_chain):
-        if ambient_index(A.hstack(K)) == d:
-            break
-    else:
-        raise InternalInconsistency("no kernel-chain step reaches the stable image index")
-    if d == 1:
-        return ConditionVerdict(True, MLCertificate(
-            "stabilized", j_offset=k, symbolic=True,
-            note="image lattices of the tail map stabilize after %d steps" % k))
-    return ConditionVerdict(False, MLCertificate(
-        "non_ml", index=d, onset=k,
-        note="consecutive image index is a constant %d" % d))
-
-
 def ml_conditions(t):
     """The Mittag-Leffler condition and its dual, virtual and near variants.
 
@@ -314,7 +295,7 @@ def ml_conditions(t):
     Streamed towers get the closed forms of their family.
     """
     if isinstance(t, PeriodicTower):
-        ml = _ml_periodic(t)
+        ml = _analysis(t).ml
         dual = ConditionVerdict(True, MLCertificate(
             "stabilized", symbolic=True,
             note="kernel chains of f.g. abelian towers stabilize"))
@@ -387,7 +368,7 @@ def limit(t):
     groups are delegated to the enumeration oracle.
     """
     if isinstance(t, PeriodicTower):
-        return StructuredGroup.fg(periodic_lim_data(t).group)
+        return StructuredGroup.fg(_analysis(t).lim_group)
     if isinstance(t, FiniteTower):
         return StructuredGroup.fg(brute_lim(t))
     if isinstance(t, StreamedTower):
@@ -411,7 +392,7 @@ def derived_limit(t):
     groups forces Mittag-Leffler).
     """
     if isinstance(t, PeriodicTower):
-        return periodic_lim1_data(t).structured
+        return _analysis(t).lim1
     if isinstance(t, StreamedTower):
         if t.family == "cluster_h1":
             (p,) = t.params
@@ -444,10 +425,7 @@ def brute_lim(ft):
     _, _, _, section, ranges = _minimize_with_transform(top, identity_hom(top))
     values = set()
     comp = ft.composite(ft.depth, 0)
-    # the pivot row and column of each column of the relations' Hermite form
-    H = lattice_canon(ft.groups[0].relations)
-    echelon = [(next(i for i, x in enumerate(col) if x), col)
-               for col in map(H.column, range(H.cols))]
+    echelon = ft.groups[0]._relation_echelon
     counters = [0] * len(ranges)
     while True:
         coords = list(counters)
@@ -474,7 +452,14 @@ def brute_lim(ft):
 
 def _reduce_mod(echelon, vector):
     """Canonical representative of a vector modulo the relation lattice,
-    given as the (pivot row, column) of each column of its Hermite form."""
+    given as the (pivot row, column) of each column of a column echelon
+    form (`FgAbGroup._relation_echelon`): the one whose entry at each
+    pivot row lies in [0, pivot).  Every column echelon form of a lattice
+    has the same pivot rows and pivots, so this set of representatives
+    depends on the lattice alone, and it holds one per coset: the
+    difference w = sum c_j h_j of two of them is a lattice vector, whose
+    entry at the first pivot row is c_0 times the pivot yet smaller than
+    it, so c_0 = 0, and so on down the columns."""
     v = list(vector)
     for prow, col in echelon:
         q = v[prow] // col[prow]
@@ -527,21 +512,20 @@ class SixTermReport(Record):
         return out
 
 
-def _lim_subgroup_hom(data_src, data_tgt, level_map):
-    """The map induced on lims by a level map between reduced tails."""
-    red_s, red_t = data_src.reduction, data_tgt.reduction
+def _lim_subgroup_hom(src, tgt, level_map):
+    """The map induced on lims by a level map between the reduced tails of
+    two TailAnalysis records."""
+    red_s, red_t = src.reduction, tgt.reduction
     induced = red_t.project * level_map.matrix * red_s.section
-    k_s = data_src.unit_basis.cols
-    k_t = data_tgt.unit_basis.cols
+    k_s, k_t = src.lim_basis.cols, tgt.lim_basis.cols
     if k_s == 0:
-        return hom_make(data_src.group, data_tgt.group,
-                        IntMatrix.from_columns(k_t, []))
-    img = induced * data_src.unit_basis
-    X = solve_columns(data_tgt.unit_basis.hstack(red_t.group.relations), img)
+        return hom_make(src.lim_group, tgt.lim_group, IntMatrix.from_columns(k_t, []))
+    img = induced * src.lim_basis
+    X = solve_columns(tgt.lim_basis.hstack(red_t.group.relations), img)
     if X is None:
         raise InconsistentSES("a limit thread maps outside the target limit subgroup")
     M = X.submatrix(range(k_t), range(k_s))
-    return hom_make(data_src.group, data_tgt.group, M)
+    return hom_make(src.lim_group, tgt.lim_group, M)
 
 
 _LIM_JOINT_FAILURES = {
@@ -563,12 +547,9 @@ def six_term(ses):
     """
     if ses.canonical_completion:
         return _six_term_canonical(ses)
-    sub, total, quot = ses.sub, ses.total, ses.quot
-    ds, dt, dq = (periodic_lim_data(x) for x in (sub, total, quot))
-    l1s, l1t, l1q = (periodic_lim1_data(x).structured for x in (sub, total, quot))
-    lim_s = StructuredGroup.fg(ds.group)
-    lim_t = StructuredGroup.fg(dt.group)
-    lim_q = StructuredGroup.fg(dq.group)
+    ds, dt, dq = (_analysis(x) for x in (ses.sub, ses.total, ses.quot))
+    lim_s, lim_t, lim_q = (StructuredGroup.fg(x.lim_group) for x in (ds, dt, dq))
+    l1s, l1t, l1q = ds.lim1, dt.lim1, dq.lim1
 
     inj = ses.inject_at(0)
     sur = ses.surject_at(0)
@@ -622,14 +603,13 @@ def _six_term_canonical(ses):
     kernel of L -> completion; and lim Q / N is the completion quotient
     that lim1 of the sub tower is read from.
     """
-    sub = ses.sub
-    data_sub = periodic_lim_data(sub)
-    lim1_sub = periodic_lim1_data(sub)
-    lim_s = StructuredGroup.fg(data_sub.group)
-    lim_t = StructuredGroup.fg(sub.tail_group)
-    lim_q = StructuredGroup.completion(lim1_sub.quotient_rank, lim1_sub.quotient_matrix) \
-        if lim1_sub.quotient_rank else StructuredGroup.fg(free_group(0))
-    l1s = lim1_sub.structured
+    tail = _analysis(ses.sub)
+    lim_s = StructuredGroup.fg(tail.lim_group)
+    rank, Abar = tail.free_quotient
+    lim_t = StructuredGroup.fg(ses.sub.tail_group)
+    lim_q = StructuredGroup.completion(rank, Abar) if rank \
+        else StructuredGroup.fg(free_group(0))
+    l1s = tail.lim1
     l1t = StructuredGroup.zero()
     l1q = StructuredGroup.zero()
     joints = (

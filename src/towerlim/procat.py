@@ -39,7 +39,7 @@ from .exactlat import (
     lattice_contains,
     solve_columns,
 )
-from .limits import _tail_analysis, derived_limit, limit
+from .limits import _analysis, derived_limit, limit
 from .poly import factor_kernel, poly_of_matrix, prime_factors
 from .structured import compare_structured, corank_difference
 from .towers import PeriodicTower, TowerError, solve_next_map
@@ -276,7 +276,8 @@ def find_interleaving(a, b, depth=4, truncated=None):
     `_CompositeSystem`); a candidate whose system is inconsistent modulo
     a prime of det(A) det(B) or of the torsion is rejected by its residue
     class (see `_search_cell`), and the others cost integer dot products
-    and one exact solve.
+    and one exact solve.  The bond powers, the primes and the relation
+    columns are shared by every gap pair (`_SearchTables`).
 
     This is a pure search: it does not consult lim or lim1, which can
     prove an absence at every depth (see `separating_invariant`).
@@ -288,26 +289,26 @@ def find_interleaving(a, b, depth=4, truncated=None):
     """
     if not isinstance(a, PeriodicTower) or not isinstance(b, PeriodicTower):
         raise TowerError("find_interleaving needs eventually periodic towers")
-    A, B = _reduced_tail(a), _reduced_tail(b)
+    A, B = _analysis(a).reduced_tower, _analysis(b).reduced_tower
 
     ident = _identity_certificate(A, B)
     if ident is not None:
         return ident
 
-    powers = _Powers(A.tail_endo.matrix, B.tail_endo.matrix)
+    tables = _SearchTables(A, B)
     backward = {}   # gap -> backward chain basis
     by_dim = {}     # chain dimension -> _candidates(dimension)
     for ga in range(1, depth + 1):
-        f_chains = _chain_basis(A, B, powers("A", ga), depth)
+        f_chains = _chain_basis(A, B, tables.power("A", ga), depth)
         if not f_chains:
             continue
         for gb in range(1, depth + 1):
             if gb not in backward:
-                backward[gb] = _chain_basis(B, A, powers("B", gb), depth)
+                backward[gb] = _chain_basis(B, A, tables.power("B", gb), depth)
             g_chains = backward[gb]
             if not g_chains:
                 continue
-            system = _CompositeSystem(A, B, ga, gb, f_chains, g_chains, powers)
+            system = _CompositeSystem(tables, ga, gb, f_chains, g_chains)
             dim = len(f_chains)
             if dim not in by_dim:
                 by_dim[dim] = _candidates(dim)
@@ -320,13 +321,6 @@ def find_interleaving(a, b, depth=4, truncated=None):
                     if capped and truncated is not None:
                         truncated.append((ga, gb, c1, c2))
     return None
-
-
-def _reduced_tail(t):
-    """`reduce_to_images` of the tail of t, read from the one analysis of
-    that tail that lim and lim1 share."""
-    red = _tail_analysis(t.tail_group, t.tail_endo).reduction
-    return PeriodicTower((), (), red.group, red.endo, None)
 
 
 def _identity_certificate(A, B):
@@ -350,7 +344,7 @@ def _search_cell(system, c1, c2, cell, candidates):
     A candidate x has an integer solution only if its system
     M(x) y + R lam = t is consistent modulo every prime, and M(x) mod p
     depends only on x mod p.  So consistency modulo each of the
-    system's primes (see `_search_primes`) is decided once per residue
+    search's primes (see `_search_primes`) is decided once per residue
     class of x (at most p^dim classes per cell), and candidates of an
     inconsistent class are skipped.  The filter only drops candidates
     the exact solve would reject, so the first certificate is the same
@@ -361,7 +355,7 @@ def _search_cell(system, c1, c2, cell, candidates):
     consistent = {}     # (p, x mod p) -> consistency of the system mod p
     for coeffs in candidates:
         if not all(_consistent_class(consistent, blocks, rhs, p, coeffs)
-                   for p in system.primes):
+                   for p in system.tables.primes):
             continue
         rows = _rows(blocks, coeffs)
         gens = IntMatrix._new(len(rows), len(rows[0]), tuple(map(tuple, rows)))
@@ -426,18 +420,37 @@ def _combine(chains, coeffs, levels):
     return out
 
 
-class _Powers:
-    """Bond powers A^k and B^k of one search, each computed once."""
+class _SearchTables:
+    """What every gap pair of one search between the reduced tails A and
+    B shares: the bond powers A^k and B^k, each computed once; the primes
+    of the modular rejection in `_search_cell` (`_search_primes`); and
+    `suffix`, the relation-multiplier columns appended to each row of a
+    composite system, by (side, r, c)."""
 
-    def __init__(self, MA, MB):
-        self.bonds = {"A": MA, "B": MB}
-        self.cache = {}
+    def __init__(self, A, B):
+        self.A, self.B = A, B
+        self.bonds = {"A": A.tail_endo.matrix, "B": B.tail_endo.matrix}
+        self.powers = {}
+        self.primes = _search_primes(A, B)
+        TA, TB = A.tail_group, B.tail_group
+        relA, relB = TA.relations, TB.relations
+        extraA = relA.cols * TA.generators
+        extraB = relB.cols * TB.generators
+        self.suffix = {}
+        for side, T, rel, base in (("A", TA, relA, 0), ("B", TB, relB, extraA)):
+            n = T.generators
+            for r in range(n):
+                for c in range(n):
+                    extra = [0] * (extraA + extraB)
+                    for k in range(rel.cols):
+                        extra[base + k * n + c] = rel.data[r][k]
+                    self.suffix[side, r, c] = extra
 
-    def __call__(self, side, k):
+    def power(self, side, k):
         key = (side, k)
-        if key not in self.cache:
-            self.cache[key] = self.bonds[side] ** k
-        return self.cache[key]
+        if key not in self.powers:
+            self.powers[key] = self.bonds[side] ** k
+        return self.powers[key]
 
 
 class _CompositeSystem:
@@ -449,35 +462,19 @@ class _CompositeSystem:
             = A^(ga*c2 + c1)[r][c],
     which is linear in y for a fixed candidate x; f_0 o g_c1 =
     B^(gb*c1 + c2) likewise.  The basis products g_l[0] f_k[level] and
-    f_k[0] g_l[level] are computed once per (side, level) and the bond
-    powers once per (side, exponent), and every offset cell (c1, c2) and
-    candidate x shares them, so a candidate's system costs one dot
-    product per entry.  Integer arithmetic is exact: the system equals
-    the one built from the combined chains by matrix products.  `primes`
-    are the primes of the modular rejection in `_search_cell`.
+    f_k[0] g_l[level] are computed once per (side, level), and every
+    offset cell (c1, c2) and candidate x shares them and the search's
+    `_SearchTables`, so a candidate's system costs one dot product per
+    entry.  Integer arithmetic is exact: the system equals the one built
+    from the combined chains by matrix products.
     """
 
-    def __init__(self, A, B, ga, gb, f_chains, g_chains, powers):
-        self.A, self.B = A, B
+    def __init__(self, tables, ga, gb, f_chains, g_chains):
+        self.tables = tables
+        self.A, self.B = tables.A, tables.B
         self.ga, self.gb = ga, gb
         self.f_chains, self.g_chains = f_chains, g_chains
-        self.powers = powers
-        self.primes = _search_primes(A, B)
         self.entries = {}
-        TA, TB = A.tail_group, B.tail_group
-        relA, relB = TA.relations, TB.relations
-        extraA = relA.cols * TA.generators
-        extraB = relB.cols * TB.generators
-        # relation-multiplier columns appended to each row, by (side, r, c)
-        self.suffix = {}
-        for side, T, rel, base in (("A", TA, relA, 0), ("B", TB, relB, extraA)):
-            n = T.generators
-            for r in range(n):
-                for c in range(n):
-                    extra = [0] * (extraA + extraB)
-                    for k in range(rel.cols):
-                        extra[base + k * n + c] = rel.data[r][k]
-                    self.suffix[side, r, c] = extra
 
     def cell(self, c1, c2):
         """(blocks, target) of the offset cell (c1, c2).
@@ -491,7 +488,7 @@ class _CompositeSystem:
         for side, level, exponent in (("A", c2, self.ga * c2 + c1),
                                       ("B", c1, self.gb * c1 + c2)):
             blocks.append(self._entries(side, level))
-            rhs.extend(x for row in self.powers(side, exponent).data for x in row)
+            rhs.extend(x for row in self.tables.power(side, exponent).data for x in row)
         return blocks, IntMatrix.from_columns(len(rhs), [rhs])
 
     def _entries(self, side, level):
@@ -508,7 +505,7 @@ class _CompositeSystem:
                          for g in self.g_chains]
             block = self.entries[key] = [
                 (tuple(tuple(p.data[r][c] for p in per_g) for per_g in prods),
-                 self.suffix[side, r, c])
+                 self.tables.suffix[side, r, c])
                 for r in range(n) for c in range(n)]
         return block
 

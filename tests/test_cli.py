@@ -174,6 +174,16 @@ class TestReadPath:
         assert dispatch(["lim1", str(tmp_path / "crlf.tower")])[2] == \
             dispatch(["lim1", fixture("solenoid_2.tower")])[2]
 
+    def test_file_named_json_is_not_the_flag(self, tmp_path, monkeypatch, capsys):
+        # after --, "--json" is FILE, so the text line is printed
+        with open(fixture("solenoid_2.tower"), "rb") as fh:
+            (tmp_path / "--json").write_bytes(fh.read())
+        monkeypatch.chdir(tmp_path)
+        assert main(["lim1", "--", "--json"]) == EXIT_OK
+        assert capsys.readouterr().out == "lim1 = Z_2/Z (uncountable)\n"
+        assert main(["lim1", "--json", "--", "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["task"] == "lim1"
+
 
 class TestDispatch:
     def test_lim1_solenoid(self):

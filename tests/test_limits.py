@@ -8,6 +8,7 @@ enumeration for finite towers.
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -407,9 +408,9 @@ class TestLim:
         assert sg.tag == "fg"
         assert sg.group.smith_invariants == (1, [])
         # the computed generator witness is the class of (1, -1)
-        from towerlim.limits import periodic_lim_data
-        data = periodic_lim_data(pure_tower(Z2, [[2, 1], [0, 1]]))
-        gen = data.unit_basis.column(0)
+        from towerlim.limits import _tail_analysis
+        t = pure_tower(Z2, [[2, 1], [0, 1]])
+        gen = _tail_analysis(t.tail_group, t.tail_endo).lim_basis.column(0)
         assert gen in ([1, -1], [-1, 1])
 
     def test_lim_projection_rank2(self):
@@ -854,6 +855,54 @@ class TestTailAnalysis:
             limit(s), derived_limit(s), ml_conditions(s)
         info = limits._tail_analysis.cache_info()
         assert info.misses == 1 and info.hits == 11
+
+
+def _record_calls(monkeypatch, names):
+    """Wrap every binding of the named functions in the loaded towerlim
+    modules; each call appends its name to the list returned."""
+    calls = []
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("towerlim."):
+            for name in names:
+                fn = getattr(mod, name, None)
+                if fn is not None:
+                    monkeypatch.setattr(mod, name, lambda *args, _fn=fn, _name=name:
+                                        calls.append(_name) or _fn(*args))
+    return calls
+
+
+class TestOneAnalysisAnswersAll:
+    """Every periodic answer is a property of the one TailAnalysis, so no
+    second query of a tail recomputes a lattice, a factorization or a
+    characteristic polynomial."""
+
+    def test_second_queries_of_a_tail_and_its_shifts_compute_nothing(self, monkeypatch):
+        # [[2, 1], [0, 1]] has a unit part and a non-unit quotient, so the
+        # first queries reach snf, prime_factors and charpoly
+        Z2t = cyclic_group(2)
+        t = periodic_tower([Z2t], [], Z2, hom_make(Z2, Z2, [[2, 1], [0, 1]]),
+                           splice=hom_make(Z2, Z2t, [[1, 0]]))
+        shifts = [shift(t, k) for k in range(4)]
+        queries = (limit, derived_limit, ml_conditions)
+        limits._tail_analysis.cache_clear()
+        calls = _record_calls(monkeypatch, ("snf", "prime_factors", "charpoly"))
+        first = [q(t).to_json() for q in queries]
+        assert {"snf", "prime_factors", "charpoly"} <= set(calls)
+        del calls[:]
+        for s in shifts:
+            assert [q(s).to_json() for q in queries] == first
+        assert calls == []
+
+    def test_undecided_compare_pair_runs_snf_once_per_tower(self, monkeypatch):
+        # compare reads lim1 of each tower twice; the snf of the unit
+        # lattice N behind it runs once per tower
+        a, b = pure_tower(Z2, [[2, 0], [0, 1]]), pure_tower(Z2, [[1, 0], [0, 2]])
+        limits._tail_analysis.cache_clear()
+        calls = []
+        snf = limits.snf
+        monkeypatch.setattr(limits, "snf", lambda N: calls.append(N) or snf(N))
+        assert procat.compare_invariants(a, b, depth=0).kind == "undecided"
+        assert len(calls) == 2
 
 
 class TestUnitLatticeCertificate:

@@ -217,8 +217,8 @@ class TestCompositeSystem:
                         for _ in range(rng.randint(1, 3))]
             g_chains = [[rand(nA, nB) for _ in range(depth + 1)]
                         for _ in range(rng.randint(1, 3))]
-            powers = procat._Powers(A.tail_endo.matrix, B.tail_endo.matrix)
-            system = procat._CompositeSystem(A, B, ga, gb, f_chains, g_chains, powers)
+            system = procat._CompositeSystem(procat._SearchTables(A, B), ga, gb,
+                                             f_chains, g_chains)
             for c1 in range(depth + 1):
                 for c2 in range(depth + 1):
                     blocks, target = system.cell(c1, c2)
@@ -259,8 +259,8 @@ class TestModularRejection:
                         for _ in range(rng.randint(2, 3))]
             g_chains = [[IntMatrix(1, 1, [[rng.randint(-4, 4)]])]
                         for _ in range(rng.randint(1, 2))]
-            powers = procat._Powers(a.tail_endo.matrix, b.tail_endo.matrix)
-            system = procat._CompositeSystem(a, b, 1, 1, f_chains, g_chains, powers)
+            system = procat._CompositeSystem(procat._SearchTables(a, b), 1, 1,
+                                             f_chains, g_chains)
             blocks, target = system.cell(0, 0)
             rhs = target.column(0)
             memo = {}
@@ -280,6 +280,17 @@ class TestModularRejection:
         assert procat._search_primes(singular, tz(3)) == ()
         torsion = pure_tower(direct_sum(Z, cyclic_group(12)), [[3, 0], [1, 5]])
         assert procat._search_primes(torsion, tz(1)) == (2, 3, 5)
+
+    def test_primes_are_found_once_per_search(self, monkeypatch):
+        # the 16 gap pairs of a depth-4 search share one prime set, the
+        # primes of det A det B = 60
+        calls = []
+        factor = procat.prime_factors
+        monkeypatch.setattr(procat, "prime_factors", lambda n: calls.append(n) or factor(n))
+        Z2 = free_group(2)
+        assert find_interleaving(pure_tower(Z2, [[2, 0], [0, 3]]),
+                                 pure_tower(Z2, [[2, 0], [0, 5]]), depth=4) is None
+        assert calls == [60]
 
     def test_filter_keeps_the_first_certificate(self, monkeypatch):
         Z2 = free_group(2)
