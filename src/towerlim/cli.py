@@ -267,11 +267,7 @@ def _pick(table, name, what):
 
 def dispatch(argv):
     """Run one command; returns (exit_code, report dict, human text)."""
-    return _run(_parse_argv(argv))
-
-
-def _run(args):
-    """Run the command of the parsed ARGS (see `_parse_argv`)."""
+    args = _parse_argv(argv)
     command = args["command"]
     # refused before any work, as telescope refuses a negative m
     for name in ("depth", "trials"):
@@ -420,9 +416,10 @@ def _depth_warnings(sg):
 
 
 def main(argv=None):
-    args = _parse_argv(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    as_json = _parse_argv(argv)["json"]
     try:
-        code, report, text = _run(args)
+        code, report, text = dispatch(argv)
     except (ParseError, UnresolvedReference, DimensionMismatch) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -437,7 +434,7 @@ def main(argv=None):
         # a missing FILE, a directory, one without read permission
         print("cannot read input: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    if args["json"]:
+    if as_json:
         sys.stdout.write(report_json(report))
     else:
         print(text)

@@ -22,6 +22,7 @@ invariants without a connecting map are deliberately reported Undecided,
 since the bijection criterion presupposes a morphism inducing them.
 """
 
+from functools import cached_property
 from itertools import count, islice, product
 from math import gcd
 from operator import mul
@@ -425,18 +426,26 @@ class _SearchTables:
     B shares: the bond powers A^k and B^k, each computed once; the primes
     of the modular rejection in `_search_cell` (`_search_primes`); and
     `suffix`, the relation-multiplier columns appended to each row of a
-    composite system, by (side, r, c)."""
+    composite system, by (side, r, c).  The primes and the suffix table
+    are built on first use, so a search that builds no composite system
+    computes neither."""
 
     def __init__(self, A, B):
         self.A, self.B = A, B
         self.bonds = {"A": A.tail_endo.matrix, "B": B.tail_endo.matrix}
         self.powers = {}
-        self.primes = _search_primes(A, B)
-        TA, TB = A.tail_group, B.tail_group
+
+    @cached_property
+    def primes(self):
+        return _search_primes(self.A, self.B)
+
+    @cached_property
+    def suffix(self):
+        TA, TB = self.A.tail_group, self.B.tail_group
         relA, relB = TA.relations, TB.relations
         extraA = relA.cols * TA.generators
         extraB = relB.cols * TB.generators
-        self.suffix = {}
+        suffix = {}
         for side, T, rel, base in (("A", TA, relA, 0), ("B", TB, relB, extraA)):
             n = T.generators
             for r in range(n):
@@ -444,7 +453,8 @@ class _SearchTables:
                     extra = [0] * (extraA + extraB)
                     for k in range(rel.cols):
                         extra[base + k * n + c] = rel.data[r][k]
-                    self.suffix[side, r, c] = extra
+                    suffix[side, r, c] = extra
+        return suffix
 
     def power(self, side, k):
         key = (side, k)

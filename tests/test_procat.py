@@ -292,6 +292,15 @@ class TestModularRejection:
                                  pure_tower(Z2, [[2, 0], [0, 5]]), depth=4) is None
         assert calls == [60]
 
+    def test_search_without_a_system_finds_no_primes(self, monkeypatch):
+        # no chain from Z(x2) to Z(x3) at any gap, so no composite system is
+        # built and the primes are never needed
+        calls = []
+        factor = procat.prime_factors
+        monkeypatch.setattr(procat, "prime_factors", lambda n: calls.append(n) or factor(n))
+        assert find_interleaving(tz(2), tz(3), depth=3) is None
+        assert calls == []
+
     def test_filter_keeps_the_first_certificate(self, monkeypatch):
         Z2 = free_group(2)
         pairs = [(tz(p), tz(q), 3) for p, q in ((2, 4), (4, 2), (2, 3), (3, 9),

@@ -3,9 +3,7 @@
 Every function, class and method that `ast` finds in src/towerlim is
 named somewhere in the package outside its own definition (in code, or
 in the doctest of another docstring), is a public name of `towerlim`, or
-is an entry point: the console script's `cli.main`, or `cli.dispatch`,
-which runs one command in-process and returns its exit code, report and
-text, as `perfbench/worker.py` calls it.  Dunder methods are called by the
+is the console entry point `cli.main`.  Dunder methods are called by the
 interpreter and are exempt.  A definition that only tests reach belongs
 in tests/, not in the package.
 """
@@ -19,7 +17,7 @@ import tokenize
 import towerlim
 
 SRC = pathlib.Path(towerlim.__file__).parent
-ENTRY_POINTS = {("cli", "main"), ("cli", "dispatch")}
+ENTRY_POINTS = {("cli", "main")}
 
 
 def _names(source):
